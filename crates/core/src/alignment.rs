@@ -6,8 +6,8 @@
 //! ontologies. Candidate pairs are generated per source concept through
 //! *blocking* (shared name tokens, shared features, and the dense-vector
 //! NSW graph as a recall channel) so the full n×m similarity matrix is
-//! never materialized; preference lists are scored over one
-//! [`PreparedContext`](crate::runner::PreparedContext) batch fanned out on
+//! never materialized; preference lists are scored from the toolkit's
+//! resident [`ConceptTable`](crate::runner::ConceptTable), fanned out on
 //! the work-stealing tile scheduler; and the final matching is either
 //! greedy first-come best-first or Gale–Shapley deferred acceptance
 //! ([`MatchMode::Stable`], the default), whose output contains no blocking
@@ -22,6 +22,7 @@ use sst_soqa::GlobalConcept;
 
 use crate::error::{Result, SstError};
 use crate::facade::{PairScorer, SstToolkit};
+use crate::runner::TokenId;
 
 /// One proposed correspondence. Concepts are identified by their
 /// [`GlobalConcept`] ids — display names are carried for presentation only
@@ -227,13 +228,15 @@ pub fn align_with_limits(
         });
     }
 
+    let (src_rows, tgt_rows) = (sst.rows(&sources)?, sst.rows(&targets)?);
+
     // ---- Candidate generation -------------------------------------------
     let candidates: Vec<Vec<usize>> = match config.candidates {
         CandidateGen::Exhaustive => sources
             .iter()
             .map(|_| (0..targets.len()).collect())
             .collect(),
-        CandidateGen::Blocked { width } => blocked_candidates(sst, &sources, &targets, width),
+        CandidateGen::Blocked { width } => blocked_candidates(sst, &src_rows, &tgt_rows, width),
     };
     stats.sources_without_candidates = candidates.iter().filter(|c| c.is_empty()).count();
     let pair_list: Vec<(usize, usize)> = candidates
@@ -257,34 +260,31 @@ pub fn align_with_limits(
         "align.score",
     )?;
 
-    // ---- Preference-list scoring over one prepared batch ----------------
-    // One batch context over source ∪ target concepts; only candidate
-    // pairs are scored, fanned out over the work-stealing scheduler in
-    // chunks of the flat candidate list. Per-chunk results are assembled
-    // by chunk index, so scores are deterministic for any worker count.
-    let mut batch: Vec<GlobalConcept> = Vec::with_capacity(sources.len() + targets.len());
-    batch.extend_from_slice(&sources);
-    batch.extend_from_slice(&targets);
-    let prep = sst.prepare_for(&batch, sst.needs_union(&config.measures)?);
+    // ---- Preference-list scoring from the concept table ------------------
+    // Only candidate pairs are scored, fanned out over the work-stealing
+    // scheduler in chunks of the flat candidate list. Per-chunk results are
+    // assembled by chunk index, so scores are deterministic for any worker
+    // count.
     let scorers: Vec<PairScorer<'_>> = config
         .measures
         .iter()
-        .map(|&m| Ok(PairScorer::new(sst.runner(m)?, &prep)))
+        .map(|&m| sst.scorer(m))
         .collect::<Result<_>>()?;
 
-    let source_count = sources.len();
     let tiles = crate::sched::rect_tiles(1, pair_list.len().max(1), 64);
     let workers = crate::sched::default_workers().min(tiles.len());
     let measures = &config.measures;
     let scorers = &scorers;
     let pairs = &pair_list;
+    let (src_rows, tgt_rows) = (&src_rows, &tgt_rows);
     let (results, sched_stats) = crate::sched::run_tiles(&tiles, workers, |_, tile| {
         let mut vals = Vec::with_capacity(tile.len());
         let mut scores = vec![0.0; measures.len()];
         tile.for_each(|_, k| {
             if let Some(&(si, tj)) = pairs.get(k) {
+                let (a, b) = (src_rows[si], tgt_rows[tj]);
                 for ((&m, scorer), slot) in measures.iter().zip(scorers).zip(&mut scores) {
-                    *slot = sst.timed_score(m, || scorer.score(si, source_count + tj));
+                    *slot = sst.timed_score(m, || scorer.score(a, b));
                 }
                 vals.push(combiner.combine(&scores));
             }
@@ -428,31 +428,50 @@ pub fn align_with_limits(
 /// Blocked candidate generation: per source concept, the union of up to
 /// `width` target indices from each recall channel. All channels are
 /// deterministic (counts descending, then ascending target index; the ANN
-/// channel inherits the NSW graph's lower-row tie-breaking).
+/// channel inherits the NSW graph's lower-row tie-breaking). Concepts are
+/// given as concept table rows; the token and feature channels read the
+/// rows' interned name-token and feature ids.
 fn blocked_candidates(
     sst: &SstToolkit,
-    sources: &[GlobalConcept],
-    targets: &[GlobalConcept],
+    sources: &[usize],
+    targets: &[usize],
     width: usize,
 ) -> Vec<Vec<usize>> {
-    let ctx = sst.ctx();
+    let table = sst.concept_table();
 
     // Target-side postings: lowercase name token -> target indices, and
-    // feature string -> target indices. Posting lists longer than `cap`
-    // are skipped as non-discriminative (a token shared by most of the
-    // target ontology recalls nothing specific and would push candidate
+    // feature -> target indices. Posting lists longer than `cap` are
+    // skipped as non-discriminative (a token shared by most of the target
+    // ontology recalls nothing specific and would push candidate
     // generation back toward O(n·m)).
     let cap = (targets.len() / 2).max(width.saturating_mul(8));
-    let mut token_postings: HashMap<String, Vec<usize>> = HashMap::new();
-    let mut feature_postings: HashMap<String, Vec<usize>> = HashMap::new();
-    for (tj, &gc) in targets.iter().enumerate() {
-        for tok in sst_index::tokenize(ctx.name(gc)) {
+    let mut token_postings: HashMap<TokenId, Vec<usize>> = HashMap::new();
+    let mut feature_postings: HashMap<TokenId, Vec<usize>> = HashMap::new();
+    for (tj, &row) in targets.iter().enumerate() {
+        let view = table.view(row);
+        for &tok in &view.name_tokens {
             token_postings.entry(tok).or_default().push(tj);
         }
-        for feat in ctx.feature_set(gc) {
+        for &feat in view.features.ids() {
             feature_postings.entry(feat).or_default().push(tj);
         }
     }
+    // Shared name tokens, then shared features, each ranked by overlap
+    // count.
+    let channel = |postings: &HashMap<TokenId, Vec<usize>>, ids: &[TokenId]| {
+        let mut overlap: HashMap<usize, u32> = HashMap::new();
+        for id in ids {
+            match postings.get(id) {
+                Some(list) if list.len() <= cap => {
+                    for &tj in list {
+                        *overlap.entry(tj).or_insert(0) += 1;
+                    }
+                }
+                _ => {}
+            }
+        }
+        top_by_count(overlap, width)
+    };
 
     let vectors = sst.vector_store();
     // A beam a few times wider than the per-channel width keeps ANN recall
@@ -461,47 +480,25 @@ fn blocked_candidates(
     let target_rows: HashMap<usize, usize> = targets
         .iter()
         .enumerate()
-        .filter_map(|(tj, &gc)| vectors.position(gc).map(|row| (row, tj)))
+        .filter_map(|(tj, &row)| {
+            vectors
+                .position(table.view(row).concept)
+                .map(|vrow| (vrow, tj))
+        })
         .collect();
 
     let mut out = Vec::with_capacity(sources.len());
-    for &gc in sources {
-        let mut merged: Vec<usize> = Vec::new();
+    for &row in sources {
+        let view = table.view(row);
+        let mut merged = channel(&token_postings, &view.name_tokens);
+        merged.extend(channel(&feature_postings, view.features.ids()));
 
-        // Channel 1: shared name tokens, ranked by overlap count.
-        let mut overlap: HashMap<usize, u32> = HashMap::new();
-        for tok in sst_index::tokenize(ctx.name(gc)) {
-            if let Some(postings) = token_postings.get(&tok) {
-                if postings.len() > cap {
-                    continue;
-                }
-                for &tj in postings {
-                    *overlap.entry(tj).or_insert(0) += 1;
-                }
-            }
-        }
-        merged.extend(top_by_count(overlap, width));
-
-        // Channel 2: shared features, ranked by overlap count.
-        let mut overlap: HashMap<usize, u32> = HashMap::new();
-        for feat in ctx.feature_set(gc) {
-            if let Some(postings) = feature_postings.get(&feat) {
-                if postings.len() > cap {
-                    continue;
-                }
-                for &tj in postings {
-                    *overlap.entry(tj).or_insert(0) += 1;
-                }
-            }
-        }
-        merged.extend(top_by_count(overlap, width));
-
-        // Channel 3: dense-vector neighborhood via the NSW graph, filtered
-        // to the target ontology. Catches documentation-level similarity
-        // that shares no surface tokens or features.
-        if let Some(row) = vectors.position(gc) {
+        // Dense-vector neighborhood via the NSW graph, filtered to the
+        // target ontology. Catches documentation-level similarity that
+        // shares no surface tokens or features.
+        if let Some(vrow) = vectors.position(view.concept) {
             let mut taken = 0usize;
-            for (r, _) in vectors.approx_candidates(row, probe) {
+            for (r, _) in vectors.approx_candidates(vrow, probe) {
                 if let Some(&tj) = target_rows.get(&r) {
                     merged.push(tj);
                     taken += 1;

@@ -43,7 +43,7 @@ use sst_obs::Counter;
 use sst_soqa::GlobalConcept;
 
 use crate::error::Result;
-use crate::facade::{rank_descending, ConceptAndSimilarity, ConceptSet, PairScorer, SstToolkit};
+use crate::facade::{rank_descending, ConceptAndSimilarity, ConceptSet, SstToolkit};
 use crate::lru::{ShardedLru, Slot};
 
 type Key = (usize, GlobalConcept, GlobalConcept);
@@ -205,14 +205,7 @@ impl<T: Borrow<SstToolkit>> CachedSimilarity<T> {
                 Ok(cached)
             }
             Slot::Reserved => {
-                let computed = self.toolkit().get_similarity(
-                    first_concept,
-                    first_ontology,
-                    second_concept,
-                    second_ontology,
-                    measure,
-                );
-                match computed {
+                match self.toolkit().pair_similarity(measure, a, b) {
                     Ok(value) => {
                         self.misses.fetch_add(1, Ordering::Relaxed);
                         self.misses_metric.inc();
@@ -234,12 +227,12 @@ impl<T: Borrow<SstToolkit>> CachedSimilarity<T> {
     /// Cached version of [`SstToolkit::most_similar`]: reuses any pairs
     /// already scored and stores the rest.
     ///
-    /// Misses are computed in one batch on the toolkit's prepared-context
-    /// path (one [`SstToolkit::prepare`] over the missed members plus the
-    /// query) instead of one naive pairwise call per member; memo keys are
-    /// unchanged. Hit/miss counters move only after the whole batch has
-    /// completed — an error partway through the scan (unknown measure, a
-    /// member that fails to resolve) leaves every counter untouched.
+    /// Members are keyed and scored by concept identity, never by display
+    /// name, so concepts sharing a name keep distinct memo entries. Misses
+    /// are scored from the toolkit's resident concept table in one pass.
+    /// Hit/miss counters move only after the whole scan has completed — an
+    /// error partway through (unknown measure, unknown query) leaves every
+    /// counter untouched.
     pub fn most_similar(
         &self,
         concept: &str,
@@ -248,13 +241,14 @@ impl<T: Borrow<SstToolkit>> CachedSimilarity<T> {
         k: usize,
         measure: usize,
     ) -> Result<Vec<ConceptAndSimilarity>> {
-        let members = self.toolkit().concept_set(set)?;
+        let toolkit = self.toolkit();
+        let members = toolkit.concept_set(set)?;
         if members.is_empty() {
             return Ok(Vec::new());
         }
-        let query = self.toolkit().soqa().resolve(ontology, concept)?;
+        let query = toolkit.soqa().resolve(ontology, concept)?;
         // Fail on an unknown measure *before* any accounting.
-        let runner = self.toolkit().runner(measure)?;
+        toolkit.runner(measure)?;
 
         // Scan the memo once; misses are deduplicated into batch slots so a
         // repeated pair is computed once and the repeat counts as a hit,
@@ -262,22 +256,12 @@ impl<T: Borrow<SstToolkit>> CachedSimilarity<T> {
         // misses accumulate locally until all work has actually happened.
         let mut hits: u64 = 0;
         let mut misses: u64 = 0;
-        let mut all: Vec<ConceptAndSimilarity> = Vec::with_capacity(members.len());
-        let mut slot_of_row: Vec<Option<usize>> = Vec::with_capacity(members.len());
+        let mut scores: Vec<f64> = Vec::with_capacity(members.len());
+        let mut slot_of_member: Vec<Option<usize>> = Vec::with_capacity(members.len());
         let mut pending_keys: HashMap<Key, usize> = HashMap::new();
         let mut pending: Vec<GlobalConcept> = Vec::new();
-        for gc in members {
-            let other = self.toolkit().soqa().concept(gc).name.clone();
-            let other_onto = self
-                .toolkit()
-                .soqa()
-                .ontology_at(gc.ontology)
-                .name()
-                .to_owned();
-            // Resolve by name like the pairwise service does, so duplicate
-            // names keep hitting the same memo entry they always did.
-            let rgc = self.toolkit().soqa().resolve(&other_onto, &other)?;
-            let key = Self::canonical(measure, query, rgc);
+        for &gc in &members {
+            let key = Self::canonical(measure, query, gc);
             let (similarity, slot) = if let Some(cached) = self.memo.get(&key) {
                 hits += 1;
                 (cached, None)
@@ -287,29 +271,21 @@ impl<T: Borrow<SstToolkit>> CachedSimilarity<T> {
             } else {
                 let slot = pending.len();
                 pending_keys.insert(key, slot);
-                pending.push(rgc);
+                pending.push(gc);
                 misses += 1;
                 (0.0, Some(slot))
             };
-            all.push(ConceptAndSimilarity {
-                concept: other,
-                ontology: other_onto,
-                similarity,
-            });
-            slot_of_row.push(slot);
+            scores.push(similarity);
+            slot_of_member.push(slot);
         }
 
         if !pending.is_empty() {
-            let mut batch = pending.clone();
-            batch.push(query);
-            let prep = self.toolkit().prepare_for(&batch, runner.needs());
-            let scorer = PairScorer::new(runner, &prep);
-            let qpos = batch.len() - 1;
-            let values: Vec<f64> = (0..pending.len())
-                .map(|i| {
-                    self.toolkit()
-                        .timed_score(measure, || scorer.score(qpos, i))
-                })
+            let scorer = toolkit.scorer(measure)?;
+            let qrow = toolkit.row(query)?;
+            let values: Vec<f64> = toolkit
+                .rows(&pending)?
+                .into_iter()
+                .map(|r| toolkit.timed_score(measure, || scorer.score(qrow, r)))
                 .collect();
             let mut evicted: u64 = 0;
             for (&key, &slot) in &pending_keys {
@@ -318,9 +294,9 @@ impl<T: Borrow<SstToolkit>> CachedSimilarity<T> {
                 }
             }
             self.note_evictions(evicted);
-            for (row, slot) in all.iter_mut().zip(&slot_of_row) {
+            for (score, slot) in scores.iter_mut().zip(&slot_of_member) {
                 if let Some(slot) = *slot {
-                    row.similarity = values[slot];
+                    *score = values[slot];
                 }
             }
         }
@@ -331,6 +307,11 @@ impl<T: Borrow<SstToolkit>> CachedSimilarity<T> {
         self.misses.fetch_add(misses, Ordering::Relaxed);
         self.misses_metric.add(misses);
 
+        let mut all: Vec<ConceptAndSimilarity> = members
+            .iter()
+            .zip(scores)
+            .map(|(&gc, s)| toolkit.to_result(gc, s))
+            .collect();
         all.sort_by(rank_descending);
         all.truncate(k);
         Ok(all)
@@ -588,6 +569,78 @@ mod tests {
         }
         assert_eq!(cache.evictions(), 0);
         assert_eq!(cache.len(), 15); // C(5,2) + 5 self-pairs
+    }
+
+    /// Two concepts share the display name "Widget" and a third was
+    /// renamed after creation, so names do not address members: the cached
+    /// ranking must key and score each member by identity, bit for bit
+    /// like the direct ranking, for queries from both ontologies.
+    #[test]
+    fn cached_ranking_keeps_duplicate_display_names_apart() {
+        let mut left = OntologyBuilder::new(OntologyMetadata {
+            name: "dup_left".into(),
+            ..OntologyMetadata::default()
+        });
+        let root = left.concept("Machine");
+        for (name, doc) in [
+            ("Widget", "a rotating gear mechanism with brass teeth"),
+            ("Gadget", "a chirping bird automaton with tiny bellows"),
+            ("Doohickey", "a spring loaded latch for cabinet doors"),
+        ] {
+            let c = left.concept(name);
+            left.concept_mut(c).documentation = Some(doc.to_owned());
+            left.add_subclass(c, root);
+        }
+        let gadget = left.concept("Gadget");
+        left.concept_mut(gadget).name = "Widget".to_owned();
+        let doohickey = left.concept("Doohickey");
+        left.concept_mut(doohickey).name = "Gizmo".to_owned();
+        let mut right = OntologyBuilder::new(OntologyMetadata {
+            name: "dup_right".into(),
+            ..OntologyMetadata::default()
+        });
+        let top = right.concept("Device");
+        for (name, doc) in [
+            ("GearWork", "a rotating gear mechanism with brass teeth"),
+            ("BirdBox", "a chirping bird automaton with tiny bellows"),
+        ] {
+            let c = right.concept(name);
+            right.concept_mut(c).documentation = Some(doc.to_owned());
+            right.add_subclass(c, top);
+        }
+        let sst = SstBuilder::new()
+            .register_ontology(left.build())
+            .unwrap()
+            .register_ontology(right.build())
+            .unwrap()
+            .build();
+        let cache = CachedSimilarity::new(&sst);
+        let queries = [
+            ("Widget", "dup_left"),
+            ("Gadget", "dup_left"),
+            ("GearWork", "dup_right"),
+            ("BirdBox", "dup_right"),
+        ];
+        for measure in 0..sst.measure_count() {
+            for (concept, ontology) in queries {
+                let direct = sst
+                    .most_similar(concept, ontology, &ConceptSet::All, 10, measure)
+                    .unwrap();
+                let cached = cache
+                    .most_similar(concept, ontology, &ConceptSet::All, 10, measure)
+                    .unwrap();
+                assert_eq!(cached.len(), direct.len());
+                for (c, d) in cached.iter().zip(&direct) {
+                    assert_eq!((&c.concept, &c.ontology), (&d.concept, &d.ontology));
+                    assert_eq!(
+                        c.similarity.to_bits(),
+                        d.similarity.to_bits(),
+                        "measure {measure}, query {ontology}:{concept}, member {}",
+                        c.concept
+                    );
+                }
+            }
+        }
     }
 
     #[test]

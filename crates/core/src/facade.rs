@@ -23,7 +23,7 @@ use sst_soqa::{GlobalConcept, Ontology, Soqa};
 use crate::chart::Chart;
 use crate::error::{Result, SstError};
 use crate::runner::{
-    default_runners, MeasureRunner, PrepareNeeds, PreparedContext, PreparedMeasure, RunnerInfo,
+    default_runners, ConceptTable, DenseRow, MeasureRunner, PreparedMeasure, RunnerInfo,
     SimilarityContext,
 };
 use crate::sched;
@@ -96,15 +96,14 @@ pub struct ConceptAndSimilarity {
     pub similarity: f64,
 }
 
-/// Which execution path the batch services (matrix, set, k-best) take.
+/// Which execution path the matrix services take.
 ///
 /// Both paths are bit-identical on all default measures; `Naive` is kept as
 /// the reference implementation for regression benchmarks and property
 /// tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BatchMode {
-    /// Prepared-context batch engine: per-concept views and BFS tables are
-    /// computed once per operation (the default).
+    /// Score from the toolkit's resident concept table (the default).
     #[default]
     Prepared,
     /// Per-pair path: every runner call rederives its inputs.
@@ -115,31 +114,25 @@ pub enum BatchMode {
 /// fans out over the work-stealing scheduler instead of scoring serially.
 const RANK_PARALLEL_THRESHOLD: usize = 256;
 
-/// One pair-scoring strategy for a batch operation: either a
-/// measure-specialized [`PreparedMeasure`], or the naive per-pair runner
-/// call for runners without a batch hook.
-pub(crate) enum PairScorer<'p> {
-    Prepared(Box<dyn PreparedMeasure + 'p>),
+/// One measure's pair scorer for a service call, addressed by concept
+/// table row: the runner's scorer over the resident [`ConceptTable`], or
+/// the per-pair runner call for runners without one.
+pub(crate) enum PairScorer<'t> {
+    Table(Box<dyn PreparedMeasure + 't>),
     Naive {
-        runner: &'p dyn MeasureRunner,
-        prep: &'p PreparedContext<'p>,
+        runner: &'t dyn MeasureRunner,
+        ctx: SimilarityContext<'t>,
+        table: &'t ConceptTable,
     },
 }
 
-impl<'p> PairScorer<'p> {
-    pub(crate) fn new(runner: &'p dyn MeasureRunner, prep: &'p PreparedContext<'p>) -> Self {
-        match runner.prepare(prep) {
-            Some(m) => PairScorer::Prepared(m),
-            None => PairScorer::Naive { runner, prep },
-        }
-    }
-
-    /// Similarity of the prepared concepts at positions `a` and `b`.
+impl PairScorer<'_> {
+    /// Similarity of the concepts at table rows `a` and `b`.
     pub(crate) fn score(&self, a: usize, b: usize) -> f64 {
         match self {
-            PairScorer::Prepared(m) => m.similarity(a, b),
-            PairScorer::Naive { runner, prep } => {
-                runner.similarity(prep.base(), prep.concept(a), prep.concept(b))
+            PairScorer::Table(m) => m.similarity(a, b),
+            PairScorer::Naive { runner, ctx, table } => {
+                runner.similarity(ctx, table.view(a).concept, table.view(b).concept)
             }
         }
     }
@@ -238,7 +231,8 @@ impl SstBuilder {
     }
 
     /// Freezes the toolkit: builds the unified tree, the information
-    /// content, and the full-text index.
+    /// content, the full-text index, the vector store, and the resident
+    /// concept table every built-in measure scores from.
     pub fn build(self) -> SstToolkit {
         let metrics = Metrics::new();
         let _build_span = metrics.span("core.build.latency");
@@ -271,30 +265,49 @@ impl SstBuilder {
         }
         let index = index_builder.build();
 
-        // Dense retrieval: embed every concept's TF-IDF vector and build
-        // the vector store (plus its proximity graph) over the matrix. The
-        // embeddings are the same bits the `dense_vector` runner derives
-        // per pair, so exact store rankings are bit-identical to the
-        // naive scan.
-        let vectors = {
+        // Dense retrieval: embed every registered concept's TF-IDF vector
+        // and build the vector store (plus its proximity graph) over the
+        // concepts that own a tree node. The embeddings are the same bits
+        // the `dense_vector` runner derives per pair, so exact store
+        // rankings are bit-identical to the naive scan.
+        let concepts = self.soqa.all_concepts();
+        let (vectors, dense) = {
             let _vspan = metrics.span("core.vector.build.latency");
-            let rows = tree
-                .all_concepts()
-                .into_iter()
-                .map(|gc| {
+            let dense: Vec<DenseRow> = concepts
+                .iter()
+                .map(|&gc| {
                     let tfidf = doc_ids[tree.node(gc) as usize]
                         .map(|d| index.tfidf_vector(d))
                         .unwrap_or_default();
-                    (
-                        gc,
-                        self.soqa.qualified_name(gc),
-                        embed_tfidf(&tfidf, EMBED_DIM),
-                    )
+                    let embedding = embed_tfidf(&tfidf, EMBED_DIM);
+                    (tfidf, embedding)
                 })
                 .collect();
-            VectorStore::from_rows(rows, EMBED_DIM)
+            let rows = concepts
+                .iter()
+                .zip(&dense)
+                .filter(|(&gc, _)| tree.concept(tree.node(gc)) == Some(gc))
+                .map(|(&gc, (_, e))| (gc, self.soqa.qualified_name(gc), e.clone()))
+                .collect();
+            (VectorStore::from_rows(rows, EMBED_DIM), dense)
         };
         metrics.add("core.vector.concepts", vectors.len() as u64);
+
+        // Every per-concept artifact the built-in measures read, derived
+        // once here instead of per service call; the TF-IDF vectors and
+        // embeddings move in from the vector stage.
+        let table = {
+            let _prepare_span = metrics.span("core.prepare.latency");
+            let ctx = SimilarityContext {
+                soqa: &self.soqa,
+                tree: &tree,
+                ic: &ic,
+                index: &index,
+                doc_ids: &doc_ids,
+            };
+            ConceptTable::build(ctx, dense)
+        };
+        metrics.add("core.prepare.concepts", table.len() as u64);
 
         let mut runners = default_runners();
         runners.extend(self.extra_runners);
@@ -316,6 +329,7 @@ impl SstBuilder {
             index,
             doc_ids,
             vectors,
+            table,
             runners,
             measure_names,
             measure_metrics,
@@ -378,6 +392,8 @@ pub struct SstToolkit {
     index: InvertedIndex,
     doc_ids: Vec<Option<DocId>>,
     vectors: VectorStore,
+    /// One row of prepared artifacts per registered concept.
+    table: ConceptTable,
     runners: Vec<Box<dyn MeasureRunner>>,
     measure_names: HashMap<String, usize>,
     measure_metrics: Vec<MeasureMetrics>,
@@ -462,66 +478,52 @@ impl SstToolkit {
             .ok_or_else(|| SstError::UnknownMeasure(measure.to_string()))
     }
 
-    /// Runs one pairwise similarity computation, recording the per-measure
-    /// call counter and latency histogram.
-    fn timed_similarity(
+    /// The resident concept table the built-in measures score from.
+    pub(crate) fn concept_table(&self) -> &ConceptTable {
+        &self.table
+    }
+
+    /// The concept table row of `gc`.
+    pub(crate) fn row(&self, gc: GlobalConcept) -> Result<usize> {
+        self.table
+            .row(gc)
+            .ok_or_else(|| SstError::Internal(format!("{gc:?} has no concept table row")))
+    }
+
+    /// The concept table rows of `concepts`, in order.
+    pub(crate) fn rows(&self, concepts: &[GlobalConcept]) -> Result<Vec<usize>> {
+        concepts.iter().map(|&gc| self.row(gc)).collect()
+    }
+
+    /// The pair scorer of `measure` for one service call.
+    pub(crate) fn scorer(&self, measure: usize) -> Result<PairScorer<'_>> {
+        let runner = self.runner(measure)?;
+        let ctx = self.ctx();
+        Ok(match runner.prepare(&ctx, &self.table) {
+            Some(m) => PairScorer::Table(m),
+            None => PairScorer::Naive {
+                runner,
+                ctx,
+                table: &self.table,
+            },
+        })
+    }
+
+    /// Similarity of two concepts under one measure, recording the
+    /// per-measure call counter and latency histogram.
+    pub(crate) fn pair_similarity(
         &self,
         measure: usize,
-        ctx: &SimilarityContext<'_>,
         a: GlobalConcept,
         b: GlobalConcept,
     ) -> Result<f64> {
-        let runner = self.runner(measure)?;
-        let start = Instant::now();
-        let value = runner.similarity(ctx, a, b);
-        if let Some(mm) = self.measure_metrics.get(measure) {
-            mm.pair_calls.inc();
-            mm.pair_latency.observe(start.elapsed());
-        }
-        Ok(value)
+        let scorer = self.scorer(measure)?;
+        let (ra, rb) = (self.row(a)?, self.row(b)?);
+        Ok(self.timed_score(measure, || scorer.score(ra, rb)))
     }
 
-    /// Builds a [`PreparedContext`] over `concepts`: per-concept feature
-    /// sets, interned token sequences, subtree forms, document vectors, and
-    /// BFS tables, computed once so batch scans stop rederiving them per
-    /// pair. Public so external batch flows (benches, user services) can
-    /// drive [`MeasureRunner::prepare`] directly.
-    pub fn prepare(&self, concepts: &[GlobalConcept]) -> PreparedContext<'_> {
-        self.prepare_for(concepts, PrepareNeeds::ALL)
-    }
-
-    /// [`SstToolkit::prepare`] restricted to the artifact families in
-    /// `needs` — internal batch entry points pass the union of the
-    /// participating runners' [`MeasureRunner::needs`], so a q-gram matrix
-    /// stops paying for BFS tables and TF-IDF vectors it never reads.
-    /// Artifacts outside `needs` are simply absent from the context; the
-    /// built-in prepared scorers fall back to their naive per-pair formulas
-    /// when asked for a missing artifact, so an under-provisioned context
-    /// costs speed, never correctness.
-    pub fn prepare_for(
-        &self,
-        concepts: &[GlobalConcept],
-        needs: PrepareNeeds,
-    ) -> PreparedContext<'_> {
-        let _span = self.metrics.span("core.prepare.latency");
-        self.metrics
-            .add("core.prepare.concepts", concepts.len() as u64);
-        PreparedContext::new_with_needs(self.ctx(), concepts, needs)
-    }
-
-    /// Union of the [`MeasureRunner::needs`] of `measures` (for batch
-    /// operations that score several measures over one prepared context).
-    pub(crate) fn needs_union(&self, measures: &[usize]) -> Result<PrepareNeeds> {
-        let mut needs = PrepareNeeds::NONE;
-        for &m in measures {
-            needs = needs.union(self.runner(m)?.needs());
-        }
-        Ok(needs)
-    }
-
-    /// Records one pair computation produced by `score` into the same
-    /// per-measure counters/histograms as [`SstToolkit::timed_similarity`],
-    /// so prepared-path rankings keep the naive path's metric semantics.
+    /// Records one pair computation produced by `score` into the
+    /// per-measure call counter and latency histogram.
     pub(crate) fn timed_score(&self, measure: usize, score: impl FnOnce() -> f64) -> f64 {
         let start = Instant::now();
         let value = score();
@@ -548,7 +550,7 @@ impl SstToolkit {
         Ok(self.soqa.resolve(&r.ontology, &r.concept)?)
     }
 
-    fn to_result(&self, gc: GlobalConcept, similarity: f64) -> ConceptAndSimilarity {
+    pub(crate) fn to_result(&self, gc: GlobalConcept, similarity: f64) -> ConceptAndSimilarity {
         ConceptAndSimilarity {
             concept: self.soqa.concept(gc).name.clone(),
             ontology: self.soqa.ontology_at(gc.ontology).name().to_owned(),
@@ -581,7 +583,7 @@ impl SstToolkit {
     ) -> Result<f64> {
         let a = self.soqa.resolve(first_ontology, first_concept)?;
         let b = self.soqa.resolve(second_ontology, second_concept)?;
-        self.timed_similarity(measure, &self.ctx(), a, b)
+        self.pair_similarity(measure, a, b)
     }
 
     /// Similarity of two concepts under a list of measures.
@@ -595,18 +597,16 @@ impl SstToolkit {
     ) -> Result<Vec<f64>> {
         let a = self.soqa.resolve(first_ontology, first_concept)?;
         let b = self.soqa.resolve(second_ontology, second_concept)?;
-        let ctx = self.ctx();
         measures
             .iter()
-            .map(|&m| self.timed_similarity(m, &ctx, a, b))
+            .map(|&m| self.pair_similarity(m, a, b))
             .collect()
     }
 
     // ---- concept-vs-set and k-best services --------------------------------
 
     /// Similarity of `concept` to every member of `set` under one measure,
-    /// in set order. Runs on the prepared-context batch path: the query and
-    /// every member are prepared once, then scored positionally.
+    /// in set order, scored from the resident concept table.
     pub fn similarity_to_set(
         &self,
         concept: &str,
@@ -619,13 +619,10 @@ impl SstToolkit {
         if members.is_empty() {
             return Ok(Vec::new());
         }
-        let runner = self.runner(measure)?;
-        let mut batch = members.clone();
-        batch.push(query);
-        let prep = self.prepare_for(&batch, runner.needs());
-        let scorer = PairScorer::new(runner, &prep);
-        let qpos = batch.len() - 1;
-        let n = members.len();
+        let scorer = self.scorer(measure)?;
+        let qrow = self.row(query)?;
+        let rows = self.rows(&members)?;
+        let n = rows.len();
         // Large rank scans reuse the work-stealing chunk scheduler: the
         // member axis is cut into chunks and scored concurrently, then
         // assembled positionally (same scores, same order, any worker
@@ -633,11 +630,11 @@ impl SstToolkit {
         let scores: Vec<f64> = if n >= RANK_PARALLEL_THRESHOLD {
             let tiles = sched::rect_tiles(1, n, 64);
             let workers = sched::default_workers().min(tiles.len());
-            let scorer = &scorer;
+            let (scorer, rows) = (&scorer, &rows);
             let (results, stats) = sched::run_tiles(&tiles, workers, |_, tile| {
                 let mut vals = Vec::with_capacity(tile.len());
                 tile.for_each(|_, i| {
-                    vals.push(self.timed_score(measure, || scorer.score(qpos, i)));
+                    vals.push(self.timed_score(measure, || scorer.score(qrow, rows[i])));
                 });
                 vals
             });
@@ -658,8 +655,8 @@ impl SstToolkit {
             }
             scores
         } else {
-            (0..n)
-                .map(|i| self.timed_score(measure, || scorer.score(qpos, i)))
+            rows.iter()
+                .map(|&r| self.timed_score(measure, || scorer.score(qrow, r)))
                 .collect()
         };
         Ok(members
@@ -729,12 +726,15 @@ impl SstToolkit {
         all
     }
 
-    /// Resolves the query concept to its vector-store row.
+    /// Resolves the query concept to its vector-store row. The store holds
+    /// the concepts that own a tree node, so an ontology root merged into
+    /// the shared root (`TreeMode::MergedThing`) is an invalid query.
     fn vector_row(&self, concept: &str, ontology: &str) -> Result<usize> {
         let query = self.soqa.resolve(ontology, concept)?;
         self.vectors.position(query).ok_or_else(|| {
-            SstError::Internal(format!(
-                "concept {ontology}:{concept} missing from the vector store"
+            SstError::InvalidArgument(format!(
+                "concept {ontology}:{concept} has no vector-store row: it is an \
+                 ontology root merged into the shared root"
             ))
         })
     }
@@ -856,11 +856,8 @@ impl SstToolkit {
     }
 
     /// Most-similar under *several* measures at once: returns one ranked
-    /// list per measure, in measure order.
-    ///
-    /// The query and the concept set are resolved and prepared **once** and
-    /// the per-concept views are shared across all measures (previously this
-    /// re-resolved everything per measure via [`SstToolkit::most_similar`]).
+    /// list per measure, in measure order. The query and the concept set
+    /// are resolved once for all measures.
     pub fn most_similar_multi(
         &self,
         concept: &str,
@@ -880,18 +877,16 @@ impl SstToolkit {
                 })
                 .collect());
         }
-        let mut batch = members.clone();
-        batch.push(query);
-        let prep = self.prepare_for(&batch, self.needs_union(measures)?);
-        let qpos = batch.len() - 1;
+        let qrow = self.row(query)?;
+        let rows = self.rows(&members)?;
         let mut rankings = Vec::with_capacity(measures.len());
         for &m in measures {
             let _span = self.measure_span(m, MeasureOp::Rank);
-            let scorer = PairScorer::new(self.runner(m)?, &prep);
+            let scorer = self.scorer(m)?;
             let mut all: Vec<ConceptAndSimilarity> = members
                 .iter()
-                .enumerate()
-                .map(|(i, &gc)| self.to_result(gc, self.timed_score(m, || scorer.score(qpos, i))))
+                .zip(&rows)
+                .map(|(&gc, &r)| self.to_result(gc, self.timed_score(m, || scorer.score(qrow, r))))
                 .collect();
             all.sort_by(rank_descending);
             all.truncate(k);
@@ -944,14 +939,14 @@ impl SstToolkit {
                 }
             }
             BatchMode::Prepared => {
-                let prep = self.prepare_for(&concepts, runner.needs());
-                let scorer = PairScorer::new(runner, &prep);
+                let rows = self.rows(&concepts)?;
+                let scorer = self.scorer(measure)?;
                 // Cache-blocked traversal: scoring tile-resident blocks of
-                // pairs keeps the prepared artifacts of a tile's rows and
-                // columns hot instead of streaming whole row suffixes.
+                // pairs keeps the table rows of a tile's rows and columns
+                // hot instead of streaming whole row suffixes.
                 for tile in sched::triangle_tiles(n, sched::tile_size(n, 1)) {
                     tile.for_each_upper(|i, j| {
-                        let v = scorer.score(i, j);
+                        let v = scorer.score(rows[i], rows[j]);
                         matrix[i][j] = v;
                         matrix[j][i] = v;
                     });
@@ -1013,9 +1008,8 @@ impl SstToolkit {
     }
 
     /// [`SstToolkit::similarity_matrix_parallel`] with an explicit
-    /// [`BatchMode`]. In `Prepared` mode one prepared context (and one
-    /// prepared scorer) is built up front and shared read-only by all
-    /// workers.
+    /// [`BatchMode`]. In `Prepared` mode one table scorer is shared
+    /// read-only by all workers.
     pub fn similarity_matrix_parallel_mode(
         &self,
         set: &ConceptSet,
@@ -1034,19 +1028,20 @@ impl SstToolkit {
         let n = concepts.len();
         let threads = threads.clamp(1, n.max(1));
         let prepared = match mode {
-            BatchMode::Prepared => Some(self.prepare_for(&concepts, runner.needs())),
+            BatchMode::Prepared => Some((self.scorer(measure)?, self.rows(&concepts)?)),
             BatchMode::Naive => None,
         };
-        let scorer = prepared.as_ref().map(|prep| PairScorer::new(runner, prep));
-        let scorer = scorer.as_ref();
+        let prepared = prepared.as_ref();
         let mut matrix = vec![vec![0.0; n]; n];
         let tiles = sched::triangle_tiles(n, sched::tile_size(n, threads));
         let concepts = &concepts;
         let ctx = &ctx;
         let (results, stats) = sched::run_tiles(&tiles, threads, |_, tile| {
             let mut vals = Vec::with_capacity(tile.upper_len());
-            match scorer {
-                Some(scorer) => tile.for_each_upper(|i, j| vals.push(scorer.score(i, j))),
+            match prepared {
+                Some((scorer, rows)) => {
+                    tile.for_each_upper(|i, j| vals.push(scorer.score(rows[i], rows[j])));
+                }
                 None => tile.for_each_upper(|i, j| {
                     vals.push(runner.similarity(ctx, concepts[i], concepts[j]));
                 }),
@@ -1132,9 +1127,8 @@ impl SstToolkit {
         Ok(combiner.combine(&scores))
     }
 
-    /// k most similar concepts under a combined measure. Batched: the set
-    /// is prepared once and the component scorers are shared across all
-    /// members.
+    /// k most similar concepts under a combined measure: one table scorer
+    /// per component measure, shared across all members.
     pub fn most_similar_combined(
         &self,
         concept: &str,
@@ -1164,22 +1158,20 @@ impl SstToolkit {
             }
         }
         let query = self.soqa.resolve(ontology, concept)?;
-        let mut batch = members.clone();
-        batch.push(query);
-        let prep = self.prepare_for(&batch, self.needs_union(measures)?);
         let scorers: Vec<PairScorer<'_>> = measures
             .iter()
-            .map(|&m| Ok(PairScorer::new(self.runner(m)?, &prep)))
+            .map(|&m| self.scorer(m))
             .collect::<Result<_>>()?;
-        let qpos = batch.len() - 1;
+        let qrow = self.row(query)?;
+        let rows = self.rows(&members)?;
         let mut all: Vec<ConceptAndSimilarity> = members
             .iter()
-            .enumerate()
-            .map(|(i, &gc)| {
+            .zip(&rows)
+            .map(|(&gc, &r)| {
                 let scores: Vec<f64> = measures
                     .iter()
                     .zip(&scorers)
-                    .map(|(&m, scorer)| self.timed_score(m, || scorer.score(qpos, i)))
+                    .map(|(&m, scorer)| self.timed_score(m, || scorer.score(qrow, r)))
                     .collect();
                 self.to_result(gc, combiner.combine(&scores))
             })

@@ -5,10 +5,15 @@
 //! Adding a measure to SST = implementing [`MeasureRunner`] and registering
 //! it with the facade — exactly the extension mechanism the paper
 //! advertises.
+//!
+//! The built-in runners also score from the toolkit's [`ConceptTable`],
+//! which holds every per-concept artifact they read, built once with the
+//! toolkit. Their [`MeasureRunner::similarity`] stays as the per-pair
+//! reference formula that the table path must reproduce bit for bit.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use sst_index::{cosine_sparse, DocId, InvertedIndex, TermId};
 use sst_simpack::{
@@ -17,13 +22,13 @@ use sst_simpack::{
     levenshtein_similarity, lin_similarity, lin_similarity_compact, monge_elkan,
     myers_sequence_similarity_from, myers_similarity_chars_from, needleman_wunsch_similarity,
     needleman_wunsch_similarity_scratch, qgram, qgram_packed_from, resnik_similarity,
-    resnik_similarity_compact, sequence_similarity, shortest_path_similarity,
-    shortest_path_similarity_from, smith_waterman_similarity, smith_waterman_similarity_scratch,
+    resnik_similarity_compact, sequence_similarity, shortest_path_length_similarity,
+    shortest_path_similarity, smith_waterman_similarity, smith_waterman_similarity_scratch,
     tree_similarity, tree_similarity_zs_scratch, with_align_scratch, with_jaro_scratch,
     with_myers_scratch, with_zs_scratch, wu_palmer_similarity_rooted,
     wu_palmer_similarity_rooted_compact, AlignmentScoring, AncestorList, CostModel, DepthTable,
     FeatureSet, InformationContent, InternedFeatures, JaroMask, LabeledTree, MeasureKind,
-    MyersPattern, NodeId, QGramPacked, SourceTables, ZsTree,
+    MyersPattern, NodeId, QGramPacked, Taxonomy, ZsTree,
 };
 use sst_soqa::{GlobalConcept, Soqa};
 
@@ -167,289 +172,190 @@ impl SimilarityContext<'_> {
     }
 }
 
-/// Interned M₂ token: sequence and alignment DP compare these `u32` ids
-/// instead of `String`s. Ids are assigned per [`PreparedContext`]; equal ids
-/// ⟺ equal token strings, so the DP outcome is bit-identical.
+/// Interned token id. Ids are assigned against the corpus-wide
+/// vocabularies of the [`ConceptTable`]; equal ids ⟺ equal token strings,
+/// so sequence and alignment DPs over ids are bit-identical to the DPs over
+/// the strings.
 pub type TokenId = u32;
 
-/// Which prepared-artifact families a batch operation derives — a
-/// dependency-free bitflag set. Preparing a 2 000-concept batch for a
-/// single string measure should not pay for BFS tables, subtree forms, and
-/// TF-IDF vectors it never reads, so the facade asks each runner for its
-/// [`MeasureRunner::needs`] and prepares exactly that. Artifacts that were
-/// not prepared leave their [`ConceptView`] fields `None`; every prepared
-/// scorer falls back to its naive per-pair formula in that case, so a
-/// mismatched (too-narrow) context degrades to the reference path instead
-/// of to wrong scores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrepareNeeds(u16);
+/// Gram size of the registered q-gram measure (padded trigrams); the
+/// profiles in the [`ConceptTable`] are built with the same size.
+const QGRAM_Q: usize = 3;
 
-impl PrepareNeeds {
-    /// No batch artifacts (pure naive fallback scoring).
-    pub const NONE: PrepareNeeds = PrepareNeeds(0);
-    /// M₁ feature sets and their batch-interned id form.
-    pub const FEATURES: PrepareNeeds = PrepareNeeds(1 << 0);
-    /// M₂ token sequences, interned, plus their Myers bit-vector patterns.
-    pub const TOKENS: PrepareNeeds = PrepareNeeds(1 << 1);
-    /// Name character slices and Jaro bitmask tables.
-    pub const NAME_CHARS: PrepareNeeds = PrepareNeeds(1 << 2);
-    /// Lowercase name-token pool (Monge-Elkan).
-    pub const NAME_TOKENS: PrepareNeeds = PrepareNeeds(1 << 3);
-    /// Packed q-gram profiles of the names.
-    pub const QGRAMS: PrepareNeeds = PrepareNeeds(1 << 4);
-    /// Depth-limited subtrees in Zhang-Shasha form.
-    pub const SUBTREES: PrepareNeeds = PrepareNeeds(1 << 5);
-    /// TF-IDF document vectors (full-text and dense measures).
-    pub const TFIDF: PrepareNeeds = PrepareNeeds(1 << 6);
-    /// Per-concept BFS tables, compact ancestor lists, and depths
-    /// (graph and information-content measures).
-    pub const TABLES: PrepareNeeds = PrepareNeeds(1 << 7);
-    /// Every artifact family (the safe default).
-    pub const ALL: PrepareNeeds = PrepareNeeds(u16::MAX);
-
-    /// Set union of two need sets.
-    pub const fn union(self, other: PrepareNeeds) -> PrepareNeeds {
-        PrepareNeeds(self.0 | other.0)
-    }
-
-    /// Whether every flag of `other` is set in `self`.
-    pub const fn contains(self, other: PrepareNeeds) -> bool {
-        self.0 & other.0 == other.0
-    }
-}
-
-/// Memoized per-concept artifacts for one batch operation: everything the
-/// default runners rederive per *pair* on the naive path, computed once per
-/// *concept* instead. Fields gated by [`PrepareNeeds`] are `None` when the
-/// batch was prepared without that artifact family.
+/// One row of the [`ConceptTable`]: every artifact the built-in measures
+/// read about one registered concept, derived once when the toolkit is
+/// built instead of once per pair.
 #[derive(Debug)]
 pub struct ConceptView {
-    /// The concept these views describe.
+    /// The concept this row describes.
     pub concept: GlobalConcept,
-    /// Its node in the unified tree.
+    /// Its node in the unified tree. Under `TreeMode::MergedThing` the
+    /// ontology roots all sit on the shared root node 0.
     pub node: NodeId,
-    /// The concept's local name.
-    pub name: String,
-    /// The concept's document in the full-text index, if any.
+    /// The concept's document in the full-text index (`None` for roots
+    /// merged into the shared root, which have none).
     pub doc: Option<DocId>,
-    /// M₁ feature set (attributes, methods, relationships, typed supers).
-    pub features: Option<FeatureSet>,
-    /// `features` interned to sorted distinct ids against the batch
+    /// M₁ feature set (attributes, methods, relationships, typed supers)
+    /// interned to sorted distinct ids against the corpus-wide feature
     /// vocabulary — the set measures intersect these by sorted merge.
-    pub features_interned: Option<InternedFeatures>,
+    pub features: InternedFeatures,
     /// M₂ token sequence, interned to [`TokenId`]s.
-    pub tokens: Option<Vec<TokenId>>,
+    pub tokens: Vec<TokenId>,
     /// Myers bit-vector pattern over `tokens` (the bit-parallel
     /// Levenshtein core of the sequence measure).
-    pub token_pattern: Option<MyersPattern>,
-    /// `name` as a character slice (for the Jaro-family measures).
-    pub name_chars: Option<Vec<char>>,
-    /// Position bitmasks of `name_chars` for the masked Jaro kernel
-    /// (`None` also for names longer than 64 characters).
+    pub token_pattern: MyersPattern,
+    /// The concept's name as a character slice (Jaro family).
+    pub name_chars: Vec<char>,
+    /// Position bitmasks of `name_chars` for the masked Jaro kernel;
+    /// `None` for names over 64 characters, which have no one-word mask
+    /// and take the kernel's scratch path.
     pub jaro_mask: Option<JaroMask>,
-    /// `name` split into lowercase word tokens, interned across the batch
-    /// (for Monge-Elkan; resolve via [`PreparedContext::name_token_pool`]).
-    pub name_tokens: Option<Vec<TokenId>>,
-    /// Packed (bitset-backed) padded q-gram profile of `name`.
-    pub qgrams: Option<QGramPacked>,
+    /// The name split into lowercase word tokens, interned against the
+    /// corpus-wide name-token vocabulary (Monge-Elkan, alignment
+    /// blocking).
+    pub name_tokens: Vec<TokenId>,
+    /// Packed (bitset-backed) padded q-gram profile of the name.
+    pub qgrams: QGramPacked,
     /// Depth-2 unified-tree subtree in preprocessed Zhang-Shasha form.
-    pub subtree: Option<ZsTree>,
-    /// Cached TF-IDF vector of `doc` (`Some` but empty when `doc` is
-    /// `None` and the artifact family was prepared).
-    pub tfidf: Option<Vec<(TermId, f64)>>,
+    pub subtree: ZsTree,
+    /// TF-IDF vector of `doc` (empty without a document).
+    pub tfidf: Vec<(TermId, f64)>,
+    /// Dense embedding of `tfidf` (see [`crate::vector::embed_tfidf`]).
+    pub embedding: Vec<f64>,
+    /// Compact sorted ancestor-or-self list of `node` (graph and
+    /// information-content measures).
+    pub ancestors: AncestorList,
 }
 
-/// A prepared batch context: per-concept [`ConceptView`]s plus per-concept
-/// BFS tables and the shared depth table, constructed once per matrix /
-/// rank / set operation. An n-concept scan costs n preparations instead of
-/// O(n²) rederivations.
+/// The corpus-resident concept table: one [`ConceptView`] per registered
+/// concept, in registration order, plus the shared depth table of the
+/// unified tree and the Monge-Elkan inner-similarity table over the
+/// corpus's distinct name tokens. `SstBuilder::build` builds it once and
+/// the toolkit owns it; every built-in scorer reads it, so no service
+/// rederives per-concept artifacts per call or per pair.
 #[derive(Debug)]
-pub struct PreparedContext<'a> {
-    base: SimilarityContext<'a>,
-    views: Vec<ConceptView>,
-    /// First position of each distinct concept in `views`.
-    index_of: HashMap<GlobalConcept, usize>,
-    /// Per-concept upward + undirected BFS tables over the unified tree
-    /// (empty unless [`PrepareNeeds::TABLES`] was requested).
-    tables: Vec<SourceTables>,
-    /// Compact sorted ancestor lists derived from `tables` (same gating).
-    ancestors: Vec<AncestorList>,
+pub struct ConceptTable {
+    rows: Vec<ConceptView>,
+    /// First row of each ontology, so a concept's row is
+    /// `offsets[ontology] + concept id`.
+    offsets: Vec<usize>,
     depths: Arc<DepthTable>,
-    /// Distinct lowercase name tokens across the batch, indexed by the ids
-    /// in [`ConceptView::name_tokens`].
-    name_token_pool: Vec<String>,
+    /// `name_sims[x][y] = levenshtein_similarity(token x, token y)` over
+    /// the distinct name tokens. The lower triangle mirrors the upper,
+    /// which is bitwise safe because the inner similarity is exactly
+    /// symmetric (a symmetric integer distance over a symmetric max
+    /// length).
+    name_sims: Vec<Vec<f64>>,
 }
 
-impl<'a> PreparedContext<'a> {
-    /// Builds every artifact family for `concepts` (one entry per position;
-    /// duplicates are kept so positions line up with the caller's list).
-    pub fn new(base: SimilarityContext<'a>, concepts: &[GlobalConcept]) -> Self {
-        PreparedContext::new_with_needs(base, concepts, PrepareNeeds::ALL)
+/// A concept's TF-IDF vector and its dense embedding, as the toolkit's
+/// vector stage computes them.
+pub(crate) type DenseRow = (Vec<(TermId, f64)>, Vec<f64>);
+
+/// A growing string → [`TokenId`] vocabulary.
+#[derive(Default)]
+struct Interner(HashMap<String, TokenId>);
+
+impl Interner {
+    fn intern(&mut self, s: String) -> TokenId {
+        let next = self.0.len() as TokenId;
+        *self.0.entry(s).or_insert(next)
     }
 
-    /// [`PreparedContext::new`] restricted to the artifact families in
-    /// `needs` — the facade passes the union of the participating runners'
-    /// [`MeasureRunner::needs`], so a single-measure batch stops paying
-    /// the prepare cost of the other eighteen measures.
-    pub fn new_with_needs(
-        base: SimilarityContext<'a>,
-        concepts: &[GlobalConcept],
-        needs: PrepareNeeds,
-    ) -> Self {
-        let nodes: Vec<NodeId> = concepts.iter().map(|&gc| base.tree.node(gc)).collect();
-        let (tables, ancestors) = if needs.contains(PrepareNeeds::TABLES) {
-            let tables = base.tree.taxonomy().source_tables_for(&nodes);
-            let ancestors = tables
-                .iter()
-                .map(|t| AncestorList::from_table(&t.up))
+    /// The vocabulary's strings, indexed by id.
+    fn into_pool(self) -> Vec<String> {
+        let mut pool = vec![String::new(); self.0.len()];
+        for (s, id) in self.0 {
+            if let Some(slot) = pool.get_mut(id as usize) {
+                *slot = s;
+            }
+        }
+        pool
+    }
+}
+
+impl ConceptTable {
+    /// Builds one row per registered concept of `ctx.soqa`. `dense` holds
+    /// each concept's TF-IDF vector and embedding, in registration order,
+    /// as the toolkit's vector stage computed them.
+    pub(crate) fn build(ctx: SimilarityContext<'_>, dense: Vec<DenseRow>) -> ConceptTable {
+        let soqa = ctx.soqa;
+        let taxonomy = ctx.tree.taxonomy();
+        let mut offsets = Vec::with_capacity(soqa.ontology_count());
+        let mut next = 0;
+        for oi in 0..soqa.ontology_count() {
+            offsets.push(next);
+            next += soqa.ontology_at(oi).concept_count();
+        }
+        let mut tokens = Interner::default();
+        let mut features = Interner::default();
+        let mut name_tokens = Interner::default();
+        let mut rows = Vec::with_capacity(next);
+        for (gc, (tfidf, embedding)) in soqa.all_concepts().into_iter().zip(dense) {
+            let node = ctx.tree.node(gc);
+            let name = ctx.name(gc);
+            let token_ids: Vec<TokenId> = ctx
+                .token_sequence(gc)
+                .into_iter()
+                .map(|t| tokens.intern(t))
                 .collect();
-            (tables, ancestors)
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let depths = base.tree.taxonomy().depths();
-        let mut interner: HashMap<String, TokenId> = HashMap::new();
-        let mut feature_interner: HashMap<String, TokenId> = HashMap::new();
-        let mut name_interner: HashMap<String, TokenId> = HashMap::new();
-        let mut name_token_pool: Vec<String> = Vec::new();
-        let mut index_of = HashMap::with_capacity(concepts.len());
-        let mut views = Vec::with_capacity(concepts.len());
-        for (i, (&gc, &node)) in concepts.iter().zip(&nodes).enumerate() {
-            index_of.entry(gc).or_insert(i);
-            let tokens: Option<Vec<TokenId>> = needs.contains(PrepareNeeds::TOKENS).then(|| {
-                base.token_sequence(gc)
-                    .into_iter()
-                    .map(|t| {
-                        let next = interner.len() as TokenId;
-                        *interner.entry(t).or_insert(next)
-                    })
-                    .collect()
-            });
-            let token_pattern = tokens.as_deref().map(MyersPattern::new);
-            let name = base.name(gc).to_owned();
-            let name_tokens: Option<Vec<TokenId>> =
-                needs.contains(PrepareNeeds::NAME_TOKENS).then(|| {
-                    sst_index::tokenize(&name)
-                        .into_iter()
-                        .map(|t| {
-                            if let Some(&id) = name_interner.get(&t) {
-                                id
-                            } else {
-                                let id = name_token_pool.len() as TokenId;
-                                name_interner.insert(t.clone(), id);
-                                name_token_pool.push(t);
-                                id
-                            }
-                        })
-                        .collect()
-                });
-            let name_chars: Option<Vec<char>> = needs
-                .contains(PrepareNeeds::NAME_CHARS)
-                .then(|| name.chars().collect());
-            let jaro_mask = name_chars.as_deref().and_then(JaroMask::new);
-            let qgrams = if needs.contains(PrepareNeeds::QGRAMS) {
-                QGramPacked::new(&name, QGRAM_Q)
-            } else {
-                None
-            };
-            let features = needs
-                .contains(PrepareNeeds::FEATURES)
-                .then(|| base.feature_set(gc));
-            let features_interned = features.as_ref().map(|set| {
-                let ids = set
-                    .iter()
-                    .map(|f| {
-                        if let Some(&id) = feature_interner.get(f.as_str()) {
-                            id
-                        } else {
-                            let id = feature_interner.len() as TokenId;
-                            feature_interner.insert(f.clone(), id);
-                            id
-                        }
-                    })
-                    .collect();
-                InternedFeatures::new(ids)
-            });
-            let subtree = needs
-                .contains(PrepareNeeds::SUBTREES)
-                .then(|| ZsTree::new(&base.subtree(gc, 2)));
-            let doc = base.doc_ids[node as usize];
-            let tfidf = needs
-                .contains(PrepareNeeds::TFIDF)
-                .then(|| doc.map(|d| base.index.tfidf_vector(d)).unwrap_or_default());
-            views.push(ConceptView {
+            let feature_ids = ctx
+                .feature_set(gc)
+                .into_iter()
+                .map(|f| features.intern(f))
+                .collect();
+            let name_chars: Vec<char> = name.chars().collect();
+            rows.push(ConceptView {
                 concept: gc,
                 node,
-                name,
-                doc,
-                features,
-                features_interned,
-                tokens,
-                token_pattern,
+                doc: ctx.doc_ids.get(node as usize).copied().flatten(),
+                features: InternedFeatures::new(feature_ids),
+                token_pattern: MyersPattern::new(&token_ids),
+                tokens: token_ids,
+                jaro_mask: JaroMask::new(&name_chars),
                 name_chars,
-                jaro_mask,
-                name_tokens,
-                qgrams,
-                subtree,
+                name_tokens: sst_index::tokenize(name)
+                    .into_iter()
+                    .map(|t| name_tokens.intern(t))
+                    .collect(),
+                // Always `Some` for q ≤ 3; the default is never taken.
+                qgrams: QGramPacked::new(name, QGRAM_Q).unwrap_or_default(),
+                subtree: ZsTree::new(&ctx.subtree(gc, 2)),
                 tfidf,
+                embedding,
+                ancestors: taxonomy.ancestors(node),
             });
         }
-        PreparedContext {
-            base,
-            views,
-            index_of,
-            tables,
-            ancestors,
-            depths,
-            name_token_pool,
+        ConceptTable {
+            rows,
+            offsets,
+            depths: taxonomy.depths(),
+            name_sims: inner_similarity_table(&name_tokens.into_pool()),
         }
     }
 
-    /// The distinct name tokens of the batch (the strings behind the ids in
-    /// [`ConceptView::name_tokens`]).
-    pub fn name_token_pool(&self) -> &[String] {
-        &self.name_token_pool
-    }
-
-    /// The underlying per-pair context (for naive fallback scoring).
-    pub fn base(&self) -> &SimilarityContext<'a> {
-        &self.base
-    }
-
-    /// Number of prepared positions.
+    /// Number of rows (registered concepts).
     pub fn len(&self) -> usize {
-        self.views.len()
+        self.rows.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.views.is_empty()
+        self.rows.is_empty()
     }
 
-    /// The concept at position `i`.
-    pub fn concept(&self, i: usize) -> GlobalConcept {
-        self.views[i].concept
+    /// The row of `gc` (O(1)), or `None` for a concept the corpus does not
+    /// hold.
+    pub fn row(&self, gc: GlobalConcept) -> Option<usize> {
+        let row = self
+            .offsets
+            .get(gc.ontology)?
+            .checked_add(gc.concept.0 as usize)?;
+        (self.rows.get(row)?.concept == gc).then_some(row)
     }
 
-    /// The memoized views of the concept at position `i`.
-    pub fn view(&self, i: usize) -> &ConceptView {
-        &self.views[i]
-    }
-
-    /// The BFS tables of the concept at position `i`.
-    pub fn tables(&self, i: usize) -> &SourceTables {
-        &self.tables[i]
-    }
-
-    /// The BFS tables of position `i`, or `None` when the context was
-    /// prepared without [`PrepareNeeds::TABLES`].
-    pub fn try_tables(&self, i: usize) -> Option<&SourceTables> {
-        self.tables.get(i)
-    }
-
-    /// The compact ancestor list of position `i`, or `None` when the
-    /// context was prepared without [`PrepareNeeds::TABLES`].
-    pub fn ancestors(&self, i: usize) -> Option<&AncestorList> {
-        self.ancestors.get(i)
+    /// The view at `row` (rows come from [`ConceptTable::row`]).
+    pub fn view(&self, row: usize) -> &ConceptView {
+        &self.rows[row]
     }
 
     /// The shared depth table of the unified tree.
@@ -457,18 +363,67 @@ impl<'a> PreparedContext<'a> {
         &self.depths
     }
 
-    /// First position of `gc`, if it was prepared.
-    pub fn position(&self, gc: GlobalConcept) -> Option<usize> {
-        self.index_of.get(&gc).copied()
+    /// Monge-Elkan over two name-token id lists, symmetrized by averaging
+    /// both directions.
+    fn monge_elkan(&self, a: &[TokenId], b: &[TokenId]) -> f64 {
+        let ab = monge_elkan_directed(&self.name_sims, a, b);
+        let ba = monge_elkan_directed(&self.name_sims, b, a);
+        (ab + ba) / 2.0
     }
 }
 
-/// A measure specialized to one [`PreparedContext`]: scores pairs by
-/// *position* in the prepared concept list. Implementations must be
-/// bit-identical to the runner's [`MeasureRunner::similarity`] on the same
-/// concepts.
+/// `monge_elkan(a, b, levenshtein_similarity)` over name-token ids,
+/// replayed on the inner-similarity table `sims`: the same inner values
+/// consumed in the same fold order, so the result is bit-identical while
+/// the inner DP runs once per distinct token pair of the corpus.
+fn monge_elkan_directed(sims: &[Vec<f64>], a: &[TokenId], b: &[TokenId]) -> f64 {
+    if a.is_empty() {
+        return f64::from(u8::from(b.is_empty()));
+    }
+    if b.is_empty() {
+        return 0.0;
+    }
+    let mut total = 0.0;
+    for &x in a {
+        let row = sims.get(x as usize).map_or(&[][..], Vec::as_slice);
+        let best = b
+            .iter()
+            .map(|&y| row.get(y as usize).copied().unwrap_or(0.0))
+            .fold(0.0_f64, f64::max);
+        total += best;
+    }
+    total / a.len() as f64
+}
+
+/// Inner Levenshtein similarity of every pair of `pool` tokens, on the
+/// bit-parallel Myers core: one preprocessed pattern per token and one
+/// scratch for the whole table (bit-identical to
+/// `levenshtein_similarity_chars`). Only the upper triangle is computed.
+fn inner_similarity_table(pool: &[String]) -> Vec<Vec<f64>> {
+    let chars: Vec<Vec<char>> = pool.iter().map(|t| t.chars().collect()).collect();
+    let patterns: Vec<MyersPattern> = chars.iter().map(|c| MyersPattern::from_chars(c)).collect();
+    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(pool.len());
+    with_myers_scratch(|scratch| {
+        for (i, x) in patterns.iter().enumerate() {
+            let mut row = Vec::with_capacity(pool.len());
+            for prev in &rows {
+                // Mirror of the already-computed sim(pool[j], pool[i]).
+                row.push(prev.get(i).copied().unwrap_or(0.0));
+            }
+            for y in chars.iter().skip(i) {
+                row.push(myers_similarity_chars_from(x, y, scratch));
+            }
+            rows.push(row);
+        }
+    });
+    rows
+}
+
+/// A measure's scorer over the resident [`ConceptTable`]: scores pairs by
+/// table row. Implementations must be bit-identical to the runner's
+/// [`MeasureRunner::similarity`] on the same concepts.
 pub trait PreparedMeasure: Send + Sync {
-    /// Similarity of the prepared concepts at positions `a` and `b`.
+    /// Similarity of the concepts at table rows `a` and `b`.
     fn similarity(&self, a: usize, b: usize) -> f64;
 }
 
@@ -478,18 +433,17 @@ pub trait MeasureRunner: Send + Sync {
     fn info(&self) -> RunnerInfo;
     /// Pairwise similarity of two concepts under this measure.
     fn similarity(&self, ctx: &SimilarityContext<'_>, a: GlobalConcept, b: GlobalConcept) -> f64;
-    /// Batch hook: a scorer specialized to `prep`, or `None` to keep the
-    /// per-pair path (the default, so user-registered runners keep working
-    /// unchanged — the facade falls back to calling `similarity` per pair).
-    fn prepare<'p>(&self, _prep: &'p PreparedContext<'_>) -> Option<Box<dyn PreparedMeasure + 'p>> {
+    /// Table hook: a scorer over the toolkit's resident [`ConceptTable`],
+    /// or `None` to keep the per-pair path (the default, so user-registered
+    /// runners keep working unchanged — the facade calls `similarity` per
+    /// pair). Called once per service call, so the scorer may hold
+    /// per-call state.
+    fn prepare<'t>(
+        &self,
+        _ctx: &SimilarityContext<'t>,
+        _table: &'t ConceptTable,
+    ) -> Option<Box<dyn PreparedMeasure + 't>> {
         None
-    }
-    /// The artifact families this runner's [`MeasureRunner::prepare`] scorer
-    /// reads. The facade prepares the union of the participating runners'
-    /// needs; the default is the safe over-approximation so user-registered
-    /// runners always see a fully-built context.
-    fn needs(&self) -> PrepareNeeds {
-        PrepareNeeds::ALL
     }
 }
 
@@ -499,423 +453,82 @@ impl fmt::Debug for dyn MeasureRunner {
     }
 }
 
-/// Prepared scorer over M₁ feature sets: sorted-merge intersection of the
-/// batch-interned id lists, folded through the measure's count-based core
-/// (bit-identical to the set formula by construction — see
-/// `sst_simpack::vector`). The concept-identity check mirrors the naive
-/// runners' identity axiom (compare concepts, not positions: duplicated
-/// concepts must still score 1).
-struct PreparedFeatures<'p> {
-    prep: &'p PreparedContext<'p>,
-    /// Count-based core: `f(|x∩y|, |x|, |y|)`.
-    counts: fn(usize, usize, usize) -> f64,
-    /// Set-based reference formula (naive fallback).
-    sets: fn(&FeatureSet, &FeatureSet) -> f64,
+/// A stateless table scorer: `score` reads the two rows' views.
+struct RowScorer<'t, F> {
+    table: &'t ConceptTable,
+    score: F,
 }
 
-impl PreparedMeasure for PreparedFeatures<'_> {
+impl<F> PreparedMeasure for RowScorer<'_, F>
+where
+    F: Fn(&ConceptView, &ConceptView) -> f64 + Send + Sync,
+{
     fn similarity(&self, a: usize, b: usize) -> f64 {
-        let (va, vb) = (self.prep.view(a), self.prep.view(b));
-        if va.concept == vb.concept {
-            return 1.0; // identity axiom, even for featureless concepts
-        }
-        match (&va.features_interned, &vb.features_interned) {
-            (Some(ia), Some(ib)) => (self.counts)(ia.intersection_size(ib), ia.len(), ib.len()),
-            _ => {
-                let base = self.prep.base();
-                (self.sets)(&base.feature_set(va.concept), &base.feature_set(vb.concept))
-            }
-        }
+        (self.score)(self.table.view(a), self.table.view(b))
     }
 }
 
-/// Prepared scorer over interned M₂ token sequences (alignment measures).
-struct PreparedTokens<'p> {
-    prep: &'p PreparedContext<'p>,
-    f: fn(&[TokenId], &[TokenId]) -> f64,
-    /// Reference formula over raw token strings (naive fallback).
-    fallback: fn(&[String], &[String]) -> f64,
+/// Boxes a [`RowScorer`] for a runner's [`MeasureRunner::prepare`].
+fn row_scorer<'t, F>(table: &'t ConceptTable, score: F) -> Option<Box<dyn PreparedMeasure + 't>>
+where
+    F: Fn(&ConceptView, &ConceptView) -> f64 + Send + Sync + 't,
+{
+    Some(Box::new(RowScorer { table, score }))
 }
 
-impl PreparedMeasure for PreparedTokens<'_> {
+/// Feature-set measures: sorted-merge intersection of the interned id
+/// lists, folded through the measure's count-based core (bit-identical to
+/// the set formula by construction — see `sst_simpack::vector`). Identical
+/// concepts score 1 even when featureless, as on the per-pair path.
+fn features(a: &ConceptView, b: &ConceptView, counts: fn(usize, usize, usize) -> f64) -> f64 {
+    if a.concept == b.concept {
+        return 1.0;
+    }
+    counts(
+        a.features.intersection_size(&b.features),
+        a.features.len(),
+        b.features.len(),
+    )
+}
+
+/// Jaro / Jaro-Winkler on the bitmask match window when the second name
+/// fits one 64-bit word, on per-thread scratch buffers otherwise — both
+/// bit-identical to `jaro_chars`.
+fn jaro_rows(a: &ConceptView, b: &ConceptView, winkler: bool) -> f64 {
+    with_jaro_scratch(|s| {
+        if winkler {
+            jaro_winkler_fast(&a.name_chars, &b.name_chars, b.jaro_mask.as_ref(), s)
+        } else {
+            jaro_fast(&a.name_chars, &b.name_chars, b.jaro_mask.as_ref(), s)
+        }
+    })
+}
+
+/// Shortest path needs undirected BFS, which ancestor lists cannot
+/// reproduce on multi-parent DAGs, and a resident distance row per
+/// concept would grow as concepts × nodes. The scorer instead runs one
+/// BFS per distinct source row of its call (the first argument: a rank
+/// query, a matrix row, an alignment source) on first use, and reads
+/// every pair of that source from it.
+struct ShortestPathScorer<'t> {
+    table: &'t ConceptTable,
+    taxonomy: &'t Taxonomy,
+    /// Undirected BFS distances of each source row, filled on first use.
+    bfs: Vec<OnceLock<Vec<Option<u32>>>>,
+}
+
+impl PreparedMeasure for ShortestPathScorer<'_> {
     fn similarity(&self, a: usize, b: usize) -> f64 {
-        let (va, vb) = (self.prep.view(a), self.prep.view(b));
-        match (&va.tokens, &vb.tokens) {
-            (Some(ta), Some(tb)) => (self.f)(ta, tb),
-            _ => {
-                let base = self.prep.base();
-                (self.fallback)(
-                    &base.token_sequence(va.concept),
-                    &base.token_sequence(vb.concept),
-                )
-            }
-        }
-    }
-}
-
-/// Prepared Levenshtein sequence scorer on the bit-parallel Myers core:
-/// the pattern bit-vectors are preprocessed per concept, the column scan
-/// runs over the other concept's interned ids, and the per-thread scratch
-/// is reused across pairs. Bit-identical to
-/// `sequence_similarity(…, CostModel::UNIT)` (pinned by the simpack
-/// differential tests).
-struct PreparedSeqLevenshtein<'p> {
-    prep: &'p PreparedContext<'p>,
-}
-
-impl PreparedMeasure for PreparedSeqLevenshtein<'_> {
-    fn similarity(&self, a: usize, b: usize) -> f64 {
-        let (va, vb) = (self.prep.view(a), self.prep.view(b));
-        match (&va.token_pattern, &vb.tokens) {
-            (Some(pa), Some(tb)) => {
-                with_myers_scratch(|s| myers_sequence_similarity_from(pa, tb, s))
-            }
-            _ => {
-                let base = self.prep.base();
-                sequence_similarity(
-                    &base.token_sequence(va.concept),
-                    &base.token_sequence(vb.concept),
-                    CostModel::UNIT,
-                )
-            }
-        }
-    }
-}
-
-/// Prepared Jaro / Jaro-Winkler scorer: bitmask match windows for names
-/// that fit one 64-bit word (`jaro_chars_masked`), per-thread scratch
-/// buffers otherwise — both bit-identical to `jaro_chars`.
-struct PreparedJaro<'p> {
-    prep: &'p PreparedContext<'p>,
-    winkler: bool,
-}
-
-impl PreparedMeasure for PreparedJaro<'_> {
-    fn similarity(&self, a: usize, b: usize) -> f64 {
-        let (va, vb) = (self.prep.view(a), self.prep.view(b));
-        match (&va.name_chars, &vb.name_chars) {
-            (Some(ca), Some(cb)) => with_jaro_scratch(|s| {
-                if self.winkler {
-                    jaro_winkler_fast(ca, cb, vb.jaro_mask.as_ref(), s)
-                } else {
-                    jaro_fast(ca, cb, vb.jaro_mask.as_ref(), s)
-                }
-            }),
-            _ => {
-                let base = self.prep.base();
-                let (na, nb) = (base.name(va.concept), base.name(vb.concept));
-                if self.winkler {
-                    jaro_winkler(na, nb)
-                } else {
-                    jaro(na, nb)
-                }
-            }
-        }
-    }
-}
-
-/// Gram size of the registered q-gram measure (padded trigrams); the
-/// profiles cached on [`ConceptView`] are built with the same size.
-const QGRAM_Q: usize = 3;
-
-/// Prepared q-gram scorer over packed per-concept gram profiles: a sorted
-/// `u64` merge intersection instead of hash-map counting, folded through
-/// the shared Dice expression (bit-identical to `qgram`).
-struct PreparedQGram<'p> {
-    prep: &'p PreparedContext<'p>,
-}
-
-impl PreparedMeasure for PreparedQGram<'_> {
-    fn similarity(&self, a: usize, b: usize) -> f64 {
-        let (va, vb) = (self.prep.view(a), self.prep.view(b));
-        match (&va.qgrams, &vb.qgrams) {
-            (Some(qa), Some(qb)) => qgram_packed_from(qa, qb),
-            _ => {
-                let base = self.prep.base();
-                qgram(base.name(va.concept), base.name(vb.concept), QGRAM_Q)
-            }
-        }
-    }
-}
-
-/// Prepared Monge-Elkan over interned name tokens. A batch's distinct
-/// tokens form a small pool, so the inner [`levenshtein_similarity`] of
-/// every distinct token pair is computed once at prepare time; per-pair
-/// scoring then replays `monge_elkan` in both directions as pure table
-/// lookups — the same inner values consumed in the same fold order, so the
-/// result is bit-identical while the dominant inner DP drops from
-/// O(pairs · tokens²) to O(pool²).
-struct PreparedMongeElkan<'p> {
-    prep: &'p PreparedContext<'p>,
-    /// `rows[x][y] = levenshtein_similarity(pool[x], pool[y])`. Only the
-    /// upper triangle is computed; the lower is mirrored, which is bitwise
-    /// safe because the inner similarity is exactly symmetric (a symmetric
-    /// integer distance over a symmetric max length).
-    rows: Vec<Vec<f64>>,
-}
-
-impl<'p> PreparedMongeElkan<'p> {
-    fn new(prep: &'p PreparedContext<'_>) -> Self {
-        let pool = prep.name_token_pool();
-        let chars: Vec<Vec<char>> = pool.iter().map(|t| t.chars().collect()).collect();
-        // The inner Levenshtein runs on the bit-parallel Myers core: one
-        // preprocessed pattern per pool token, one scratch for the whole
-        // table build (bit-identical to `levenshtein_similarity_chars`).
-        let patterns: Vec<MyersPattern> =
-            chars.iter().map(|c| MyersPattern::from_chars(c)).collect();
-        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(pool.len());
-        with_myers_scratch(|scratch| {
-            for (i, x) in patterns.iter().enumerate() {
-                let mut row = Vec::with_capacity(pool.len());
-                for prev in &rows {
-                    // Mirror of the already-computed sim(pool[j], pool[i]).
-                    row.push(prev.get(i).copied().unwrap_or(0.0));
-                }
-                for y in chars.iter().skip(i) {
-                    row.push(myers_similarity_chars_from(x, y, scratch));
-                }
-                rows.push(row);
-            }
-        });
-        PreparedMongeElkan { prep, rows }
-    }
-
-    /// The precomputed inner-similarity row of token `x` (empty only if the
-    /// pool itself is empty, in which case no token ids exist either).
-    fn row(&self, x: TokenId) -> &[f64] {
-        self.rows.get(x as usize).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// `monge_elkan(a, b, levenshtein_similarity)` replayed on the table.
-    fn directed(&self, a: &[TokenId], b: &[TokenId]) -> f64 {
-        if a.is_empty() {
-            return f64::from(u8::from(b.is_empty()));
-        }
-        if b.is_empty() {
-            return 0.0;
-        }
-        let mut total = 0.0;
-        for &x in a {
-            let row = self.row(x);
-            let best = b
-                .iter()
-                .map(|&y| row.get(y as usize).copied().unwrap_or(0.0))
-                .fold(0.0_f64, f64::max);
-            total += best;
-        }
-        total / a.len() as f64
-    }
-}
-
-impl PreparedMeasure for PreparedMongeElkan<'_> {
-    fn similarity(&self, a: usize, b: usize) -> f64 {
-        let (va, vb) = (self.prep.view(a), self.prep.view(b));
-        match (&va.name_tokens, &vb.name_tokens) {
-            (Some(ta), Some(tb)) => {
-                let ab = self.directed(ta, tb);
-                let ba = self.directed(tb, ta);
-                (ab + ba) / 2.0
-            }
-            _ => {
-                let base = self.prep.base();
-                let ta = sst_index::tokenize(base.name(va.concept));
-                let tb = sst_index::tokenize(base.name(vb.concept));
-                let ra: Vec<&str> = ta.iter().map(String::as_str).collect();
-                let rb: Vec<&str> = tb.iter().map(String::as_str).collect();
-                let ab = monge_elkan(&ra, &rb, levenshtein_similarity);
-                let ba = monge_elkan(&rb, &ra, levenshtein_similarity);
-                (ab + ba) / 2.0
-            }
-        }
-    }
-}
-
-/// Which graph formula a [`PreparedGraph`] scorer applies.
-enum GraphFormula {
-    ShortestPath,
-    Edge,
-    WuPalmerRooted,
-}
-
-/// Prepared scorer over per-concept BFS tables, compact sorted ancestor
-/// lists, and the shared depth table. The compact paths scan the two
-/// concepts' ancestor lists by sorted merge instead of walking full
-/// node-indexed distance tables, visiting candidates in the same ascending
-/// id order with the same tie-breaks (bit-identical by construction).
-struct PreparedGraph<'p> {
-    prep: &'p PreparedContext<'p>,
-    formula: GraphFormula,
-}
-
-impl PreparedMeasure for PreparedGraph<'_> {
-    fn similarity(&self, a: usize, b: usize) -> f64 {
-        let (va, vb) = (self.prep.view(a), self.prep.view(b));
-        match self.formula {
-            GraphFormula::ShortestPath => match self.prep.try_tables(a) {
-                Some(ta) => shortest_path_similarity_from(ta, vb.node),
-                None => {
-                    shortest_path_similarity(self.prep.base().tree.taxonomy(), va.node, vb.node)
-                }
-            },
-            GraphFormula::Edge => match (self.prep.ancestors(a), self.prep.ancestors(b)) {
-                (Some(la), Some(lb)) => {
-                    edge_similarity_compact(la, lb, va.node == vb.node, self.prep.depths().max())
-                }
-                _ => edge_similarity(self.prep.base().tree.taxonomy(), va.node, vb.node),
-            },
-            GraphFormula::WuPalmerRooted => {
-                match (self.prep.ancestors(a), self.prep.ancestors(b)) {
-                    (Some(la), Some(lb)) => {
-                        wu_palmer_similarity_rooted_compact(la, lb, self.prep.depths())
-                    }
-                    _ => wu_palmer_similarity_rooted(
-                        self.prep.base().tree.taxonomy(),
-                        va.node,
-                        vb.node,
-                    ),
-                }
-            }
-        }
-    }
-}
-
-/// Which IC formula a [`PreparedIc`] scorer applies.
-enum IcFormula {
-    Resnik,
-    Lin,
-    JiangConrath,
-}
-
-/// Prepared information-content scorer over compact ancestor lists: the
-/// best-subsumer scan merges two sorted id lists instead of intersecting
-/// node-indexed tables, with the same candidate order and tie-breaks.
-struct PreparedIc<'p> {
-    prep: &'p PreparedContext<'p>,
-    formula: IcFormula,
-}
-
-impl PreparedMeasure for PreparedIc<'_> {
-    fn similarity(&self, a: usize, b: usize) -> f64 {
-        let base = self.prep.base();
-        let ic = base.ic;
-        let (na, nb) = (self.prep.view(a).node, self.prep.view(b).node);
-        match (self.prep.ancestors(a), self.prep.ancestors(b)) {
-            (Some(la), Some(lb)) => match self.formula {
-                IcFormula::Resnik => resnik_similarity_compact(ic, la, lb),
-                IcFormula::Lin => lin_similarity_compact(ic, na, nb, la, lb),
-                IcFormula::JiangConrath => jiang_conrath_similarity_compact(ic, na, nb, la, lb),
-            },
-            _ => match self.formula {
-                IcFormula::Resnik => resnik_similarity(base.tree.taxonomy(), ic, na, nb),
-                IcFormula::Lin => lin_similarity(base.tree.taxonomy(), ic, na, nb),
-                IcFormula::JiangConrath => {
-                    jiang_conrath_similarity(base.tree.taxonomy(), ic, na, nb)
-                }
-            },
-        }
-    }
-}
-
-/// Prepared TF-IDF cosine over cached per-concept term vectors.
-struct PreparedTfidf<'p> {
-    prep: &'p PreparedContext<'p>,
-}
-
-impl PreparedMeasure for PreparedTfidf<'_> {
-    fn similarity(&self, a: usize, b: usize) -> f64 {
-        let (va, vb) = (self.prep.view(a), self.prep.view(b));
-        let (Some(da), Some(db)) = (va.doc, vb.doc) else {
-            return 0.0;
-        };
-        match (&va.tfidf, &vb.tfidf) {
-            (Some(ta), Some(tb)) => cosine_sparse(ta, tb),
-            _ => self.prep.base().index.cosine(da, db),
-        }
-    }
-}
-
-/// Prepared dense-embedding scorer: every prepared concept's cached
-/// TF-IDF vector is projected once at prepare time, then pairs score as
-/// a dim-wide dot product. The projection is the same
-/// [`crate::vector::embed_tfidf`] the naive path runs per pair, so both
-/// paths are bit-identical.
-struct PreparedDense<'p> {
-    prep: &'p PreparedContext<'p>,
-    /// `None` when the context was prepared without TF-IDF vectors.
-    embeddings: Option<Vec<Vec<f64>>>,
-}
-
-impl<'p> PreparedDense<'p> {
-    fn new(prep: &'p PreparedContext<'_>) -> Self {
-        let embeddings = (0..prep.len())
-            .map(|i| {
-                prep.view(i)
-                    .tfidf
-                    .as_ref()
-                    .map(|t| crate::vector::embed_tfidf(t, crate::vector::EMBED_DIM))
-            })
-            .collect::<Option<Vec<_>>>();
-        PreparedDense { prep, embeddings }
-    }
-}
-
-impl PreparedMeasure for PreparedDense<'_> {
-    fn similarity(&self, a: usize, b: usize) -> f64 {
-        let (va, vb) = (self.prep.view(a), self.prep.view(b));
-        if va.concept == vb.concept {
-            return 1.0; // identity axiom, even for undescribed concepts
-        }
-        match &self.embeddings {
-            Some(embeddings) => {
-                let empty: &[f64] = &[];
-                let ea = embeddings.get(a).map(Vec::as_slice).unwrap_or(empty);
-                let eb = embeddings.get(b).map(Vec::as_slice).unwrap_or(empty);
-                dense_unit_similarity(ea, eb)
-            }
-            None => {
-                let base = self.prep.base();
-                dense_unit_similarity(
-                    &base.dense_embedding(va.concept),
-                    &base.dense_embedding(vb.concept),
-                )
-            }
-        }
-    }
-}
-
-/// Prepared Zhang-Shasha similarity over cached subtree forms, reusing the
-/// per-thread DP scratch across pairs.
-struct PreparedTreeEdit<'p> {
-    prep: &'p PreparedContext<'p>,
-}
-
-impl PreparedMeasure for PreparedTreeEdit<'_> {
-    fn similarity(&self, a: usize, b: usize) -> f64 {
-        let (va, vb) = (self.prep.view(a), self.prep.view(b));
-        match (&va.subtree, &vb.subtree) {
-            (Some(ta), Some(tb)) => with_zs_scratch(|s| tree_similarity_zs_scratch(ta, tb, s)),
-            _ => {
-                let base = self.prep.base();
-                tree_similarity(&base.subtree(va.concept, 2), &base.subtree(vb.concept, 2))
-            }
-        }
+        let (va, vb) = (self.table.view(a), self.table.view(b));
+        let dist = self.bfs[a].get_or_init(|| self.taxonomy.undirected_distances(va.node));
+        shortest_path_length_similarity(dist.get(vb.node as usize).copied().flatten())
     }
 }
 
 macro_rules! runner {
     ($(#[$doc:meta])* $ty:ident, $name:literal, $display:literal, $kind:expr,
-     $normalized:literal, |$ctx:ident, $a:ident, $b:ident| $body:expr) => {
-        runner!(
-            $(#[$doc])* $ty, $name, $display, $kind, $normalized,
-            |$ctx, $a, $b| $body,
-            needs: PrepareNeeds::NONE,
-            prepare: |_prep| None
-        );
-    };
-    ($(#[$doc:meta])* $ty:ident, $name:literal, $display:literal, $kind:expr,
      $normalized:literal, |$ctx:ident, $a:ident, $b:ident| $body:expr,
-     needs: $needs:expr,
-     prepare: |$prep:ident| $pbody:expr) => {
+     prepare: |$pctx:ident, $table:ident| $pbody:expr) => {
         $(#[$doc])*
         #[derive(Debug, Default, Clone, Copy)]
         pub struct $ty;
@@ -939,15 +552,12 @@ macro_rules! runner {
                 $body
             }
 
-            fn prepare<'p>(
+            fn prepare<'t>(
                 &self,
-                $prep: &'p PreparedContext<'_>,
-            ) -> Option<Box<dyn PreparedMeasure + 'p>> {
+                $pctx: &SimilarityContext<'t>,
+                $table: &'t ConceptTable,
+            ) -> Option<Box<dyn PreparedMeasure + 't>> {
                 $pbody
-            }
-
-            fn needs(&self) -> PrepareNeeds {
-                $needs
             }
         }
     };
@@ -962,12 +572,7 @@ runner!(
         }
         sst_simpack::cosine(&ctx.feature_set(a), &ctx.feature_set(b))
     },
-    needs: PrepareNeeds::FEATURES,
-    prepare: |prep| Some(Box::new(PreparedFeatures {
-        prep,
-        counts: sst_simpack::cosine_from_counts,
-        sets: sst_simpack::cosine,
-    }))
+    prepare: |_ctx, table| row_scorer(table, |a, b| features(a, b, sst_simpack::cosine_from_counts))
 );
 runner!(
     /// Extended Jaccard over feature sets (Eq. 2).
@@ -978,12 +583,7 @@ runner!(
         }
         sst_simpack::jaccard(&ctx.feature_set(a), &ctx.feature_set(b))
     },
-    needs: PrepareNeeds::FEATURES,
-    prepare: |prep| Some(Box::new(PreparedFeatures {
-        prep,
-        counts: sst_simpack::jaccard_from_counts,
-        sets: sst_simpack::jaccard,
-    }))
+    prepare: |_ctx, table| row_scorer(table, |a, b| features(a, b, sst_simpack::jaccard_from_counts))
 );
 runner!(
     /// Overlap over feature sets (Eq. 3).
@@ -994,12 +594,7 @@ runner!(
         }
         sst_simpack::overlap(&ctx.feature_set(a), &ctx.feature_set(b))
     },
-    needs: PrepareNeeds::FEATURES,
-    prepare: |prep| Some(Box::new(PreparedFeatures {
-        prep,
-        counts: sst_simpack::overlap_from_counts,
-        sets: sst_simpack::overlap,
-    }))
+    prepare: |_ctx, table| row_scorer(table, |a, b| features(a, b, sst_simpack::overlap_from_counts))
 );
 runner!(
     /// Dice over feature sets (extension).
@@ -1010,44 +605,43 @@ runner!(
         }
         sst_simpack::dice(&ctx.feature_set(a), &ctx.feature_set(b))
     },
-    needs: PrepareNeeds::FEATURES,
-    prepare: |prep| Some(Box::new(PreparedFeatures {
-        prep,
-        counts: sst_simpack::dice_from_counts,
-        sets: sst_simpack::dice,
-    }))
+    prepare: |_ctx, table| row_scorer(table, |a, b| features(a, b, sst_simpack::dice_from_counts))
 );
 runner!(
     /// Normalized token-sequence edit distance over M₂ sequences (Eq. 4).
+    /// The table path runs the bit-parallel Myers core over the first
+    /// concept's preprocessed pattern (bit-identical to
+    /// `sequence_similarity(…, CostModel::UNIT)`, pinned by the simpack
+    /// differential tests).
     LevenshteinRunner, "levenshtein", "Levenshtein", MeasureKind::Sequence, true,
     |ctx, a, b| {
         let x = ctx.token_sequence(a);
         let y = ctx.token_sequence(b);
         sequence_similarity(&x, &y, CostModel::UNIT)
     },
-    needs: PrepareNeeds::TOKENS,
-    prepare: |prep| Some(Box::new(PreparedSeqLevenshtein { prep }))
+    prepare: |_ctx, table| row_scorer(table, |a, b| {
+        with_myers_scratch(|s| myers_sequence_similarity_from(&a.token_pattern, &b.tokens, s))
+    })
 );
 runner!(
     /// Jaro on concept names (SecondString extension).
     JaroRunner, "jaro", "Jaro", MeasureKind::String, true,
     |ctx, a, b| jaro(ctx.name(a), ctx.name(b)),
-    needs: PrepareNeeds::NAME_CHARS,
-    prepare: |prep| Some(Box::new(PreparedJaro { prep, winkler: false }))
+    prepare: |_ctx, table| row_scorer(table, |a, b| jaro_rows(a, b, false))
 );
 runner!(
     /// Jaro-Winkler on concept names (SecondString extension).
     JaroWinklerRunner, "jaro_winkler", "Jaro-Winkler", MeasureKind::String, true,
     |ctx, a, b| jaro_winkler(ctx.name(a), ctx.name(b)),
-    needs: PrepareNeeds::NAME_CHARS,
-    prepare: |prep| Some(Box::new(PreparedJaro { prep, winkler: true }))
+    prepare: |_ctx, table| row_scorer(table, |a, b| jaro_rows(a, b, true))
 );
 runner!(
-    /// Padded trigram Dice on concept names (SimMetrics extension).
+    /// Padded trigram Dice on concept names (SimMetrics extension). The
+    /// table path merge-intersects packed gram profiles (bit-identical to
+    /// `qgram`).
     QGramRunner, "qgram", "Q-Gram", MeasureKind::String, true,
     |ctx, a, b| qgram(ctx.name(a), ctx.name(b), QGRAM_Q),
-    needs: PrepareNeeds::QGRAMS,
-    prepare: |prep| Some(Box::new(PreparedQGram { prep }))
+    prepare: |_ctx, table| row_scorer(table, |a, b| qgram_packed_from(&a.qgrams, &b.qgrams))
 );
 runner!(
     /// Monge-Elkan over name tokens with Levenshtein inner similarity,
@@ -1062,8 +656,9 @@ runner!(
         let ba = monge_elkan(&rb, &ra, levenshtein_similarity);
         (ab + ba) / 2.0
     },
-    needs: PrepareNeeds::NAME_TOKENS,
-    prepare: |prep| Some(Box::new(PreparedMongeElkan::new(prep)))
+    prepare: |_ctx, table| row_scorer(table, move |a, b| {
+        table.monge_elkan(&a.name_tokens, &b.name_tokens)
+    })
 );
 runner!(
     /// `1 / (1 + len)` over the undirected shortest path in the unified
@@ -1072,15 +667,21 @@ runner!(
     |ctx, a, b| {
         shortest_path_similarity(ctx.tree.taxonomy(), ctx.tree.node(a), ctx.tree.node(b))
     },
-    needs: PrepareNeeds::TABLES,
-    prepare: |prep| Some(Box::new(PreparedGraph { prep, formula: GraphFormula::ShortestPath }))
+    prepare: |ctx, table| Some(Box::new(ShortestPathScorer {
+        table,
+        taxonomy: ctx.tree.taxonomy(),
+        bfs: (0..table.len()).map(|_| OnceLock::new()).collect(),
+    }))
 );
 runner!(
-    /// Normalized edge counting (Eq. 5).
+    /// Normalized edge counting (Eq. 5). The table path merges compact
+    /// ancestor lists, visiting candidates in the same ascending id order
+    /// with the same tie-breaks (bit-identical by construction).
     EdgeRunner, "edge", "Edge Counting", MeasureKind::Graph, true,
     |ctx, a, b| edge_similarity(ctx.tree.taxonomy(), ctx.tree.node(a), ctx.tree.node(b)),
-    needs: PrepareNeeds::TABLES,
-    prepare: |prep| Some(Box::new(PreparedGraph { prep, formula: GraphFormula::Edge }))
+    prepare: |_ctx, table| row_scorer(table, move |a, b| {
+        edge_similarity_compact(&a.ancestors, &b.ancestors, a.node == b.node, table.depths().max())
+    })
 );
 runner!(
     /// Wu & Palmer conceptual similarity (Eq. 6) — the paper's "Conceptual
@@ -1090,18 +691,23 @@ runner!(
     |ctx, a, b| {
         wu_palmer_similarity_rooted(ctx.tree.taxonomy(), ctx.tree.node(a), ctx.tree.node(b))
     },
-    needs: PrepareNeeds::TABLES,
-    prepare: |prep| Some(Box::new(PreparedGraph { prep, formula: GraphFormula::WuPalmerRooted }))
+    prepare: |_ctx, table| row_scorer(table, move |a, b| {
+        wu_palmer_similarity_rooted_compact(&a.ancestors, &b.ancestors, table.depths())
+    })
 );
 runner!(
     /// Resnik information content similarity (Eq. 7) — **unnormalized**,
-    /// reported in bits.
+    /// reported in bits. The table path scans the best subsumer over two
+    /// merged ancestor lists, with the same candidate order and
+    /// tie-breaks as the full-table scan.
     ResnikRunner, "resnik", "Resnik", MeasureKind::InformationTheoretic, false,
     |ctx, a, b| {
         resnik_similarity(ctx.tree.taxonomy(), ctx.ic, ctx.tree.node(a), ctx.tree.node(b))
     },
-    needs: PrepareNeeds::TABLES,
-    prepare: |prep| Some(Box::new(PreparedIc { prep, formula: IcFormula::Resnik }))
+    prepare: |ctx, table| {
+        let ic = ctx.ic;
+        row_scorer(table, move |a, b| resnik_similarity_compact(ic, &a.ancestors, &b.ancestors))
+    }
 );
 runner!(
     /// Lin similarity (Eq. 8).
@@ -1109,8 +715,12 @@ runner!(
     |ctx, a, b| {
         lin_similarity(ctx.tree.taxonomy(), ctx.ic, ctx.tree.node(a), ctx.tree.node(b))
     },
-    needs: PrepareNeeds::TABLES,
-    prepare: |prep| Some(Box::new(PreparedIc { prep, formula: IcFormula::Lin }))
+    prepare: |ctx, table| {
+        let ic = ctx.ic;
+        row_scorer(table, move |a, b| {
+            lin_similarity_compact(ic, a.node, b.node, &a.ancestors, &b.ancestors)
+        })
+    }
 );
 runner!(
     /// Jiang-Conrath similarity (IC extension).
@@ -1119,8 +729,12 @@ runner!(
     |ctx, a, b| {
         jiang_conrath_similarity(ctx.tree.taxonomy(), ctx.ic, ctx.tree.node(a), ctx.tree.node(b))
     },
-    needs: PrepareNeeds::TABLES,
-    prepare: |prep| Some(Box::new(PreparedIc { prep, formula: IcFormula::JiangConrath }))
+    prepare: |ctx, table| {
+        let ic = ctx.ic;
+        row_scorer(table, move |a, b| {
+            jiang_conrath_similarity_compact(ic, a.node, b.node, &a.ancestors, &b.ancestors)
+        })
+    }
 );
 runner!(
     /// TF-IDF cosine over the concepts' exported full-text descriptions —
@@ -1135,16 +749,22 @@ runner!(
         };
         ctx.index.cosine(da, db)
     },
-    needs: PrepareNeeds::TFIDF,
-    prepare: |prep| Some(Box::new(PreparedTfidf { prep }))
+    prepare: |_ctx, table| row_scorer(table, |a, b| {
+        if a.doc.is_some() && b.doc.is_some() {
+            cosine_sparse(&a.tfidf, &b.tfidf)
+        } else {
+            0.0
+        }
+    })
 );
 runner!(
     /// Zhang-Shasha tree edit similarity of the concepts' subtrees
     /// (depth-limited to 2) — the future-work tree measure.
     TreeEditRunner, "tree_edit", "Tree Edit Distance", MeasureKind::Tree, true,
     |ctx, a, b| tree_similarity(&ctx.subtree(a, 2), &ctx.subtree(b, 2)),
-    needs: PrepareNeeds::SUBTREES,
-    prepare: |prep| Some(Box::new(PreparedTreeEdit { prep }))
+    prepare: |_ctx, table| row_scorer(table, |a, b| {
+        with_zs_scratch(|s| tree_similarity_zs_scratch(&a.subtree, &b.subtree, s))
+    })
 );
 runner!(
     /// Needleman-Wunsch global alignment of the M₂ token sequences
@@ -1156,16 +776,11 @@ runner!(
         let y = ctx.token_sequence(b);
         needleman_wunsch_similarity(&x, &y, AlignmentScoring::default())
     },
-    needs: PrepareNeeds::TOKENS,
-    prepare: |prep| Some(Box::new(PreparedTokens {
-        prep,
-        f: |x, y| {
-            with_align_scratch(|s| {
-                needleman_wunsch_similarity_scratch(x, y, AlignmentScoring::default(), s)
-            })
-        },
-        fallback: |x, y| needleman_wunsch_similarity(x, y, AlignmentScoring::default()),
-    }))
+    prepare: |_ctx, table| row_scorer(table, |a, b| {
+        with_align_scratch(|s| {
+            needleman_wunsch_similarity_scratch(&a.tokens, &b.tokens, AlignmentScoring::default(), s)
+        })
+    })
 );
 runner!(
     /// Smith-Waterman local alignment of the M₂ token sequences: scores the
@@ -1177,16 +792,11 @@ runner!(
         let y = ctx.token_sequence(b);
         smith_waterman_similarity(&x, &y, AlignmentScoring::default())
     },
-    needs: PrepareNeeds::TOKENS,
-    prepare: |prep| Some(Box::new(PreparedTokens {
-        prep,
-        f: |x, y| {
-            with_align_scratch(|s| {
-                smith_waterman_similarity_scratch(x, y, AlignmentScoring::default(), s)
-            })
-        },
-        fallback: |x, y| smith_waterman_similarity(x, y, AlignmentScoring::default()),
-    }))
+    prepare: |_ctx, table| row_scorer(table, |a, b| {
+        with_align_scratch(|s| {
+            smith_waterman_similarity_scratch(&a.tokens, &b.tokens, AlignmentScoring::default(), s)
+        })
+    })
 );
 
 runner!(
@@ -1203,8 +813,12 @@ runner!(
         }
         dense_unit_similarity(&ctx.dense_embedding(a), &ctx.dense_embedding(b))
     },
-    needs: PrepareNeeds::TFIDF,
-    prepare: |prep| Some(Box::new(PreparedDense::new(prep)))
+    prepare: |_ctx, table| row_scorer(table, |a, b| {
+        if a.concept == b.concept {
+            return 1.0; // identity axiom, even for undescribed concepts
+        }
+        dense_unit_similarity(&a.embedding, &b.embedding)
+    })
 );
 
 /// The default runner set, in registration order. The position of each

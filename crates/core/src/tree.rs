@@ -162,6 +162,7 @@ impl UnifiedTree {
     pub fn root_path_names(&self, soqa: &Soqa, gc: GlobalConcept) -> Vec<String> {
         let mut path = Vec::new();
         let mut node = self.node(gc);
+        let depths = self.taxonomy.depths();
         loop {
             match self.concept(node) {
                 Some(c) => path.push(soqa.concept(c).name.clone()),
@@ -172,7 +173,7 @@ impl UnifiedTree {
             }
             // Follow the parent on a shortest path to the root.
             let parents = self.taxonomy.parents(node);
-            match parents.iter().min_by_key(|&&p| self.taxonomy.depth(p)) {
+            match parents.iter().min_by_key(|&&p| depths.depth(p)) {
                 Some(&p) => node = p,
                 None => break,
             }

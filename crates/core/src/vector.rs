@@ -4,7 +4,7 @@
 //! The paper's headline service — "rank all concepts by similarity to a
 //! query" — is an O(n) scan per request on the measure paths. This module
 //! is the sub-linear counterpart: every concept's TF-IDF document vector
-//! (the artifact already memoized on `ConceptView`) is projected into a
+//! (kept on its `ConceptView` as well) is projected into a
 //! fixed-dimension dense embedding by a *deterministic signed random
 //! projection*, the embeddings live in a row-major matrix, and top-k
 //! retrieval runs either as an exact brute-force scan (the reference
@@ -14,8 +14,8 @@
 //!
 //! Determinism is load-bearing everywhere:
 //! * the projection is seeded per term id, so the same corpus always
-//!   embeds to the same bits — on the naive per-pair path, the prepared
-//!   batch path, and the store build alike;
+//!   embeds to the same bits — on the naive per-pair path, the concept
+//!   table, and the store build alike;
 //! * graph insertion order is a seeded shuffle and every neighbor
 //!   selection ties to the lower row id, so the graph layout (and
 //!   therefore every approximate result) is a pure function of the
@@ -80,8 +80,8 @@ fn splitmix_next(state: &mut u64) -> u64 {
 /// `dim` components by a signed random projection: every term id seeds
 /// its own deterministic ±1 sign stream, and each term adds
 /// `weight · sign(term, d)` to component `d`. Equal inputs produce
-/// bit-equal outputs, which is what keeps the naive runner, the prepared
-/// batch path, and the [`VectorStore`] mutually bit-identical. An empty
+/// bit-equal outputs, which is what keeps the naive runner, the concept
+/// table, and the [`VectorStore`] mutually bit-identical. An empty
 /// input (a concept with no indexed description) embeds to the zero
 /// vector, which every similarity path scores 0 against.
 pub fn embed_tfidf(tfidf: &[(TermId, f64)], dim: usize) -> Vec<f64> {
@@ -251,16 +251,13 @@ fn build_nsw(rows: &[f64], dim: usize, n: usize) -> NswGraph {
             return;
         }
         let base = row_at(node as usize);
-        list.sort_by(|&a, &b| {
-            let sa = Scored {
+        // Best first; each edge's dot product is computed once, not once
+        // per comparison.
+        list.sort_by_cached_key(|&a| {
+            std::cmp::Reverse(Scored {
                 dot: dense_dot(row_at(a as usize), base),
                 row: a,
-            };
-            let sb = Scored {
-                dot: dense_dot(row_at(b as usize), base),
-                row: b,
-            };
-            sb.cmp(&sa)
+            })
         });
         list.truncate(GRAPH_M_MAX);
     };

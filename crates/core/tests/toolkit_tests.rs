@@ -231,3 +231,35 @@ fn heatmap_service_renders() {
     let art = heatmap.to_gnuplot("hm");
     assert!(art.script.contains("with image"));
 }
+
+/// Under `TreeMode::MergedThing` the ontology roots share the root node and
+/// own no vector-store row. The vector services reject them as invalid
+/// arguments naming the concept; the measure path still ranks them from
+/// their own concept-table row.
+#[test]
+fn merged_roots_are_invalid_vector_queries() {
+    let sst = toolkit(TreeMode::MergedThing, ProbabilityModeConfig::default());
+    let onto = sst.soqa().ontology("uni_owl").unwrap();
+    let root = onto.concept(onto.roots()[0]).name.clone();
+    for result in [
+        sst.most_similar_dense(&root, "uni_owl", 3),
+        sst.most_similar_approx(&root, "uni_owl", 3),
+    ] {
+        match result {
+            Err(SstError::InvalidArgument(msg)) => {
+                assert!(msg.contains(&format!("uni_owl:{root}")), "{msg}");
+            }
+            other => panic!("expected InvalidArgument, got {other:?}"),
+        }
+    }
+    let ranked = sst
+        .most_similar(
+            &root,
+            "uni_owl",
+            &ConceptSet::All,
+            3,
+            m::DENSE_VECTOR_MEASURE,
+        )
+        .unwrap();
+    assert_eq!(ranked.len(), 3);
+}

@@ -144,12 +144,12 @@ pub const CATALOG: &[MetricDecl] = &[
     MetricDecl {
         name: "core.prepare.concepts",
         kind: MetricKind::Counter,
-        help: "concepts captured in prepared contexts",
+        help: "rows of the resident concept table, recorded once per toolkit build",
     },
     MetricDecl {
         name: "core.prepare.latency",
         kind: MetricKind::Histogram,
-        help: "prepared-context construction wall time (ns)",
+        help: "resident concept-table build wall time, once per toolkit build (ns)",
     },
     MetricDecl {
         name: "core.rank.calls.*",

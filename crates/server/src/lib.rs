@@ -11,7 +11,9 @@
 //!   a [`queue::BoundedQueue`] of fixed capacity. When it is full the
 //!   accept loop answers `429 Too Many Requests` with a `Retry-After`
 //!   hint immediately — the server never queues unboundedly and never
-//!   makes a client wait to be told "later".
+//!   makes a client wait to be told "later". It then drains the unread
+//!   request, bounded in bytes and time, so the client reads the whole
+//!   429 instead of a connection reset.
 //! - **Per-request deadline.** Each connection gets OS read/write
 //!   timeouts (`request_deadline`); a slow or stalled client gets `408`
 //!   and the worker moves on. CPU-bound work is governed separately: the
@@ -40,11 +42,11 @@ pub mod router;
 pub mod tenancy;
 
 use std::fmt;
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sst_limits::Limits;
 
@@ -258,14 +260,7 @@ impl Server {
                 }
                 if let Err(mut rejected) = work.try_push(stream) {
                     shed.inc();
-                    let shed_reply = write_response(
-                        &mut rejected,
-                        TOO_MANY_REQUESTS,
-                        "application/json",
-                        b"{\"error\":\"server overloaded, retry later\"}",
-                        &[("retry-after", retry_after.clone())],
-                    );
-                    if shed_reply.is_err() {
+                    if shed_connection(&mut rejected, &retry_after).is_err() {
                         write_failures.inc();
                     }
                 }
@@ -285,6 +280,45 @@ impl Server {
             None => Ok(()),
         }
     }
+}
+
+/// Time the accept loop spends draining a shed connection's request.
+const SHED_DRAIN_TIME: Duration = Duration::from_millis(100);
+/// Request bytes the accept loop drains from a shed connection.
+const SHED_DRAIN_BYTES: usize = 16 * 1024;
+
+/// Answers a shed connection with `429` and `Retry-After`, half-closes it,
+/// and drains the unread request before the socket drops. Closing a socket
+/// with unread input makes the kernel send RST, which can destroy the 429
+/// before the client reads it. The drain stops at the client's EOF, after
+/// [`SHED_DRAIN_BYTES`], or after [`SHED_DRAIN_TIME`], so a silent client
+/// cannot hold the accept thread.
+fn shed_connection(stream: &mut TcpStream, retry_after: &str) -> io::Result<()> {
+    write_response(
+        stream,
+        TOO_MANY_REQUESTS,
+        "application/json",
+        b"{\"error\":\"server overloaded, retry later\"}",
+        &[("retry-after", retry_after.to_owned())],
+    )?;
+    stream.shutdown(Shutdown::Write)?;
+    let deadline = Instant::now() + SHED_DRAIN_TIME;
+    let mut buf = [0u8; 4096];
+    let mut drained = 0;
+    while drained < SHED_DRAIN_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        match stream.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => drained += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            // Timed out or reset: the 429 is already out.
+            Err(_) => break,
+        }
+    }
+    Ok(())
 }
 
 /// Reads, dispatches, and answers one connection's single request. A

@@ -185,8 +185,10 @@ impl<'a> Router<'a> {
         }
     }
 
-    /// Dispatches one parsed request.
-    pub fn handle(&self, request: &Request) -> Answer {
+    /// Dispatches one parsed request, recording the endpoint's request
+    /// counter and latency histogram and the response-class counter.
+    pub fn handle_timed(&self, request: &Request) -> Answer {
+        let start = Instant::now();
         let (endpoint, answer) = match (request.method.as_str(), request.path.as_str()) {
             ("POST", "/ql") => (&self.ql, self.handle_ql(request)),
             ("GET", "/similarity") => (&self.similarity, self.handle_similarity(request)),
@@ -206,23 +208,7 @@ impl<'a> Router<'a> {
             400..=499 => self.responses_4xx.inc(),
             _ => self.responses_5xx.inc(),
         }
-        answer
-    }
-
-    /// Wraps [`Router::handle`] with the endpoint latency histogram.
-    pub fn handle_timed(&self, request: &Request) -> Answer {
-        let start = Instant::now();
-        let answer = self.handle(request);
-        let histogram = match (request.method.as_str(), request.path.as_str()) {
-            ("POST", "/ql") => &self.ql.latency,
-            ("GET", "/similarity") => &self.similarity.latency,
-            ("GET", "/rank") => &self.rank.latency,
-            ("POST", "/align") => &self.align.latency,
-            ("GET", "/metrics") => &self.metrics_ep.latency,
-            ("GET", "/healthz") => &self.healthz.latency,
-            _ => &self.other.latency,
-        };
-        histogram.observe(start.elapsed());
+        endpoint.latency.observe(start.elapsed());
         answer
     }
 

@@ -5,7 +5,7 @@
 //! kernels underneath the toolkit's vector-retrieval subsystem (concept
 //! embeddings, exact and approximate top-k). The functions are plain
 //! `&[f64]` slice math with a pinned accumulation order so that every
-//! caller — the naive per-pair runner, the prepared batch path, and the
+//! caller — the naive per-pair runner, the concept-table scorer, and the
 //! vector store — produces bit-identical scores.
 //!
 //! Scores for ranking use the *shifted unit cosine*

@@ -38,20 +38,6 @@ impl DepthTable {
     }
 }
 
-/// Per-source BFS distance tables: everything the graph and IC measures
-/// need about one concept, computed once. An n-concept matrix scan builds
-/// n of these instead of running 2 fresh BFS traversals per pair.
-#[derive(Debug, Clone)]
-pub struct SourceTables {
-    /// Upward distances: `up[n] = Some(k)` iff `n` subsumes the source at
-    /// `k` steps (ancestor-or-self). Mirrors [`Taxonomy::up_distances`].
-    pub up: Vec<Option<u32>>,
-    /// Undirected distances (the paper's "shortest path in general", which
-    /// may run through common descendants). Mirrors
-    /// [`Taxonomy::shortest_path`] from the source to every node.
-    pub undirected: Vec<Option<u32>>,
-}
-
 /// A rooted specialization DAG. Nodes are dense ids; edges point from
 /// subconcept to superconcept.
 ///
@@ -166,50 +152,50 @@ impl Taxonomy {
     /// Upward distances from `start` to every ancestor-or-self:
     /// `dist[n] = Some(k)` if `n` subsumes `start` at k steps.
     pub fn up_distances(&self, start: NodeId) -> Vec<Option<u32>> {
-        let mut queue = VecDeque::new();
-        self.up_distances_with(start, &mut queue)
-    }
-
-    fn up_distances_with(&self, start: NodeId, queue: &mut VecDeque<NodeId>) -> Vec<Option<u32>> {
-        let mut dist = vec![None; self.node_count()];
-        dist[start as usize] = Some(0);
-        queue.clear();
-        queue.push_back(start);
-        while let Some(n) = queue.pop_front() {
-            let Some(d) = dist[n as usize] else { continue };
-            for &p in &self.parents[n as usize] {
-                if dist[p as usize].is_none() {
-                    dist[p as usize] = Some(d + 1);
-                    queue.push_back(p);
-                }
-            }
-        }
-        dist
+        self.bfs(start, false)
     }
 
     /// Undirected BFS distances from `start` to every node (over parent and
     /// child edges alike). `undirected[b]` equals
     /// [`Taxonomy::shortest_path`]`(start, b)` for every `b`.
     pub fn undirected_distances(&self, start: NodeId) -> Vec<Option<u32>> {
-        let mut queue = VecDeque::new();
-        self.undirected_distances_with(start, &mut queue)
+        self.bfs(start, true)
     }
 
-    fn undirected_distances_with(
-        &self,
-        start: NodeId,
-        queue: &mut VecDeque<NodeId>,
-    ) -> Vec<Option<u32>> {
+    /// The compact ancestor-or-self list of `start`: the `Some` entries of
+    /// [`Taxonomy::up_distances`], found by a BFS that visits only the
+    /// ancestors instead of filling a node-count-sized table.
+    pub fn ancestors(&self, start: NodeId) -> AncestorList {
+        // `entries` doubles as the FIFO queue, so every ancestor keeps the
+        // distance of its first discovery, exactly as in the table BFS.
+        let mut entries = vec![(start, 0u32)];
+        let mut next = 0;
+        while let Some(&(n, d)) = entries.get(next) {
+            for &p in &self.parents[n as usize] {
+                if entries.iter().all(|&(m, _)| m != p) {
+                    entries.push((p, d + 1));
+                }
+            }
+            next += 1;
+        }
+        entries.sort_unstable();
+        AncestorList { entries }
+    }
+
+    /// BFS from `start` over parent edges, plus child edges when
+    /// `undirected`.
+    fn bfs(&self, start: NodeId, undirected: bool) -> Vec<Option<u32>> {
         let mut dist = vec![None; self.node_count()];
         dist[start as usize] = Some(0);
-        queue.clear();
-        queue.push_back(start);
+        let mut queue = VecDeque::from([start]);
         while let Some(n) = queue.pop_front() {
             let Some(d) = dist[n as usize] else { continue };
-            for &m in self.parents[n as usize]
-                .iter()
-                .chain(&self.children[n as usize])
-            {
+            let down: &[NodeId] = if undirected {
+                &self.children[n as usize]
+            } else {
+                &[]
+            };
+            for &m in self.parents[n as usize].iter().chain(down) {
                 if dist[m as usize].is_none() {
                     dist[m as usize] = Some(d + 1);
                     queue.push_back(m);
@@ -217,30 +203,6 @@ impl Taxonomy {
             }
         }
         dist
-    }
-
-    /// Both BFS tables for one source concept.
-    pub fn source_tables(&self, start: NodeId) -> SourceTables {
-        let mut queue = VecDeque::new();
-        SourceTables {
-            up: self.up_distances_with(start, &mut queue),
-            undirected: self.undirected_distances_with(start, &mut queue),
-        }
-    }
-
-    /// Batch variant of [`Taxonomy::source_tables`]: one table pair per
-    /// requested source, reusing a single BFS queue as scratch across the
-    /// whole batch. This is what turns an n-concept matrix scan from n²
-    /// traversals into n.
-    pub fn source_tables_for(&self, starts: &[NodeId]) -> Vec<SourceTables> {
-        let mut queue = VecDeque::new();
-        starts
-            .iter()
-            .map(|&s| SourceTables {
-                up: self.up_distances_with(s, &mut queue),
-                undirected: self.undirected_distances_with(s, &mut queue),
-            })
-            .collect()
     }
 
     /// Depth of `n`: shortest upward distance from `n` to the root.
@@ -477,13 +439,10 @@ pub fn shortest_path_similarity(t: &Taxonomy, a: NodeId, b: NodeId) -> f64 {
     shortest_path_length_similarity(t.shortest_path(a, b))
 }
 
-/// Table-based [`shortest_path_similarity`]: the undirected BFS table of
-/// `a`'s [`SourceTables`] already holds the shortest-path length to `b`.
-pub fn shortest_path_similarity_from(a: &SourceTables, b: NodeId) -> f64 {
-    shortest_path_length_similarity(a.undirected[b as usize])
-}
-
-fn shortest_path_length_similarity(len: Option<u32>) -> f64 {
+/// `1 / (1 + len)` of a shortest-path length (0 when disconnected) — the
+/// formula of [`shortest_path_similarity`], for callers that read lengths
+/// from a precomputed [`Taxonomy::undirected_distances`] row.
+pub fn shortest_path_length_similarity(len: Option<u32>) -> f64 {
     match len {
         Some(len) => 1.0 / (1.0 + len as f64),
         None => 0.0,
@@ -777,6 +736,9 @@ mod tests {
                 .map(|up| AncestorList::from_table(up))
                 .collect();
             for a in 0..n {
+                assert_eq!(t.ancestors(a).entries, lists[a as usize].entries);
+            }
+            for a in 0..n {
                 for b in 0..n {
                     let (ta, tb) = (&tables[a as usize], &tables[b as usize]);
                     let (la, lb) = (&lists[a as usize], &lists[b as usize]);
@@ -805,30 +767,28 @@ mod tests {
     #[test]
     fn source_tables_reproduce_pairwise_measures_bit_identically() {
         let t = sample();
-        let nodes: Vec<NodeId> = (0..7).collect();
-        let tables = t.source_tables_for(&nodes);
         let depths = t.depths();
-        for &a in &nodes {
-            assert_eq!(tables[a as usize].up, t.up_distances(a));
-            for &b in &nodes {
-                let (ta, tb) = (&tables[a as usize], &tables[b as usize]);
+        for a in 0..7 {
+            let (up_a, undirected) = (t.up_distances(a), t.undirected_distances(a));
+            for b in 0..7 {
+                let up_b = t.up_distances(b);
                 assert_eq!(
-                    shortest_path_similarity_from(ta, b).to_bits(),
+                    shortest_path_length_similarity(undirected[b as usize]).to_bits(),
                     shortest_path_similarity(&t, a, b).to_bits()
                 );
                 assert_eq!(
-                    edge_similarity_from(&ta.up, &tb.up, a == b, depths.max()).to_bits(),
+                    edge_similarity_from(&up_a, &up_b, a == b, depths.max()).to_bits(),
                     edge_similarity(&t, a, b).to_bits()
                 );
                 assert_eq!(
-                    wu_palmer_similarity_from(&ta.up, &tb.up, &depths, a == b).to_bits(),
+                    wu_palmer_similarity_from(&up_a, &up_b, &depths, a == b).to_bits(),
                     wu_palmer_similarity(&t, a, b).to_bits()
                 );
                 assert_eq!(
-                    wu_palmer_similarity_rooted_from(&ta.up, &tb.up, &depths).to_bits(),
+                    wu_palmer_similarity_rooted_from(&up_a, &up_b, &depths).to_bits(),
                     wu_palmer_similarity_rooted(&t, a, b).to_bits()
                 );
-                assert_eq!(mrca_from(&ta.up, &tb.up, &depths), t.mrca(a, b));
+                assert_eq!(mrca_from(&up_a, &up_b, &depths), t.mrca(a, b));
             }
         }
     }

@@ -51,10 +51,10 @@ pub use dense::{
 };
 pub use graph::{
     edge_similarity, edge_similarity_compact, edge_similarity_from, mrca_compact,
-    path_via_common_ancestor_compact, shortest_path_similarity, shortest_path_similarity_from,
+    path_via_common_ancestor_compact, shortest_path_length_similarity, shortest_path_similarity,
     wu_palmer_similarity, wu_palmer_similarity_compact, wu_palmer_similarity_from,
     wu_palmer_similarity_rooted, wu_palmer_similarity_rooted_compact,
-    wu_palmer_similarity_rooted_from, AncestorList, DepthTable, NodeId, SourceTables, Taxonomy,
+    wu_palmer_similarity_rooted_from, AncestorList, DepthTable, NodeId, Taxonomy,
 };
 pub use ic::{
     best_subsumer_compact, jiang_conrath_similarity, jiang_conrath_similarity_compact,

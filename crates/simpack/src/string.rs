@@ -462,7 +462,7 @@ pub fn qgram_from(a: &QGramProfile, b: &QGramProfile) -> f64 {
 /// deduplicated `Vec<u64>` and intersection a linear merge walk instead of
 /// tree-set iteration. Cardinalities are identical to [`QGramProfile`]'s by
 /// injectivity, hence so is the Dice value, bit for bit.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QGramPacked {
     grams: Vec<u64>,
     empty: bool,

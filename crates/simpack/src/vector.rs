@@ -84,7 +84,7 @@ pub fn dice(x: &FeatureSet, y: &FeatureSet) -> f64 {
 }
 
 /// A feature set interned to sorted distinct `u32` ids against a shared
-/// batch vocabulary: `|x∩y|` becomes a linear merge over two small sorted
+/// vocabulary: `|x∩y|` becomes a linear merge over two small sorted
 /// slices instead of tree-set iteration with string comparisons. Interning
 /// is injective, so the counts — and through the `*_from_counts` cores the
 /// measures — are identical to the string-set path.
@@ -109,6 +109,11 @@ impl InternedFeatures {
 
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
+    }
+
+    /// The sorted distinct ids.
+    pub fn ids(&self) -> &[u32] {
+        &self.ids
     }
 
     /// `|x∩y|` by sorted merge.

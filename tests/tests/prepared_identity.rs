@@ -1,15 +1,87 @@
-//! Bit-identity of the prepared-context batch engine (PR 3 tentpole):
-//! every batch service must produce *exactly* the same IEEE 754 bits as
-//! the naive per-pair path, for every registered measure, on the paper
-//! corpus. Comparisons use `f64::to_bits`, so even a `-0.0` vs `0.0` or
-//! NaN-payload drift fails.
+//! Bit-identity of the resident concept table: every service that scores
+//! from the table must produce *exactly* the same IEEE 754 bits as the
+//! naive per-pair `MeasureRunner::similarity` formulas (reached through
+//! `BatchMode::Naive` matrices), for every registered measure, on the
+//! paper corpus under both tree modes. Comparisons use `f64::to_bits`, so
+//! even a `-0.0` vs `0.0` or NaN-payload drift fails.
 
 use sst_bench::{load_corpus, names};
-use sst_core::{BatchMode, CachedSimilarity, ConceptRef, ConceptSet, SstToolkit, TreeMode};
+use sst_core::{
+    BatchMode, CachedSimilarity, ConceptAndSimilarity, ConceptRef, ConceptSet, SstToolkit, TreeMode,
+};
 use sst_simpack::{Amalgamation, Combiner};
 
 fn corpus() -> SstToolkit {
     load_corpus(TreeMode::SuperThing, false)
+}
+
+/// The naive per-pair scores of `query` against each of `members`: row 0
+/// of the `BatchMode::Naive` matrix over `[query, members…]`, whose cells
+/// are `MeasureRunner::similarity(ctx, query, member)`.
+fn naive_scores(
+    sst: &SstToolkit,
+    query: &ConceptRef,
+    members: &[ConceptRef],
+    measure: usize,
+) -> Vec<f64> {
+    let mut list = vec![query.clone()];
+    list.extend_from_slice(members);
+    let (_, matrix) = sst
+        .similarity_matrix_mode(&ConceptSet::List(list), measure, BatchMode::Naive)
+        .unwrap();
+    matrix[0][1..].to_vec()
+}
+
+/// The k-best ranking of `members` by their naive `scores`, ordered like
+/// every rank service: descending `total_cmp`, then the qualified name.
+fn naive_ranking(members: &[ConceptRef], scores: Vec<f64>, k: usize) -> Vec<ConceptAndSimilarity> {
+    let mut ranked: Vec<ConceptAndSimilarity> = members
+        .iter()
+        .zip(scores)
+        .map(|(r, similarity)| ConceptAndSimilarity {
+            concept: r.concept.clone(),
+            ontology: r.ontology.clone(),
+            similarity,
+        })
+        .collect();
+    ranked.sort_by(|x, y| {
+        y.similarity
+            .total_cmp(&x.similarity)
+            .then_with(|| (&x.ontology, &x.concept).cmp(&(&y.ontology, &y.concept)))
+    });
+    ranked.truncate(k);
+    ranked
+}
+
+fn assert_rankings_bit_identical(
+    a: &[ConceptAndSimilarity],
+    b: &[ConceptAndSimilarity],
+    what: &str,
+) {
+    assert_eq!(a.len(), b.len(), "{what}: lengths differ");
+    for (x, y) in a.iter().zip(b) {
+        assert_eq!(
+            (&x.concept, &x.ontology),
+            (&y.concept, &y.ontology),
+            "{what}"
+        );
+        assert_eq!(
+            x.similarity.to_bits(),
+            y.similarity.to_bits(),
+            "{what}: {}:{} {} vs {}",
+            x.ontology,
+            x.concept,
+            x.similarity,
+            y.similarity
+        );
+    }
+}
+
+fn refs(set: &ConceptSet) -> &[ConceptRef] {
+    match set {
+        ConceptSet::List(refs) => refs,
+        _ => &[],
+    }
 }
 
 /// A cross-ontology concept set exercising every runner input: taxonomy
@@ -91,6 +163,9 @@ fn parallel_prepared_matrix_matches_serial_for_every_measure() {
     let sst = corpus();
     let set = mixed_set();
     for measure in all_measures(&sst) {
+        let naive = sst
+            .similarity_matrix_mode(&set, measure, BatchMode::Naive)
+            .unwrap();
         let serial = sst
             .similarity_matrix_mode(&set, measure, BatchMode::Prepared)
             .unwrap();
@@ -99,6 +174,7 @@ fn parallel_prepared_matrix_matches_serial_for_every_measure() {
                 .similarity_matrix_parallel_mode(&set, measure, threads, BatchMode::Prepared)
                 .unwrap();
             assert_matrices_bit_identical(measure, &serial, &parallel, "parallel vs serial");
+            assert_matrices_bit_identical(measure, &naive, &parallel, "parallel vs naive");
         }
         let naive_parallel = sst
             .similarity_matrix_parallel_mode(&set, measure, 4, BatchMode::Naive)
@@ -112,15 +188,15 @@ fn similarity_to_set_matches_pairwise_service_for_every_measure() {
     let sst = corpus();
     let set = mixed_set();
     let (query, query_onto) = ("Professor", names::DAML_UNIV);
+    let cache = CachedSimilarity::new(&sst);
     for measure in all_measures(&sst) {
         let batched = sst
             .similarity_to_set(query, query_onto, &set, measure)
             .unwrap();
-        let ConceptSet::List(ref refs) = set else {
-            unreachable!()
-        };
+        let refs = refs(&set);
+        let naive = naive_scores(&sst, &ConceptRef::new(query, query_onto), refs, measure);
         assert_eq!(batched.len(), refs.len());
-        for (row, r) in batched.iter().zip(refs) {
+        for ((row, r), naive) in batched.iter().zip(refs).zip(naive) {
             assert_eq!(row.concept, r.concept);
             assert_eq!(row.ontology, r.ontology);
             let direct = sst
@@ -133,7 +209,49 @@ fn similarity_to_set_matches_pairwise_service_for_every_measure() {
                 r.ontology,
                 r.concept
             );
+            assert_eq!(
+                direct.to_bits(),
+                naive.to_bits(),
+                "measure {measure} pairwise vs naive diverges on {}:{}",
+                r.ontology,
+                r.concept
+            );
+            let cached = cache
+                .get_similarity(query, query_onto, &r.concept, &r.ontology, measure)
+                .unwrap();
+            assert_eq!(
+                cached.to_bits(),
+                naive.to_bits(),
+                "measure {measure} cached pairwise vs naive diverges on {}:{}",
+                r.ontology,
+                r.concept
+            );
         }
+    }
+}
+
+#[test]
+fn most_dissimilar_matches_naive_for_every_measure() {
+    let sst = corpus();
+    let set = mixed_set();
+    let query = ConceptRef::new("Human", names::SUMO);
+    for measure in all_measures(&sst) {
+        let ranked = sst
+            .most_dissimilar("Human", names::SUMO, &set, 6, measure)
+            .unwrap();
+        let mut naive = naive_ranking(
+            refs(&set),
+            naive_scores(&sst, &query, refs(&set), measure),
+            usize::MAX,
+        );
+        naive.sort_by(|x, y| {
+            x.similarity
+                .total_cmp(&y.similarity)
+                .then_with(|| (&x.ontology, &x.concept).cmp(&(&y.ontology, &y.concept)))
+        });
+        naive.truncate(6);
+        let what = format!("measure {measure} most_dissimilar");
+        assert_rankings_bit_identical(&ranked, &naive, &what);
     }
 }
 
@@ -142,10 +260,17 @@ fn cached_most_similar_matches_direct_for_every_measure() {
     let sst = corpus();
     let set = mixed_set();
     let cache = CachedSimilarity::new(&sst);
+    let query = ConceptRef::new("Student", names::UNIV_BENCH);
     for measure in all_measures(&sst) {
         let direct = sst
             .most_similar("Student", names::UNIV_BENCH, &set, 7, measure)
             .unwrap();
+        let naive = naive_ranking(
+            refs(&set),
+            naive_scores(&sst, &query, refs(&set), measure),
+            7,
+        );
+        assert_rankings_bit_identical(&direct, &naive, &format!("measure {measure} direct"));
         // Run the cached path twice: cold (batch-computed misses) and warm
         // (pure memo hits) must both reproduce the direct ranking.
         for pass in ["cold", "warm"] {
@@ -176,10 +301,17 @@ fn most_similar_multi_matches_per_measure_rankings() {
         .most_similar_multi("Human", names::SUMO, &set, 5, &measures)
         .unwrap();
     assert_eq!(multi.len(), measures.len());
+    let query = ConceptRef::new("Human", names::SUMO);
     for (&measure, ranking) in measures.iter().zip(&multi) {
         let single = sst
             .most_similar("Human", names::SUMO, &set, 5, measure)
             .unwrap();
+        let naive = naive_ranking(
+            refs(&set),
+            naive_scores(&sst, &query, refs(&set), measure),
+            5,
+        );
+        assert_rankings_bit_identical(ranking, &naive, &format!("measure {measure} multi"));
         assert_eq!(ranking.len(), single.len());
         for (a, b) in ranking.iter().zip(&single) {
             assert_eq!((&a.concept, &a.ontology), (&b.concept, &b.ontology));
@@ -205,6 +337,19 @@ fn combined_ranking_matches_pairwise_combined_scores() {
     let ranked = sst
         .most_similar_combined("Student", names::UNIV_BENCH, &set, 20, &measures, &combiner)
         .unwrap();
+    let query = ConceptRef::new("Student", names::UNIV_BENCH);
+    let per_measure: Vec<Vec<f64>> = measures
+        .iter()
+        .map(|&m| naive_scores(&sst, &query, refs(&set), m))
+        .collect();
+    let combined = (0..refs(&set).len())
+        .map(|i| {
+            let scores: Vec<f64> = per_measure.iter().map(|s| s[i]).collect();
+            combiner.combine(&scores)
+        })
+        .collect();
+    let naive = naive_ranking(refs(&set), combined, 20);
+    assert_rankings_bit_identical(&ranked, &naive, "combined ranking vs naive");
     for row in &ranked {
         let direct = sst
             .combined_similarity(
@@ -243,6 +388,20 @@ fn alignment_scores_match_pairwise_combined_scores() {
                 &config.measures,
             )
             .unwrap();
+        let source = ConceptRef::new(&corr.source_concept, names::UNIV_BENCH);
+        let target = [ConceptRef::new(&corr.target_concept, names::COURSES)];
+        let naive: Vec<f64> = config
+            .measures
+            .iter()
+            .map(|&m| naive_scores(&sst, &source, &target, m)[0])
+            .collect();
+        assert_eq!(
+            corr.similarity.to_bits(),
+            combiner.combine(&naive).to_bits(),
+            "alignment score vs naive diverges on {} -> {}",
+            corr.source_concept,
+            corr.target_concept
+        );
         assert_eq!(
             corr.similarity.to_bits(),
             combiner.combine(&scores).to_bits(),
@@ -250,5 +409,74 @@ fn alignment_scores_match_pairwise_combined_scores() {
             corr.source_concept,
             corr.target_concept
         );
+    }
+}
+
+/// Under `TreeMode::MergedThing` the ontology roots share the root node
+/// and own no tree node of their own, yet each keeps its own table row
+/// (name, features, subtree label). A set holding every collapsed root
+/// must score bit-identically to the naive formulas on every service.
+#[test]
+fn merged_thing_services_match_naive_with_collapsed_roots() {
+    let sst = load_corpus(TreeMode::MergedThing, false);
+    let soqa = sst.soqa();
+    let roots: Vec<ConceptRef> = (0..soqa.ontology_count())
+        .flat_map(|i| {
+            let onto = soqa.ontology_at(i);
+            onto.roots()
+                .iter()
+                .map(|&c| ConceptRef::new(&onto.concept(c).name, onto.name()))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    assert!(roots.len() >= 2, "corpus has several roots to collapse");
+    let mut list = roots.clone();
+    list.extend_from_slice(refs(&mixed_set()));
+    let set = ConceptSet::List(list.clone());
+    let cache = CachedSimilarity::new(&sst);
+    for measure in all_measures(&sst) {
+        let naive = sst
+            .similarity_matrix_mode(&set, measure, BatchMode::Naive)
+            .unwrap();
+        let prepared = sst
+            .similarity_matrix_mode(&set, measure, BatchMode::Prepared)
+            .unwrap();
+        assert_matrices_bit_identical(measure, &naive, &prepared, "merged prepared vs naive");
+        let parallel = sst
+            .similarity_matrix_parallel_mode(&set, measure, 3, BatchMode::Prepared)
+            .unwrap();
+        assert_matrices_bit_identical(measure, &naive, &parallel, "merged parallel vs naive");
+
+        for query in [&roots[0], &ConceptRef::new("Student", names::UNIV_BENCH)] {
+            let batched = sst
+                .similarity_to_set(&query.concept, &query.ontology, &set, measure)
+                .unwrap();
+            let expected = naive_scores(&sst, query, &list, measure);
+            assert_eq!(batched.len(), expected.len());
+            for (row, naive) in batched.iter().zip(expected) {
+                assert_eq!(
+                    row.similarity.to_bits(),
+                    naive.to_bits(),
+                    "measure {measure} merged set score diverges on {}:{} for {}:{}",
+                    row.ontology,
+                    row.concept,
+                    query.ontology,
+                    query.concept
+                );
+            }
+
+            let direct = sst
+                .most_similar(&query.concept, &query.ontology, &set, 9, measure)
+                .unwrap();
+            let naive = naive_ranking(&list, naive_scores(&sst, query, &list, measure), 9);
+            let what = format!("measure {measure} merged ranking for {}", query.concept);
+            assert_rankings_bit_identical(&direct, &naive, &what);
+            for pass in ["cold", "warm"] {
+                let cached = cache
+                    .most_similar(&query.concept, &query.ontology, &set, 9, measure)
+                    .unwrap();
+                assert_rankings_bit_identical(&cached, &direct, &format!("{what} ({pass})"));
+            }
+        }
     }
 }

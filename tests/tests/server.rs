@@ -417,6 +417,104 @@ fn overload_sheds_with_429_and_drains_on_shutdown() {
     });
 }
 
+/// Every shed client must read the complete `429` with `Retry-After` and
+/// then a clean EOF. Closing a shed socket with the request still unread
+/// makes the kernel answer with RST, which can destroy the 429 before the
+/// client reads it (`ConnectionReset`); one shed in a row is not enough to
+/// catch that, so this sheds many.
+#[test]
+fn shed_clients_read_a_complete_429_then_eof() {
+    let sst = corpus();
+    let corpora = Corpora::new("default", Arc::clone(&sst));
+    let server = Server::bind(ServerConfig {
+        workers: 1,
+        queue_capacity: 1,
+        request_deadline: Duration::from_secs(20),
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr();
+    let handle = server.shutdown_handle();
+    let body = "{\"error\":\"server overloaded, retry later\"}";
+
+    std::thread::scope(|scope| {
+        let running = scope.spawn(|| server.run(&corpora));
+        let _stop = StopOnDrop(handle.clone());
+
+        // Two silent clients: one holds the only worker, one fills the
+        // queue, so every further connection is shed.
+        let stalled = TcpStream::connect(addr).expect("connect stall");
+        wait_until("stall accepted", || {
+            counter_now(&sst, "server.accepted") >= 1
+        });
+        std::thread::sleep(Duration::from_millis(200));
+        let queued = TcpStream::connect(addr).expect("connect queued");
+        wait_until("queued accepted", || {
+            counter_now(&sst, "server.accepted") >= 2
+        });
+
+        for i in 0..60 {
+            let mut stream = TcpStream::connect(addr).expect("connect shed");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .expect("timeout");
+            stream
+                .write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n")
+                .expect("write");
+            let mut response = String::new();
+            stream
+                .read_to_string(&mut response)
+                .unwrap_or_else(|e| panic!("shed client {i}: {e}"));
+            assert!(
+                response.starts_with("HTTP/1.1 429"),
+                "shed client {i}: {response:?}"
+            );
+            assert!(
+                response.to_ascii_lowercase().contains("retry-after: 1\r\n"),
+                "shed client {i} needs Retry-After: {response:?}"
+            );
+            assert!(response.ends_with(body), "shed client {i}: {response:?}");
+        }
+        assert!(counter_now(&sst, "server.shed") >= 60);
+
+        // Hanging up frees the worker; both silent clients count as closed.
+        drop(stalled);
+        drop(queued);
+        handle.shutdown();
+        assert!(running.join().expect("run thread").is_ok());
+    });
+}
+
+/// Under `TreeMode::MergedThing` an ontology root shares the root node and
+/// has no vector-store row: the approximate ranking of it is a client
+/// error (400), never a 500, while the exact ranking still serves it.
+#[test]
+fn approx_rank_of_a_merged_root_is_a_bad_request() {
+    let sst = Arc::new(load_corpus(TreeMode::MergedThing, false));
+    let corpora = Corpora::new("default", Arc::clone(&sst));
+    let server = Server::bind(ServerConfig::default()).expect("bind");
+    let addr = server.local_addr();
+    let handle = server.shutdown_handle();
+
+    std::thread::scope(|scope| {
+        let running = scope.spawn(|| server.run(&corpora));
+        let _stop = StopOnDrop(handle.clone());
+        let base = format!("/rank?concept=Thing&ontology={}&k=3", names::DAML_UNIV);
+
+        let (status, body) = get(addr, &format!("{base}&approx=true"));
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("base1_0_daml:Thing"), "{body}");
+        let (status, body) = get(addr, &format!("{base}&measure=dense_vector"));
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(body.matches("\"concept\"").count(), 3);
+
+        handle.shutdown();
+        assert!(running.join().expect("run thread").is_ok());
+        let metrics = sst.metrics().render_text();
+        assert_eq!(metrics_counter(&metrics, "server.responses.5xx"), Some(0));
+    });
+}
+
 #[test]
 fn tiny_lru_stays_bounded_and_bit_identical_under_concurrency() {
     let sst = corpus();
