@@ -2,8 +2,9 @@
 # Repo CI gate: fmt-check, static-analysis lint, clippy -D warnings,
 # release build, tests. Thin wrapper over `cargo xtask ci` so local runs
 # and automation share one definition of "green", plus the batch-engine
-# smoke gate (prepared-context matrices must stay bit-identical to the
-# naive path on every measure), the fault-injection smoke gate (no
+# smoke gate (every built-in measure's concept-table matrices, serial and
+# parallel, must stay bit-identical to its per-pair oracle runner from
+# `sst_bench::oracle`), the fault-injection smoke gate (no
 # corrupted or hostile input may panic, overflow the stack, or blow past
 # the resource limits in any parser), the server smoke gate (the
 # query service answers every concurrent request 200/429, sheds instead
@@ -19,7 +20,9 @@
 # than a cold parse; the full run writes results/BENCH_snapshot.json),
 # and the benchmark gate (perfbench, a workspace of its own, must build
 # against the current crates, pass its self-tests, and finish a short
-# batch_matrix run whose result line reports "correct":true).
+# batch_matrix run whose result line reports "correct":true), and the
+# examples gate (every example that writes nothing into the repository
+# runs to a zero exit).
 set -eu
 cd "$(dirname "$0")"
 # Archive the machine-readable findings document first (written even
@@ -34,6 +37,14 @@ cargo run --release -p sst-bench --bin server_smoke -- --smoke
 cargo run --release -p sst-bench --bin ann_bench -- --smoke
 cargo run --release -p sst-bench --bin align_bench -- --smoke
 cargo run --release -p sst-bench --bin snapshot_bench -- --smoke
+for example in quickstart schema_matching cross_language_alignment clustering; do
+    cargo run --release -q -p sst-examples --bin "$example" > /dev/null
+done
+cargo run --release -q -p sst-examples --bin kmost -- univ-bench_owl Professor --measure tfidf -k 5 > /dev/null
+cargo run --release -q -p sst-examples --bin browser -- --demo > /dev/null
+converted=$(mktemp)
+cargo run --release -q -p sst-examples --bin convert -- data/ontologies/course.ploom --format turtle -o "$converted" > /dev/null
+rm -f "$converted"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 bench_line=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
     --workload batch_matrix --seed 1 --seconds 1 --trace 0 | tail -n 1)

@@ -1,8 +1,8 @@
 //! ANN recall/latency self-audit: times the exact brute-force vector
-//! scan (`most_similar_dense`) against the approximate graph path
-//! (`most_similar_approx`) on a seeded synthetic corpus, measures
-//! recall@10 of the approximate ranking against the exact one, and
-//! writes `results/BENCH_ann.json`.
+//! scan (`most_similar_approx_with` at a full-corpus probe) against the
+//! approximate graph path (`most_similar_approx`) on a seeded synthetic
+//! corpus, measures recall@10 of the approximate ranking against the
+//! exact one, and writes `results/BENCH_ann.json`.
 //!
 //! Usage:
 //! ```text
@@ -12,7 +12,7 @@
 //! ```
 //!
 //! Both modes enforce the subsystem's contract: exact-store rankings
-//! bit-identical to the naive facade scan under the `dense_vector`
+//! bit-identical to the facade's `most_similar` under the `dense_vector`
 //! measure, recall@10 ≥ 0.95 at the default probe width, and (full mode
 //! only, where the corpus is large enough for timing to mean anything)
 //! a > 5x speedup of the approximate path over the exact scan.
@@ -83,12 +83,19 @@ fn key_set(ranked: &[ConceptAndSimilarity]) -> HashSet<(String, String)> {
         .collect()
 }
 
+/// The exact top-K: the approximate path at a probe of the whole store.
+fn exact(sst: &SstToolkit, concept: &str, ontology: &str) -> Vec<ConceptAndSimilarity> {
+    let full = sst.vector_store().len();
+    sst.most_similar_approx_with(concept, ontology, K, full)
+        .expect("exact")
+}
+
 /// Recall@K of the approximate path at probe width `probe` against the exact scan.
 fn recall_at_k(sst: &SstToolkit, queries: &[(String, String)], probe: usize) -> f64 {
     let mut hits = 0usize;
     let mut total = 0usize;
     for (concept, ontology) in queries {
-        let exact = sst.most_similar_dense(concept, ontology, K).expect("exact");
+        let exact = exact(sst, concept, ontology);
         let approx = sst
             .most_similar_approx_with(concept, ontology, K, probe)
             .expect("approx");
@@ -102,7 +109,7 @@ fn recall_at_k(sst: &SstToolkit, queries: &[(String, String)], probe: usize) -> 
     hits as f64 / total as f64
 }
 
-/// Exact-store top-K must reproduce the naive facade scan bit for bit.
+/// Exact-store top-K must reproduce the facade's ranking bit for bit.
 fn assert_exact_identity(sst: &SstToolkit, queries: &[(String, String)]) {
     for (concept, ontology) in queries {
         let naive = sst
@@ -113,15 +120,15 @@ fn assert_exact_identity(sst: &SstToolkit, queries: &[(String, String)]) {
                 K,
                 measure_ids::DENSE_VECTOR_MEASURE,
             )
-            .expect("naive rank");
-        let dense = sst.most_similar_dense(concept, ontology, K).expect("dense");
+            .expect("facade rank");
+        let dense = exact(sst, concept, ontology);
         assert_eq!(naive.len(), dense.len(), "{ontology}:{concept}");
         for (a, b) in naive.iter().zip(&dense) {
             assert!(
                 a.concept == b.concept
                     && a.ontology == b.ontology
                     && a.similarity.to_bits() == b.similarity.to_bits(),
-                "{ontology}:{concept}: exact store diverges from naive scan"
+                "{ontology}:{concept}: exact store diverges from the facade ranking"
             );
         }
     }
@@ -181,17 +188,16 @@ fn main() {
         return;
     }
 
-    // The naive facade scan embeds per pair, so it is O(n·terms) per
-    // query — audit a bounded sample here; the `ann_identity` suite owns
+    // Audit a bounded sample here; the `ann_identity` suite owns
     // exhaustive identity coverage.
     let identity_sample = queries.len().min(50);
     assert_exact_identity(&sst, &queries[..identity_sample]);
-    println!("  exact store bit-identical to naive scan on {identity_sample} queries");
+    println!("  exact store bit-identical to the facade ranking on {identity_sample} queries");
 
     let recall = recall_at_k(&sst, &queries, probe);
     let exact_s = time_median(|| {
         for (concept, ontology) in &queries {
-            std::hint::black_box(sst.most_similar_dense(concept, ontology, K)).expect("exact");
+            std::hint::black_box(exact(&sst, concept, ontology));
         }
     });
     let approx_s = time_median(|| {

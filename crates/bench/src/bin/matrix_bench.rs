@@ -1,11 +1,12 @@
-//! Concept-table batch benchmark: times the full-registry
-//! similarity-matrix workload (`similarity_matrix` and
-//! `similarity_matrix_parallel`) in `Naive` vs `Prepared` batch mode on a
-//! seeded synthetic two-ontology corpus, verifying bit-identity of every
-//! cell on every measure, and writes `results/BENCH_matrix.json`.
-//! `Prepared` scores from the toolkit's resident concept table, which the
-//! toolkit builds once with itself, so its build is not part of the timed
-//! matrices.
+//! Concept-table batch benchmark: times the similarity-matrix workload
+//! (`similarity_matrix` and `similarity_matrix_parallel`) of every
+//! built-in measure against its per-pair oracle (`sst_bench::oracle`,
+//! registered as a user runner) on a seeded synthetic two-ontology corpus,
+//! verifying bit-identity of every cell on every measure, and writes
+//! `results/BENCH_matrix.json`. The built-ins score from the toolkit's
+//! resident concept table, which the toolkit builds once with itself, so
+//! its build is not part of the timed matrices. In the JSON, `naive` is
+//! the oracle and `prepared` the built-in.
 //!
 //! Usage:
 //! ```text
@@ -15,8 +16,8 @@
 //! ```
 //!
 //! `--smoke` skips the timing loops (and the JSON export) and only checks
-//! correctness — prepared serial and parallel matrices must reproduce the
-//! naive path bit-for-bit on a smaller fixture. `--threads` sets the
+//! correctness — the built-ins' serial and parallel matrices must
+//! reproduce the oracle bit-for-bit on a smaller fixture. `--threads` sets the
 //! thread counts of the scaling sweep (default `1,2,4,8`); the first
 //! sweep entry is the baseline the per-count speedup is measured against.
 //!
@@ -26,8 +27,9 @@
 
 use std::time::Instant;
 
+use sst_bench::oracle::{self, oracle};
 use sst_bench::{data_dir, generate_taxonomy, TaxonomySpec};
-use sst_core::{BatchMode, ConceptSet, SchedStats, SstBuilder, SstToolkit};
+use sst_core::{ConceptSet, SchedStats, SstBuilder, SstToolkit};
 
 /// Worker threads for the headline parallel-matrix comparison.
 const THREADS: usize = 4;
@@ -55,12 +57,12 @@ fn build_toolkit(primary: usize, secondary: usize) -> SstToolkit {
         instances: secondary / 4,
         seed: 97,
     });
-    SstBuilder::new()
+    let builder = SstBuilder::new()
         .register_ontology(a)
         .expect("register primary")
         .register_ontology(b)
-        .expect("register secondary")
-        .build()
+        .expect("register secondary");
+    oracle::register(builder).build()
 }
 
 /// Whether `a` and `b` agree bit-for-bit; prints the first divergence.
@@ -108,23 +110,25 @@ impl Row {
     }
 }
 
-/// One measure: record bit-identity across all four paths, then time them.
+/// One built-in measure: record bit-identity across all four paths (the
+/// built-in and its oracle, serial and parallel), then time them.
 fn bench_measure(sst: &SstToolkit, measure: usize, timed: bool) -> Row {
     let set = ConceptSet::All;
     let info = sst.measure_info(measure).expect("measure info");
+    let naive_id = oracle(measure);
 
     let (_, naive) = sst
-        .similarity_matrix_mode(&set, measure, BatchMode::Naive)
-        .expect("naive matrix");
+        .similarity_matrix(&set, naive_id)
+        .expect("oracle matrix");
     let (_, prepared) = sst
-        .similarity_matrix_mode(&set, measure, BatchMode::Prepared)
+        .similarity_matrix(&set, measure)
         .expect("prepared matrix");
     let (_, prepared_par) = sst
-        .similarity_matrix_parallel_mode(&set, measure, THREADS, BatchMode::Prepared)
+        .similarity_matrix_parallel(&set, measure, THREADS)
         .expect("prepared parallel matrix");
     let (_, naive_par) = sst
-        .similarity_matrix_parallel_mode(&set, measure, THREADS, BatchMode::Naive)
-        .expect("naive parallel matrix");
+        .similarity_matrix_parallel(&set, naive_id, THREADS)
+        .expect("oracle parallel matrix");
     let bit_identical = check_identical(&info.name, "prepared vs naive", &naive, &prepared)
         & check_identical(&info.name, "prepared parallel", &naive, &prepared_par)
         & check_identical(&info.name, "naive parallel", &naive, &naive_par);
@@ -141,36 +145,24 @@ fn bench_measure(sst: &SstToolkit, measure: usize, timed: bool) -> Row {
         return row;
     }
     row.naive_s = time_median(|| {
-        std::hint::black_box(sst.similarity_matrix_mode(&set, measure, BatchMode::Naive))
-            .expect("naive matrix");
+        std::hint::black_box(sst.similarity_matrix(&set, naive_id)).expect("oracle matrix");
     });
     row.prepared_s = time_median(|| {
-        std::hint::black_box(sst.similarity_matrix_mode(&set, measure, BatchMode::Prepared))
-            .expect("prepared matrix");
+        std::hint::black_box(sst.similarity_matrix(&set, measure)).expect("prepared matrix");
     });
     row.naive_par_s = time_median(|| {
-        std::hint::black_box(sst.similarity_matrix_parallel_mode(
-            &set,
-            measure,
-            THREADS,
-            BatchMode::Naive,
-        ))
-        .expect("naive parallel matrix");
+        std::hint::black_box(sst.similarity_matrix_parallel(&set, naive_id, THREADS))
+            .expect("oracle parallel matrix");
     });
     row.prepared_par_s = time_median(|| {
-        std::hint::black_box(sst.similarity_matrix_parallel_mode(
-            &set,
-            measure,
-            THREADS,
-            BatchMode::Prepared,
-        ))
-        .expect("prepared parallel matrix");
+        std::hint::black_box(sst.similarity_matrix_parallel(&set, measure, THREADS))
+            .expect("prepared parallel matrix");
     });
     row
 }
 
-/// One sweep entry: the full-registry prepared parallel matrix workload at
-/// a fixed worker count.
+/// One sweep entry: the parallel matrix workload of every built-in measure
+/// at a fixed worker count.
 struct SweepPoint {
     threads: usize,
     seconds: f64,
@@ -179,22 +171,17 @@ struct SweepPoint {
     imbalance: f64,
 }
 
-/// Times the whole prepared parallel registry at each thread count and
-/// captures the scheduler stats of the final run per count.
+/// Times the parallel matrices of every built-in measure at each thread
+/// count and captures the scheduler stats of the final run per count.
 fn run_sweep(sst: &SstToolkit, thread_counts: &[usize]) -> Vec<SweepPoint> {
     let set = ConceptSet::All;
     thread_counts
         .iter()
         .map(|&threads| {
             let seconds = time_median(|| {
-                for measure in 0..sst.measure_count() {
-                    std::hint::black_box(sst.similarity_matrix_parallel_mode(
-                        &set,
-                        measure,
-                        threads,
-                        BatchMode::Prepared,
-                    ))
-                    .expect("sweep matrix");
+                for measure in 0..oracle::BUILTINS {
+                    std::hint::black_box(sst.similarity_matrix_parallel(&set, measure, threads))
+                        .expect("sweep matrix");
                 }
             });
             let stats = sst.last_sched_stats().unwrap_or_default();
@@ -326,13 +313,13 @@ fn main() {
     let concepts = sst.tree().all_concepts().len();
     println!(
         "matrix_bench: {} measures on {} concepts ({})",
-        sst.measure_count(),
+        oracle::BUILTINS,
         concepts,
         if smoke { "smoke" } else { "full" }
     );
 
     let mut rows = Vec::new();
-    for measure in 0..sst.measure_count() {
+    for measure in 0..oracle::BUILTINS {
         let row = bench_measure(&sst, measure, !smoke);
         if smoke {
             println!(
@@ -342,13 +329,17 @@ fn main() {
             );
         } else {
             println!(
-                "  {:<18} naive {:>8.4}s  prepared {:>8.4}s  speedup {:>5.2}x  (parallel {:>5.2}x){}",
+                "  {:<18} oracle {:>8.4}s  table {:>8.4}s  speedup {:>5.2}x  (parallel {:>5.2}x){}",
                 row.name,
                 row.naive_s,
                 row.prepared_s,
                 row.speedup(),
                 row.speedup_par(),
-                if row.bit_identical { "" } else { "  BIT-MISMATCH" }
+                if row.bit_identical {
+                    ""
+                } else {
+                    "  BIT-MISMATCH"
+                }
             );
         }
         rows.push(row);
@@ -357,7 +348,7 @@ fn main() {
     let all_identical = rows.iter().all(|r| r.bit_identical);
     if smoke {
         if all_identical {
-            println!("matrix_bench --smoke: all measures bit-identical across batch modes");
+            println!("matrix_bench --smoke: all measures bit-identical to the oracle");
             return;
         }
         println!("matrix_bench --smoke: BIT-IDENTITY FAILURE");
@@ -367,11 +358,11 @@ fn main() {
     let total_naive: f64 = rows.iter().map(|r| r.naive_s).sum();
     let total_prepared: f64 = rows.iter().map(|r| r.prepared_s).sum();
     println!(
-        "total: naive {total_naive:.3}s prepared {total_prepared:.3}s speedup {:.2}x",
+        "total: oracle {total_naive:.3}s table {total_prepared:.3}s speedup {:.2}x",
         total_naive / total_prepared
     );
 
-    // Thread-scaling sweep over the whole registry on a dedicated larger
+    // Thread-scaling sweep over the built-in measures on a dedicated larger
     // corpus (O(n²) scoring must dominate the serial per-call setup for
     // scaling to be visible); scheduler introspection comes from the last
     // parallel run on that corpus, where the tile count is meaningful.

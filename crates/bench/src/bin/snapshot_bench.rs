@@ -20,7 +20,7 @@
 use std::time::Instant;
 
 use sst_bench::{data_dir, load_corpus, names};
-use sst_core::{BatchMode, ConceptRef, ConceptSet, SstToolkit, TreeMode};
+use sst_core::{ConceptRef, ConceptSet, SstToolkit, TreeMode};
 
 /// Timing repetitions per path; the median is reported.
 const REPEATS: usize = 5;
@@ -56,11 +56,11 @@ fn bit_identical(a: &SstToolkit, b: &SstToolkit) -> bool {
     }
     let set = mixed_set();
     for measure in 0..a.measure_count() {
-        let (la, ma) = match a.similarity_matrix_mode(&set, measure, BatchMode::Prepared) {
+        let (la, ma) = match a.similarity_matrix(&set, measure) {
             Ok(m) => m,
             Err(_) => return false,
         };
-        let (lb, mb) = match b.similarity_matrix_mode(&set, measure, BatchMode::Prepared) {
+        let (lb, mb) = match b.similarity_matrix(&set, measure) {
             Ok(m) => m,
             Err(_) => return false,
         };

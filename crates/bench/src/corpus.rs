@@ -30,6 +30,12 @@ fn read(path: &Path) -> String {
 /// toolkit. `sumo.owl` must exist — run `cargo run -p sst-bench --bin
 /// gen_ontologies` once to produce it.
 pub fn load_corpus(mode: TreeMode, with_wordnet: bool) -> SstToolkit {
+    corpus_builder(mode, with_wordnet).build()
+}
+
+/// [`load_corpus`] before `build()`, for callers that register runners
+/// (e.g. [`crate::oracle::register`]).
+pub fn corpus_builder(mode: TreeMode, with_wordnet: bool) -> SstBuilder {
     let dir = data_dir().join("ontologies");
     let mut builder = SstBuilder::new().tree_mode(mode);
 
@@ -81,7 +87,7 @@ pub fn load_corpus(mode: TreeMode, with_wordnet: bool) -> SstToolkit {
             .expect("data.noun");
         builder = builder.register_ontology(wn).expect("register wordnet");
     }
-    builder.build()
+    builder
 }
 
 /// Total concept count the paper states for the five-ontology scenario.

@@ -1,7 +1,9 @@
 //! # sst-bench — experiment harness for the SST reproduction
 //!
 //! Provides the evaluation corpus loader ([`corpus`]), the synthetic
-//! workload generators ([`workload`]), and hosts the experiment binaries
+//! workload generators ([`workload`]), the per-pair reference runners the
+//! identity suites compare the toolkit against ([`oracle`]), and hosts the
+//! experiment binaries
 //! (`table1`, `figure5`, `figure3`, `gen_ontologies`) plus the in-repo
 //! harness benches ([`harness`]). See DESIGN.md §2 for the experiment index.
 
@@ -12,10 +14,11 @@ pub mod corpus;
 pub mod eval;
 pub mod faults;
 pub mod harness;
+pub mod oracle;
 pub mod rng;
 pub mod workload;
 
-pub use corpus::{data_dir, load_corpus, names, PAPER_CONCEPT_COUNT};
+pub use corpus::{corpus_builder, data_dir, load_corpus, names, PAPER_CONCEPT_COUNT};
 pub use eval::{evaluate_measures, perturb, render_results, EvalResult, Perturbation};
 pub use faults::{build_corpus, run_fault_suite, FaultCase, FaultReport, Format};
 pub use rng::SplitMix64;

@@ -7,8 +7,8 @@
 //! *blocking* (shared name tokens, shared features, and the dense-vector
 //! NSW graph as a recall channel) so the full n×m similarity matrix is
 //! never materialized; preference lists are scored from the toolkit's
-//! resident [`ConceptTable`](crate::runner::ConceptTable), fanned out on
-//! the work-stealing tile scheduler; and the final matching is either
+//! resident concept table, fanned out on the work-stealing tile
+//! scheduler; and the final matching is either
 //! greedy first-come best-first or Gale–Shapley deferred acceptance
 //! ([`MatchMode::Stable`], the default), whose output contains no blocking
 //! pair: no source/target pair that both strictly prefer each other over
@@ -21,8 +21,8 @@ use sst_simpack::{Amalgamation, Combiner};
 use sst_soqa::GlobalConcept;
 
 use crate::error::{Result, SstError};
-use crate::facade::{PairScorer, SstToolkit};
-use crate::runner::TokenId;
+use crate::facade::SstToolkit;
+use crate::runner::{PairScorer, TokenId};
 
 /// One proposed correspondence. Concepts are identified by their
 /// [`GlobalConcept`] ids — display names are carried for presentation only

@@ -5,7 +5,8 @@
 //!
 //! [`CachedSimilarity`] wraps a borrowed [`SstToolkit`] with a **sharded,
 //! capacity-bounded LRU** keyed by `(measure, pair)`; pairs are stored in
-//! canonical order since every registered measure is symmetric. Keys are
+//! canonical order since every registered measure is symmetric (a
+//! contract user runners must meet, see [`crate::MeasureRunner`]). Keys are
 //! hash-partitioned over independent mutex-guarded shards, so concurrent
 //! writers on different keys do not serialize on one global lock. The
 //! cache is `Sync`, so parallel clients share it. Lock poisoning is
@@ -248,7 +249,7 @@ impl<T: Borrow<SstToolkit>> CachedSimilarity<T> {
         }
         let query = toolkit.soqa().resolve(ontology, concept)?;
         // Fail on an unknown measure *before* any accounting.
-        toolkit.runner(measure)?;
+        toolkit.check_measure(measure)?;
 
         // Scan the memo once; misses are deduplicated into batch slots so a
         // repeated pair is computed once and the repeat counts as a hit,

@@ -23,17 +23,17 @@ use sst_soqa::{GlobalConcept, Ontology, Soqa};
 use crate::chart::Chart;
 use crate::error::{Result, SstError};
 use crate::runner::{
-    default_runners, ConceptTable, DenseRow, MeasureRunner, PreparedMeasure, RunnerInfo,
-    SimilarityContext,
+    builtin_info, ConceptTable, DenseRow, MeasureRunner, PairScorer, RunnerInfo, SimilarityContext,
+    BUILTIN_COUNT,
 };
 use crate::sched;
 use crate::tree::{TreeMode, UnifiedTree};
 use crate::vector::{embed_tfidf, DenseVectorFile, VectorStore, EMBED_DIM};
 
-/// Paper-style integer constants for the default measures, e.g.
+/// Paper-style integer constants for the built-in measures, e.g.
 /// `measure_ids::LIN_MEASURE` (the Java API's
-/// `SOQASimPackToolkitFacade.LIN_MEASURE`). Values are indices into the
-/// default runner registry.
+/// `SOQASimPackToolkitFacade.LIN_MEASURE`). Values are positions in
+/// `sst_simpack::CATALOG`; user-registered runners follow.
 pub mod measure_ids {
     pub const COSINE_MEASURE: usize = 0;
     pub const JACCARD_MEASURE: usize = 1;
@@ -96,47 +96,9 @@ pub struct ConceptAndSimilarity {
     pub similarity: f64,
 }
 
-/// Which execution path the matrix services take.
-///
-/// Both paths are bit-identical on all default measures; `Naive` is kept as
-/// the reference implementation for regression benchmarks and property
-/// tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchMode {
-    /// Score from the toolkit's resident concept table (the default).
-    #[default]
-    Prepared,
-    /// Per-pair path: every runner call rederives its inputs.
-    Naive,
-}
-
 /// Member-set size from which the rank scan ([`SstToolkit::similarity_to_set`])
 /// fans out over the work-stealing scheduler instead of scoring serially.
 const RANK_PARALLEL_THRESHOLD: usize = 256;
-
-/// One measure's pair scorer for a service call, addressed by concept
-/// table row: the runner's scorer over the resident [`ConceptTable`], or
-/// the per-pair runner call for runners without one.
-pub(crate) enum PairScorer<'t> {
-    Table(Box<dyn PreparedMeasure + 't>),
-    Naive {
-        runner: &'t dyn MeasureRunner,
-        ctx: SimilarityContext<'t>,
-        table: &'t ConceptTable,
-    },
-}
-
-impl PairScorer<'_> {
-    /// Similarity of the concepts at table rows `a` and `b`.
-    pub(crate) fn score(&self, a: usize, b: usize) -> f64 {
-        match self {
-            PairScorer::Table(m) => m.similarity(a, b),
-            PairScorer::Naive { runner, ctx, table } => {
-                runner.similarity(ctx, table.view(a).concept, table.view(b).concept)
-            }
-        }
-    }
-}
 
 /// The shared tiebreak of every k-best ranking: the qualified
 /// `(ontology, concept)` name in ascending lexicographic order. Qualified
@@ -224,7 +186,8 @@ impl SstBuilder {
     }
 
     /// Registers an additional [`MeasureRunner`] — the paper's extension
-    /// point for new or combined measures.
+    /// point for new or combined measures. Runners get the ids after the
+    /// built-in measures, in registration order.
     pub fn register_runner(mut self, runner: Box<dyn MeasureRunner>) -> Self {
         self.extra_runners.push(runner);
         self
@@ -267,9 +230,9 @@ impl SstBuilder {
 
         // Dense retrieval: embed every registered concept's TF-IDF vector
         // and build the vector store (plus its proximity graph) over the
-        // concepts that own a tree node. The embeddings are the same bits
-        // the `dense_vector` runner derives per pair, so exact store
-        // rankings are bit-identical to the naive scan.
+        // concepts that own a tree node. The concept table's
+        // `dense_vector` scorer reads the same embeddings, so full-probe
+        // store rankings are bit-identical to the measure's rankings.
         let concepts = self.soqa.all_concepts();
         let (vectors, dense) = {
             let _vspan = metrics.span("core.vector.build.latency");
@@ -309,17 +272,16 @@ impl SstBuilder {
         };
         metrics.add("core.prepare.concepts", table.len() as u64);
 
-        let mut runners = default_runners();
-        runners.extend(self.extra_runners);
-        let measure_names = runners
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.info().name, i))
+        let runners = self.extra_runners;
+        let names: Vec<String> = measure_infos(&runners)
+            .into_iter()
+            .map(|info| info.name)
             .collect();
-        let measure_metrics = runners
+        let measure_metrics = names
             .iter()
-            .map(|r| MeasureMetrics::register(&metrics, &r.info().name))
+            .map(|name| MeasureMetrics::register(&metrics, name))
             .collect();
+        let measure_names = names.into_iter().enumerate().map(|(i, n)| (n, i)).collect();
 
         SstToolkit {
             soqa: self.soqa,
@@ -337,6 +299,15 @@ impl SstBuilder {
             last_sched: std::sync::Mutex::new(None),
         }
     }
+}
+
+/// Metadata of the built-in measures followed by the user `runners`, in id
+/// order.
+fn measure_infos(runners: &[Box<dyn MeasureRunner>]) -> Vec<RunnerInfo> {
+    (0..BUILTIN_COUNT)
+        .filter_map(builtin_info)
+        .chain(runners.iter().map(|r| r.info()))
+        .collect()
 }
 
 /// Pre-resolved metric handles for one registered measure, so hot loops
@@ -394,6 +365,7 @@ pub struct SstToolkit {
     vectors: VectorStore,
     /// One row of prepared artifacts per registered concept.
     table: ConceptTable,
+    /// The user-registered runners, ids from `BUILTIN_COUNT` on.
     runners: Vec<Box<dyn MeasureRunner>>,
     measure_names: HashMap<String, usize>,
     measure_metrics: Vec<MeasureMetrics>,
@@ -447,12 +419,12 @@ impl SstToolkit {
 
     /// Metadata of all registered measures, in id order.
     pub fn measures(&self) -> Vec<RunnerInfo> {
-        self.runners.iter().map(|r| r.info()).collect()
+        measure_infos(&self.runners)
     }
 
-    /// Number of registered measures.
+    /// Number of registered measures: the built-ins plus the user runners.
     pub fn measure_count(&self) -> usize {
-        self.runners.len()
+        BUILTIN_COUNT + self.runners.len()
     }
 
     /// Resolves a measure name (e.g. `"lin"`) to its integer id.
@@ -465,17 +437,28 @@ impl SstToolkit {
 
     /// Metadata for one measure id.
     pub fn measure_info(&self, measure: usize) -> Result<RunnerInfo> {
-        self.runners
-            .get(measure)
-            .map(|r| r.info())
+        match builtin_info(measure) {
+            Some(info) => Ok(info),
+            None => Ok(self.runner(measure)?.info()),
+        }
+    }
+
+    /// The user runner registered at `measure` (an id past the built-ins).
+    fn runner(&self, measure: usize) -> Result<&dyn MeasureRunner> {
+        measure
+            .checked_sub(BUILTIN_COUNT)
+            .and_then(|i| self.runners.get(i))
+            .map(AsRef::as_ref)
             .ok_or_else(|| SstError::UnknownMeasure(measure.to_string()))
     }
 
-    pub(crate) fn runner(&self, measure: usize) -> Result<&dyn MeasureRunner> {
-        self.runners
-            .get(measure)
-            .map(AsRef::as_ref)
-            .ok_or_else(|| SstError::UnknownMeasure(measure.to_string()))
+    /// Fails with [`SstError::UnknownMeasure`] unless `measure` is registered.
+    pub(crate) fn check_measure(&self, measure: usize) -> Result<()> {
+        if measure < self.measure_count() {
+            Ok(())
+        } else {
+            Err(SstError::UnknownMeasure(measure.to_string()))
+        }
     }
 
     /// The resident concept table the built-in measures score from.
@@ -497,15 +480,15 @@ impl SstToolkit {
 
     /// The pair scorer of `measure` for one service call.
     pub(crate) fn scorer(&self, measure: usize) -> Result<PairScorer<'_>> {
-        let runner = self.runner(measure)?;
-        let ctx = self.ctx();
-        Ok(match runner.prepare(&ctx, &self.table) {
-            Some(m) => PairScorer::Table(m),
-            None => PairScorer::Naive {
-                runner,
-                ctx,
-                table: &self.table,
-            },
+        if let Some(scorer) =
+            PairScorer::builtin(measure, &self.table, &self.ic, self.tree.taxonomy())
+        {
+            return Ok(scorer);
+        }
+        Ok(PairScorer::Runner {
+            runner: self.runner(measure)?,
+            ctx: self.ctx(),
+            table: &self.table,
         })
     }
 
@@ -714,8 +697,9 @@ impl SstToolkit {
 
     /// Maps `(store row, score)` candidates to ranked results: the same
     /// shared comparator and `k`-truncation as every other rank entry
-    /// point, so exact-store rankings are bit-identical to the naive scan
-    /// and approximate rankings are directly comparable.
+    /// point, so full-probe rankings are bit-identical to
+    /// [`SstToolkit::most_similar`] under the dense measure and
+    /// approximate rankings are directly comparable.
     fn rank_vector_rows(&self, scored: Vec<(usize, f64)>, k: usize) -> Vec<ConceptAndSimilarity> {
         let mut all: Vec<ConceptAndSimilarity> = scored
             .into_iter()
@@ -739,31 +723,13 @@ impl SstToolkit {
         })
     }
 
-    /// The `k` most similar concepts under the dense `dense_vector`
-    /// measure, ranked by the **exact** brute-force scan of the vector
-    /// store. This is the reference path: bit-identical to
-    /// [`SstToolkit::most_similar`] with
-    /// [`measure_ids::DENSE_VECTOR_MEASURE`] over [`ConceptSet::All`],
-    /// pinned by the `ann_identity` suite.
-    pub fn most_similar_dense(
-        &self,
-        concept: &str,
-        ontology: &str,
-        k: usize,
-    ) -> Result<Vec<ConceptAndSimilarity>> {
-        let _span = self.metrics.span("core.vector.exact.latency");
-        self.metrics.inc("core.vector.exact.queries");
-        let qrow = self.vector_row(concept, ontology)?;
-        Ok(self.rank_vector_rows(self.vectors.scores_exact(qrow), k))
-    }
-
     /// The `k` most similar concepts under the dense measure via the
     /// **approximate** NSW proximity graph: a bounded beam search seeded
     /// at the query's own row touches a corpus-size-independent number
     /// of rows, making the query sub-linear in corpus size at ≥ 0.95
     /// recall@10 under the default probe width (see
     /// `results/BENCH_ann.json`). The query concept always appears in
-    /// its own results (score 1.0), as on the exact path.
+    /// its own results (score 1.0), as on the exact scan.
     pub fn most_similar_approx(
         &self,
         concept: &str,
@@ -775,7 +741,10 @@ impl SstToolkit {
 
     /// [`SstToolkit::most_similar_approx`] with an explicit probe width:
     /// higher `probe` (the beam width) trades latency for recall;
-    /// `probe ≥` the corpus size degenerates to the exact scan.
+    /// `probe ≥` the corpus size degenerates to the exact scan of the
+    /// store, bit-identical to [`SstToolkit::most_similar`] with
+    /// [`measure_ids::DENSE_VECTOR_MEASURE`] over [`ConceptSet::All`]
+    /// (pinned by the `ann_identity` suite).
     pub fn most_similar_approx_with(
         &self,
         concept: &str,
@@ -855,106 +824,20 @@ impl SstToolkit {
         Ok(toolkit)
     }
 
-    /// Most-similar under *several* measures at once: returns one ranked
-    /// list per measure, in measure order. The query and the concept set
-    /// are resolved once for all measures.
-    pub fn most_similar_multi(
-        &self,
-        concept: &str,
-        ontology: &str,
-        set: &ConceptSet,
-        k: usize,
-        measures: &[usize],
-    ) -> Result<Vec<Vec<ConceptAndSimilarity>>> {
-        let query = self.soqa.resolve(ontology, concept)?;
-        let members = self.concept_set(set)?;
-        if members.is_empty() {
-            return Ok(measures
-                .iter()
-                .map(|&m| {
-                    let _span = self.measure_span(m, MeasureOp::Rank);
-                    Vec::new()
-                })
-                .collect());
-        }
-        let qrow = self.row(query)?;
-        let rows = self.rows(&members)?;
-        let mut rankings = Vec::with_capacity(measures.len());
-        for &m in measures {
-            let _span = self.measure_span(m, MeasureOp::Rank);
-            let scorer = self.scorer(m)?;
-            let mut all: Vec<ConceptAndSimilarity> = members
-                .iter()
-                .zip(&rows)
-                .map(|(&gc, &r)| self.to_result(gc, self.timed_score(m, || scorer.score(qrow, r))))
-                .collect();
-            all.sort_by(rank_descending);
-            all.truncate(k);
-            rankings.push(all);
-        }
-        Ok(rankings)
-    }
-
     /// Full pairwise similarity matrix of a concept set under one measure.
-    /// Returns the set's qualified names and the row-major matrix.
+    /// Returns the set's qualified names and the row-major matrix: the
+    /// one-worker run of [`SstToolkit::similarity_matrix_parallel`].
     ///
     /// Every registered measure is symmetric (Monge-Elkan is explicitly
-    /// symmetrized in its runner), so only the upper triangle is computed
-    /// and mirrored — `n(n+1)/2` runner calls instead of `n²`.
+    /// symmetrized; user runners must be, see [`MeasureRunner`]), so only
+    /// the upper triangle is computed and mirrored — `n(n+1)/2` pair
+    /// scores instead of `n²`.
     pub fn similarity_matrix(
         &self,
         set: &ConceptSet,
         measure: usize,
     ) -> Result<(Vec<String>, Vec<Vec<f64>>)> {
-        self.similarity_matrix_mode(set, measure, BatchMode::default())
-    }
-
-    /// [`SstToolkit::similarity_matrix`] with an explicit [`BatchMode`] —
-    /// `Naive` keeps the per-pair reference path for benchmarks and
-    /// bit-identity tests.
-    pub fn similarity_matrix_mode(
-        &self,
-        set: &ConceptSet,
-        measure: usize,
-        mode: BatchMode,
-    ) -> Result<(Vec<String>, Vec<Vec<f64>>)> {
-        let concepts = self.concept_set(set)?;
-        let runner = self.runner(measure)?;
-        let _span = self.measure_span(measure, MeasureOp::Matrix);
-        let labels = concepts
-            .iter()
-            .map(|&gc| self.soqa.qualified_name(gc))
-            .collect();
-        let n = concepts.len();
-        let mut matrix = vec![vec![0.0; n]; n];
-        match mode {
-            BatchMode::Naive => {
-                let ctx = self.ctx();
-                for (i, &a) in concepts.iter().enumerate() {
-                    for (j, &b) in concepts.iter().enumerate().skip(i) {
-                        let v = runner.similarity(&ctx, a, b);
-                        matrix[i][j] = v;
-                        matrix[j][i] = v;
-                    }
-                }
-            }
-            BatchMode::Prepared => {
-                let rows = self.rows(&concepts)?;
-                let scorer = self.scorer(measure)?;
-                // Cache-blocked traversal: scoring tile-resident blocks of
-                // pairs keeps the table rows of a tile's rows and columns
-                // hot instead of streaming whole row suffixes.
-                for tile in sched::triangle_tiles(n, sched::tile_size(n, 1)) {
-                    tile.for_each_upper(|i, j| {
-                        let v = scorer.score(rows[i], rows[j]);
-                        matrix[i][j] = v;
-                        matrix[j][i] = v;
-                    });
-                }
-            }
-        }
-        self.record_matrix_pairs(measure, n);
-        Ok((labels, matrix))
+        self.similarity_matrix_parallel(set, measure, 1)
     }
 
     /// Records one work-stealing scheduler run: tiles executed, successful
@@ -990,62 +873,36 @@ impl SstToolkit {
 
     /// Like [`SstToolkit::similarity_matrix`] but computed with `threads`
     /// worker threads over cache-blocked triangle tiles distributed by the
-    /// work-stealing scheduler ([`crate::sched`]). Useful for large concept
-    /// sets: the runners are stateless and the context is shared read-only,
-    /// so the matrix parallelizes embarrassingly.
+    /// work-stealing scheduler ([`crate::sched`]); one table scorer is
+    /// shared read-only by all workers. With one thread the tiles run
+    /// inline, in order.
     ///
     /// Only upper-triangle pairs (`j ≥ i`) are scored; the lower triangle
-    /// is mirrored serially during assembly, matching the serial service's
-    /// halved runner-call count. Assembly is by tile index, so the matrix
-    /// is bit-identical for every worker count and steal interleaving.
+    /// is mirrored during assembly. Assembly is by tile index, so the
+    /// matrix is bit-identical for every worker count and steal
+    /// interleaving.
     pub fn similarity_matrix_parallel(
         &self,
         set: &ConceptSet,
         measure: usize,
         threads: usize,
     ) -> Result<(Vec<String>, Vec<Vec<f64>>)> {
-        self.similarity_matrix_parallel_mode(set, measure, threads, BatchMode::default())
-    }
-
-    /// [`SstToolkit::similarity_matrix_parallel`] with an explicit
-    /// [`BatchMode`]. In `Prepared` mode one table scorer is shared
-    /// read-only by all workers.
-    pub fn similarity_matrix_parallel_mode(
-        &self,
-        set: &ConceptSet,
-        measure: usize,
-        threads: usize,
-        mode: BatchMode,
-    ) -> Result<(Vec<String>, Vec<Vec<f64>>)> {
         let concepts = self.concept_set(set)?;
-        let runner = self.runner(measure)?;
+        let scorer = self.scorer(measure)?;
         let _span = self.measure_span(measure, MeasureOp::Matrix);
-        let ctx = self.ctx();
         let labels: Vec<String> = concepts
             .iter()
             .map(|&gc| self.soqa.qualified_name(gc))
             .collect();
+        let rows = self.rows(&concepts)?;
         let n = concepts.len();
         let threads = threads.clamp(1, n.max(1));
-        let prepared = match mode {
-            BatchMode::Prepared => Some((self.scorer(measure)?, self.rows(&concepts)?)),
-            BatchMode::Naive => None,
-        };
-        let prepared = prepared.as_ref();
         let mut matrix = vec![vec![0.0; n]; n];
         let tiles = sched::triangle_tiles(n, sched::tile_size(n, threads));
-        let concepts = &concepts;
-        let ctx = &ctx;
+        let (scorer, rows) = (&scorer, &rows);
         let (results, stats) = sched::run_tiles(&tiles, threads, |_, tile| {
             let mut vals = Vec::with_capacity(tile.upper_len());
-            match prepared {
-                Some((scorer, rows)) => {
-                    tile.for_each_upper(|i, j| vals.push(scorer.score(rows[i], rows[j])));
-                }
-                None => tile.for_each_upper(|i, j| {
-                    vals.push(runner.similarity(ctx, concepts[i], concepts[j]));
-                }),
-            }
+            tile.for_each_upper(|i, j| vals.push(scorer.score(rows[i], rows[j])));
             vals
         });
         if stats.panicked > 0 {

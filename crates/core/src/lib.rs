@@ -9,8 +9,9 @@
 //! PowerLoom / WordNet ontologies via `sst-wrappers`) with **SimPack**
 //! (`sst-simpack`, the similarity-measure library): all registered
 //! ontologies are incorporated into a single tree under a synthetic
-//! *Super Thing* root, and `MeasureRunner`s feed SOQA data into SimPack
-//! measures.
+//! *Super Thing* root. The built-in measures score SOQA data with SimPack
+//! kernels from a concept table built once with the toolkit;
+//! user-registered `MeasureRunner`s are scored pair by pair.
 //!
 //! ```
 //! use sst_core::{measure_ids, ConceptSet, SstBuilder};
@@ -62,14 +63,11 @@ pub use export::{
     alignment_to_csv, alignment_to_json, matrix_to_csv, ranking_to_csv, ranking_to_json,
 };
 pub use facade::{
-    measure_ids, BatchMode, ConceptAndSimilarity, ConceptRef, ConceptSet, ProbabilityModeConfig,
-    SstBuilder, SstConfig, SstToolkit,
+    measure_ids, ConceptAndSimilarity, ConceptRef, ConceptSet, ProbabilityModeConfig, SstBuilder,
+    SstConfig, SstToolkit,
 };
 pub use heatmap::Heatmap;
-pub use runner::{
-    ConceptTable, ConceptView, MeasureRunner, PreparedMeasure, RunnerInfo, SimilarityContext,
-    TokenId,
-};
+pub use runner::{MeasureRunner, RunnerInfo, SimilarityContext};
 pub use sched::{
     default_workers, rect_tiles, run_tiles, tile_size, triangle_tiles, SchedStats, Tile,
     WorkerStats,

@@ -1,15 +1,16 @@
-//! MeasureRunners (paper §3, Fig. 4): one coupling module per SimPack
-//! measure, each pulling the data it needs from SOQA through the
-//! [`SimilarityContext`] and producing a pairwise similarity value.
+//! MeasureRunners (paper §3, Fig. 4) and the built-in measures.
 //!
-//! Adding a measure to SST = implementing [`MeasureRunner`] and registering
-//! it with the facade — exactly the extension mechanism the paper
-//! advertises.
+//! The paper couples SOQA and SimPack through one coupling module per
+//! measure. Here the built-in measures score from the toolkit's resident
+//! [`ConceptTable`], which holds every per-concept artifact they read,
+//! built once with the toolkit: each built-in is one table scorer on one
+//! `sst-simpack` kernel, and its metadata is the `sst_simpack::CATALOG`
+//! entry at its measure id.
 //!
-//! The built-in runners also score from the toolkit's [`ConceptTable`],
-//! which holds every per-concept artifact they read, built once with the
-//! toolkit. Their [`MeasureRunner::similarity`] stays as the per-pair
-//! reference formula that the table path must reproduce bit for bit.
+//! Adding a measure = implementing [`MeasureRunner`] and registering it
+//! with the facade — exactly the extension mechanism the paper
+//! advertises. A registered runner is scored pair by pair through the
+//! [`SimilarityContext`].
 
 use std::collections::HashMap;
 use std::fmt;
@@ -17,18 +18,14 @@ use std::sync::{Arc, OnceLock};
 
 use sst_index::{cosine_sparse, DocId, InvertedIndex, TermId};
 use sst_simpack::{
-    dense_unit_similarity, edge_similarity, edge_similarity_compact, jaro, jaro_fast, jaro_winkler,
-    jaro_winkler_fast, jiang_conrath_similarity, jiang_conrath_similarity_compact,
-    levenshtein_similarity, lin_similarity, lin_similarity_compact, monge_elkan,
-    myers_sequence_similarity_from, myers_similarity_chars_from, needleman_wunsch_similarity,
-    needleman_wunsch_similarity_scratch, qgram, qgram_packed_from, resnik_similarity,
-    resnik_similarity_compact, sequence_similarity, shortest_path_length_similarity,
-    shortest_path_similarity, smith_waterman_similarity, smith_waterman_similarity_scratch,
-    tree_similarity, tree_similarity_zs_scratch, with_align_scratch, with_jaro_scratch,
-    with_myers_scratch, with_zs_scratch, wu_palmer_similarity_rooted,
-    wu_palmer_similarity_rooted_compact, AlignmentScoring, AncestorList, CostModel, DepthTable,
-    FeatureSet, InformationContent, InternedFeatures, JaroMask, LabeledTree, MeasureKind,
-    MyersPattern, NodeId, QGramPacked, Taxonomy, ZsTree,
+    cosine_from_counts, dense_unit_similarity, dice_from_counts, edge_similarity_compact,
+    jaccard_from_counts, jaro_fast, jaro_winkler_fast, jiang_conrath_similarity_compact,
+    lin_similarity_compact, myers_sequence_similarity_from, myers_similarity_chars_from,
+    needleman_wunsch_similarity, overlap_from_counts, qgram_packed_from, resnik_similarity_compact,
+    shortest_path_length_similarity, smith_waterman_similarity, tree_similarity_zs,
+    wu_palmer_similarity_rooted_compact, AlignmentScoring, AncestorList, DepthTable, FeatureSet,
+    InformationContent, InternedFeatures, JaroMask, LabeledTree, MeasureDescriptor, MeasureKind,
+    MyersPattern, NodeId, QGramPacked, Taxonomy, ZsTree, CATALOG,
 };
 use sst_soqa::{GlobalConcept, Soqa};
 
@@ -44,6 +41,17 @@ pub struct RunnerInfo {
     pub kind: MeasureKind,
     /// True when scores are guaranteed to lie in [0, 1].
     pub normalized: bool,
+}
+
+impl From<&MeasureDescriptor> for RunnerInfo {
+    fn from(d: &MeasureDescriptor) -> RunnerInfo {
+        RunnerInfo {
+            name: d.name.to_owned(),
+            display: d.display.to_owned(),
+            kind: d.kind,
+            normalized: d.normalized,
+        }
+    }
 }
 
 /// Everything a runner may need: the SOQA facade, the unified tree, the
@@ -126,18 +134,6 @@ impl SimilarityContext<'_> {
         &self.soqa.concept(gc).name
     }
 
-    /// The concept's dense embedding: its TF-IDF document vector under
-    /// the deterministic signed random projection of
-    /// [`crate::vector::embed_tfidf`]. This is the exact computation the
-    /// toolkit's `VectorStore` runs at build time, so per-pair scores and
-    /// store scores agree bit-for-bit.
-    pub fn dense_embedding(&self, gc: GlobalConcept) -> Vec<f64> {
-        let tfidf = self.doc_ids[self.tree.node(gc) as usize]
-            .map(|d| self.index.tfidf_vector(d))
-            .unwrap_or_default();
-        crate::vector::embed_tfidf(&tfidf, crate::vector::EMBED_DIM)
-    }
-
     /// Labeled subtree of the unified tree rooted at `gc`, truncated at
     /// `depth` levels (for the tree-edit measure).
     pub fn subtree(&self, gc: GlobalConcept, depth: usize) -> LabeledTree {
@@ -176,7 +172,7 @@ impl SimilarityContext<'_> {
 /// vocabularies of the [`ConceptTable`]; equal ids ⟺ equal token strings,
 /// so sequence and alignment DPs over ids are bit-identical to the DPs over
 /// the strings.
-pub type TokenId = u32;
+pub(crate) type TokenId = u32;
 
 /// Gram size of the registered q-gram measure (padded trigrams); the
 /// profiles in the [`ConceptTable`] are built with the same size.
@@ -186,7 +182,7 @@ const QGRAM_Q: usize = 3;
 /// read about one registered concept, derived once when the toolkit is
 /// built instead of once per pair.
 #[derive(Debug)]
-pub struct ConceptView {
+pub(crate) struct ConceptView {
     /// The concept this row describes.
     pub concept: GlobalConcept,
     /// Its node in the unified tree. Under `TreeMode::MergedThing` the
@@ -234,7 +230,7 @@ pub struct ConceptView {
 /// the toolkit owns it; every built-in scorer reads it, so no service
 /// rederives per-concept artifacts per call or per pair.
 #[derive(Debug)]
-pub struct ConceptTable {
+pub(crate) struct ConceptTable {
     rows: Vec<ConceptView>,
     /// First row of each ontology, so a concept's row is
     /// `offsets[ontology] + concept id`.
@@ -335,17 +331,13 @@ impl ConceptTable {
     }
 
     /// Number of rows (registered concepts).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.rows.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// The row of `gc` (O(1)), or `None` for a concept the corpus does not
     /// hold.
-    pub fn row(&self, gc: GlobalConcept) -> Option<usize> {
+    pub(crate) fn row(&self, gc: GlobalConcept) -> Option<usize> {
         let row = self
             .offsets
             .get(gc.ontology)?
@@ -354,13 +346,8 @@ impl ConceptTable {
     }
 
     /// The view at `row` (rows come from [`ConceptTable::row`]).
-    pub fn view(&self, row: usize) -> &ConceptView {
+    pub(crate) fn view(&self, row: usize) -> &ConceptView {
         &self.rows[row]
-    }
-
-    /// The shared depth table of the unified tree.
-    pub fn depths(&self) -> &DepthTable {
-        &self.depths
     }
 
     /// Monge-Elkan over two name-token id lists, symmetrized by averaging
@@ -396,55 +383,40 @@ fn monge_elkan_directed(sims: &[Vec<f64>], a: &[TokenId], b: &[TokenId]) -> f64 
 }
 
 /// Inner Levenshtein similarity of every pair of `pool` tokens, on the
-/// bit-parallel Myers core: one preprocessed pattern per token and one
-/// scratch for the whole table (bit-identical to
-/// `levenshtein_similarity_chars`). Only the upper triangle is computed.
+/// bit-parallel Myers core with one preprocessed pattern per token
+/// (bit-identical to `levenshtein_similarity`). Only the upper triangle is
+/// computed.
 fn inner_similarity_table(pool: &[String]) -> Vec<Vec<f64>> {
     let chars: Vec<Vec<char>> = pool.iter().map(|t| t.chars().collect()).collect();
     let patterns: Vec<MyersPattern> = chars.iter().map(|c| MyersPattern::from_chars(c)).collect();
     let mut rows: Vec<Vec<f64>> = Vec::with_capacity(pool.len());
-    with_myers_scratch(|scratch| {
-        for (i, x) in patterns.iter().enumerate() {
-            let mut row = Vec::with_capacity(pool.len());
-            for prev in &rows {
-                // Mirror of the already-computed sim(pool[j], pool[i]).
-                row.push(prev.get(i).copied().unwrap_or(0.0));
-            }
-            for y in chars.iter().skip(i) {
-                row.push(myers_similarity_chars_from(x, y, scratch));
-            }
-            rows.push(row);
+    for (i, x) in patterns.iter().enumerate() {
+        let mut row = Vec::with_capacity(pool.len());
+        for prev in &rows {
+            // Mirror of the already-computed sim(pool[j], pool[i]).
+            row.push(prev.get(i).copied().unwrap_or(0.0));
         }
-    });
+        for y in chars.iter().skip(i) {
+            row.push(myers_similarity_chars_from(x, y));
+        }
+        rows.push(row);
+    }
     rows
 }
 
-/// A measure's scorer over the resident [`ConceptTable`]: scores pairs by
-/// table row. Implementations must be bit-identical to the runner's
-/// [`MeasureRunner::similarity`] on the same concepts.
-pub trait PreparedMeasure: Send + Sync {
-    /// Similarity of the concepts at table rows `a` and `b`.
-    fn similarity(&self, a: usize, b: usize) -> f64;
-}
-
-/// A coupling module for one similarity measure.
+/// A coupling module for one user-registered similarity measure.
+///
+/// Every service scores a runner pair by pair through `similarity`, and
+/// assumes it is **symmetric**: `similarity(ctx, a, b)` must equal
+/// `similarity(ctx, b, a)` bit for bit. Matrices score only the upper
+/// triangle and mirror it, and `CachedSimilarity` stores each unordered
+/// pair once, so an asymmetric runner gets whichever direction a service
+/// happened to compute.
 pub trait MeasureRunner: Send + Sync {
     /// Metadata shown to clients (name, normalization, …).
     fn info(&self) -> RunnerInfo;
     /// Pairwise similarity of two concepts under this measure.
     fn similarity(&self, ctx: &SimilarityContext<'_>, a: GlobalConcept, b: GlobalConcept) -> f64;
-    /// Table hook: a scorer over the toolkit's resident [`ConceptTable`],
-    /// or `None` to keep the per-pair path (the default, so user-registered
-    /// runners keep working unchanged — the facade calls `similarity` per
-    /// pair). Called once per service call, so the scorer may hold
-    /// per-call state.
-    fn prepare<'t>(
-        &self,
-        _ctx: &SimilarityContext<'t>,
-        _table: &'t ConceptTable,
-    ) -> Option<Box<dyn PreparedMeasure + 't>> {
-        None
-    }
 }
 
 impl fmt::Debug for dyn MeasureRunner {
@@ -453,33 +425,79 @@ impl fmt::Debug for dyn MeasureRunner {
     }
 }
 
-/// A stateless table scorer: `score` reads the two rows' views.
-struct RowScorer<'t, F> {
-    table: &'t ConceptTable,
-    score: F,
+/// A built-in measure's score of two concept-table rows, given the table's
+/// shared data and the toolkit's information content.
+type RowScore = fn(&ConceptTable, &InformationContent, &ConceptView, &ConceptView) -> f64;
+
+/// How a built-in measure scores from the [`ConceptTable`].
+#[derive(Clone, Copy)]
+enum Builtin {
+    /// A pure function of the two rows.
+    Rows(RowScore),
+    /// Shortest path, which keeps per-call BFS rows (see
+    /// [`PairScorer::ShortestPath`]).
+    ShortestPath,
 }
 
-impl<F> PreparedMeasure for RowScorer<'_, F>
-where
-    F: Fn(&ConceptView, &ConceptView) -> f64 + Send + Sync,
-{
-    fn similarity(&self, a: usize, b: usize) -> f64 {
-        (self.score)(self.table.view(a), self.table.view(b))
-    }
-}
+/// The built-in measures, in `measure_ids` order. Each one's metadata is
+/// the `sst_simpack::CATALOG` entry at the same position.
+const BUILTINS: [Builtin; 20] = [
+    Builtin::Rows(|_, _, a, b| features(a, b, cosine_from_counts)),
+    Builtin::Rows(|_, _, a, b| features(a, b, jaccard_from_counts)),
+    Builtin::Rows(|_, _, a, b| features(a, b, overlap_from_counts)),
+    Builtin::Rows(|_, _, a, b| features(a, b, dice_from_counts)),
+    // Token-sequence edit distance (Eq. 4): the bit-parallel Myers core
+    // over the first concept's preprocessed pattern.
+    Builtin::Rows(|_, _, a, b| myers_sequence_similarity_from(&a.token_pattern, &b.tokens)),
+    // Jaro and Jaro-Winkler on names: the bitmask kernel when the second
+    // name fits one 64-bit word, the greedy scan otherwise.
+    Builtin::Rows(|_, _, a, b| jaro_fast(&a.name_chars, &b.name_chars, b.jaro_mask.as_ref())),
+    Builtin::Rows(|_, _, a, b| {
+        jaro_winkler_fast(&a.name_chars, &b.name_chars, b.jaro_mask.as_ref())
+    }),
+    Builtin::Rows(|_, _, a, b| qgram_packed_from(&a.qgrams, &b.qgrams)),
+    Builtin::Rows(|t, _, a, b| t.monge_elkan(&a.name_tokens, &b.name_tokens)),
+    Builtin::ShortestPath,
+    Builtin::Rows(|t, _, a, b| {
+        edge_similarity_compact(&a.ancestors, &b.ancestors, a.node == b.node, t.depths.max())
+    }),
+    // Wu & Palmer in the rooted (node-counted depth) convention, so
+    // cross-ontology pairs keep a small nonzero score, as in Table 1.
+    Builtin::Rows(|t, _, a, b| {
+        wu_palmer_similarity_rooted_compact(&a.ancestors, &b.ancestors, &t.depths)
+    }),
+    Builtin::Rows(|_, ic, a, b| resnik_similarity_compact(ic, &a.ancestors, &b.ancestors)),
+    Builtin::Rows(|_, ic, a, b| {
+        lin_similarity_compact(ic, a.node, b.node, &a.ancestors, &b.ancestors)
+    }),
+    Builtin::Rows(|_, ic, a, b| {
+        jiang_conrath_similarity_compact(ic, a.node, b.node, &a.ancestors, &b.ancestors)
+    }),
+    Builtin::Rows(tfidf),
+    Builtin::Rows(|_, _, a, b| tree_similarity_zs(&a.subtree, &b.subtree)),
+    Builtin::Rows(|_, _, a, b| {
+        needleman_wunsch_similarity(&a.tokens, &b.tokens, AlignmentScoring::default())
+    }),
+    Builtin::Rows(|_, _, a, b| {
+        smith_waterman_similarity(&a.tokens, &b.tokens, AlignmentScoring::default())
+    }),
+    Builtin::Rows(dense_vector),
+];
 
-/// Boxes a [`RowScorer`] for a runner's [`MeasureRunner::prepare`].
-fn row_scorer<'t, F>(table: &'t ConceptTable, score: F) -> Option<Box<dyn PreparedMeasure + 't>>
-where
-    F: Fn(&ConceptView, &ConceptView) -> f64 + Send + Sync + 't,
-{
-    Some(Box::new(RowScorer { table, score }))
+/// Number of built-in measures: ids `0..BUILTIN_COUNT`, followed by the
+/// user-registered runners.
+pub(crate) const BUILTIN_COUNT: usize = BUILTINS.len();
+
+/// Metadata of built-in `measure`, or `None` past the built-ins.
+pub(crate) fn builtin_info(measure: usize) -> Option<RunnerInfo> {
+    BUILTINS.get(measure)?;
+    CATALOG.get(measure).map(RunnerInfo::from)
 }
 
 /// Feature-set measures: sorted-merge intersection of the interned id
 /// lists, folded through the measure's count-based core (bit-identical to
-/// the set formula by construction — see `sst_simpack::vector`). Identical
-/// concepts score 1 even when featureless, as on the per-pair path.
+/// the set formula by construction — see `sst_simpack::vector`). The same
+/// concept scores 1 even when featureless (identity axiom).
 fn features(a: &ConceptView, b: &ConceptView, counts: fn(usize, usize, usize) -> f64) -> f64 {
     if a.concept == b.concept {
         return 1.0;
@@ -491,360 +509,92 @@ fn features(a: &ConceptView, b: &ConceptView, counts: fn(usize, usize, usize) ->
     )
 }
 
-/// Jaro / Jaro-Winkler on the bitmask match window when the second name
-/// fits one 64-bit word, on per-thread scratch buffers otherwise — both
-/// bit-identical to `jaro_chars`.
-fn jaro_rows(a: &ConceptView, b: &ConceptView, winkler: bool) -> f64 {
-    with_jaro_scratch(|s| {
-        if winkler {
-            jaro_winkler_fast(&a.name_chars, &b.name_chars, b.jaro_mask.as_ref(), s)
-        } else {
-            jaro_fast(&a.name_chars, &b.name_chars, b.jaro_mask.as_ref(), s)
-        }
-    })
-}
-
-/// Shortest path needs undirected BFS, which ancestor lists cannot
-/// reproduce on multi-parent DAGs, and a resident distance row per
-/// concept would grow as concepts × nodes. The scorer instead runs one
-/// BFS per distinct source row of its call (the first argument: a rank
-/// query, a matrix row, an alignment source) on first use, and reads
-/// every pair of that source from it.
-struct ShortestPathScorer<'t> {
-    table: &'t ConceptTable,
-    taxonomy: &'t Taxonomy,
-    /// Undirected BFS distances of each source row, filled on first use.
-    bfs: Vec<OnceLock<Vec<Option<u32>>>>,
-}
-
-impl PreparedMeasure for ShortestPathScorer<'_> {
-    fn similarity(&self, a: usize, b: usize) -> f64 {
-        let (va, vb) = (self.table.view(a), self.table.view(b));
-        let dist = self.bfs[a].get_or_init(|| self.taxonomy.undirected_distances(va.node));
-        shortest_path_length_similarity(dist.get(vb.node as usize).copied().flatten())
+/// TF-IDF cosine of the concepts' full-text descriptions — the paper's
+/// Lucene-backed measure. The same concept scores 1: the cosine of a
+/// vector with itself can round to just below 1, and a root merged into
+/// the shared root has no document at all.
+fn tfidf(_: &ConceptTable, _: &InformationContent, a: &ConceptView, b: &ConceptView) -> f64 {
+    if a.concept == b.concept {
+        return 1.0;
+    }
+    if a.doc.is_some() && b.doc.is_some() {
+        cosine_sparse(&a.tfidf, &b.tfidf)
+    } else {
+        0.0
     }
 }
 
-macro_rules! runner {
-    ($(#[$doc:meta])* $ty:ident, $name:literal, $display:literal, $kind:expr,
-     $normalized:literal, |$ctx:ident, $a:ident, $b:ident| $body:expr,
-     prepare: |$pctx:ident, $table:ident| $pbody:expr) => {
-        $(#[$doc])*
-        #[derive(Debug, Default, Clone, Copy)]
-        pub struct $ty;
+/// Shifted unit cosine `(1 + x·y)/2` of the dense embeddings (see
+/// `crate::vector`); the same concept scores 1, even undescribed.
+fn dense_vector(_: &ConceptTable, _: &InformationContent, a: &ConceptView, b: &ConceptView) -> f64 {
+    if a.concept == b.concept {
+        return 1.0;
+    }
+    dense_unit_similarity(&a.embedding, &b.embedding)
+}
 
-        impl MeasureRunner for $ty {
-            fn info(&self) -> RunnerInfo {
-                RunnerInfo {
-                    name: $name.to_owned(),
-                    display: $display.to_owned(),
-                    kind: $kind,
-                    normalized: $normalized,
-                }
+/// One measure's pair scorer for a service call, addressed by concept
+/// table row.
+pub(crate) enum PairScorer<'t> {
+    /// A built-in measure scoring from the table.
+    Rows {
+        score: RowScore,
+        table: &'t ConceptTable,
+        ic: &'t InformationContent,
+    },
+    /// Shortest path needs undirected BFS, which ancestor lists cannot
+    /// reproduce on multi-parent DAGs, and a resident distance row per
+    /// concept would grow as concepts × nodes. The scorer instead runs one
+    /// BFS per distinct source row of its call (the first argument: a rank
+    /// query, a matrix row, an alignment source) on first use, and reads
+    /// every pair of that source from it.
+    ShortestPath {
+        table: &'t ConceptTable,
+        taxonomy: &'t Taxonomy,
+        bfs: Vec<OnceLock<Vec<Option<u32>>>>,
+    },
+    /// A user-registered runner, called per pair.
+    Runner {
+        runner: &'t dyn MeasureRunner,
+        ctx: SimilarityContext<'t>,
+        table: &'t ConceptTable,
+    },
+}
+
+impl<'t> PairScorer<'t> {
+    /// The scorer of built-in `measure`, or `None` past the built-ins.
+    pub(crate) fn builtin(
+        measure: usize,
+        table: &'t ConceptTable,
+        ic: &'t InformationContent,
+        taxonomy: &'t Taxonomy,
+    ) -> Option<PairScorer<'t>> {
+        Some(match *BUILTINS.get(measure)? {
+            Builtin::Rows(score) => PairScorer::Rows { score, table, ic },
+            Builtin::ShortestPath => PairScorer::ShortestPath {
+                table,
+                taxonomy,
+                bfs: (0..table.len()).map(|_| OnceLock::new()).collect(),
+            },
+        })
+    }
+
+    /// Similarity of the concepts at table rows `a` and `b`.
+    pub(crate) fn score(&self, a: usize, b: usize) -> f64 {
+        match self {
+            PairScorer::Rows { score, table, ic } => score(table, ic, table.view(a), table.view(b)),
+            PairScorer::ShortestPath {
+                table,
+                taxonomy,
+                bfs,
+            } => {
+                let (va, vb) = (table.view(a), table.view(b));
+                let dist = bfs[a].get_or_init(|| taxonomy.undirected_distances(va.node));
+                shortest_path_length_similarity(dist.get(vb.node as usize).copied().flatten())
             }
-
-            fn similarity(
-                &self,
-                $ctx: &SimilarityContext<'_>,
-                $a: GlobalConcept,
-                $b: GlobalConcept,
-            ) -> f64 {
-                $body
-            }
-
-            fn prepare<'t>(
-                &self,
-                $pctx: &SimilarityContext<'t>,
-                $table: &'t ConceptTable,
-            ) -> Option<Box<dyn PreparedMeasure + 't>> {
-                $pbody
+            PairScorer::Runner { runner, ctx, table } => {
+                runner.similarity(ctx, table.view(a).concept, table.view(b).concept)
             }
         }
-    };
-}
-
-runner!(
-    /// Cosine over feature sets (Eq. 1).
-    CosineRunner, "cosine", "Cosine", MeasureKind::Vector, true,
-    |ctx, a, b| {
-        if a == b {
-            return 1.0; // identity axiom, even for featureless concepts
-        }
-        sst_simpack::cosine(&ctx.feature_set(a), &ctx.feature_set(b))
-    },
-    prepare: |_ctx, table| row_scorer(table, |a, b| features(a, b, sst_simpack::cosine_from_counts))
-);
-runner!(
-    /// Extended Jaccard over feature sets (Eq. 2).
-    JaccardRunner, "jaccard", "Extended Jaccard", MeasureKind::Vector, true,
-    |ctx, a, b| {
-        if a == b {
-            return 1.0; // identity axiom, even for featureless concepts
-        }
-        sst_simpack::jaccard(&ctx.feature_set(a), &ctx.feature_set(b))
-    },
-    prepare: |_ctx, table| row_scorer(table, |a, b| features(a, b, sst_simpack::jaccard_from_counts))
-);
-runner!(
-    /// Overlap over feature sets (Eq. 3).
-    OverlapRunner, "overlap", "Overlap", MeasureKind::Vector, true,
-    |ctx, a, b| {
-        if a == b {
-            return 1.0; // identity axiom, even for featureless concepts
-        }
-        sst_simpack::overlap(&ctx.feature_set(a), &ctx.feature_set(b))
-    },
-    prepare: |_ctx, table| row_scorer(table, |a, b| features(a, b, sst_simpack::overlap_from_counts))
-);
-runner!(
-    /// Dice over feature sets (extension).
-    DiceRunner, "dice", "Dice", MeasureKind::Vector, true,
-    |ctx, a, b| {
-        if a == b {
-            return 1.0; // identity axiom, even for featureless concepts
-        }
-        sst_simpack::dice(&ctx.feature_set(a), &ctx.feature_set(b))
-    },
-    prepare: |_ctx, table| row_scorer(table, |a, b| features(a, b, sst_simpack::dice_from_counts))
-);
-runner!(
-    /// Normalized token-sequence edit distance over M₂ sequences (Eq. 4).
-    /// The table path runs the bit-parallel Myers core over the first
-    /// concept's preprocessed pattern (bit-identical to
-    /// `sequence_similarity(…, CostModel::UNIT)`, pinned by the simpack
-    /// differential tests).
-    LevenshteinRunner, "levenshtein", "Levenshtein", MeasureKind::Sequence, true,
-    |ctx, a, b| {
-        let x = ctx.token_sequence(a);
-        let y = ctx.token_sequence(b);
-        sequence_similarity(&x, &y, CostModel::UNIT)
-    },
-    prepare: |_ctx, table| row_scorer(table, |a, b| {
-        with_myers_scratch(|s| myers_sequence_similarity_from(&a.token_pattern, &b.tokens, s))
-    })
-);
-runner!(
-    /// Jaro on concept names (SecondString extension).
-    JaroRunner, "jaro", "Jaro", MeasureKind::String, true,
-    |ctx, a, b| jaro(ctx.name(a), ctx.name(b)),
-    prepare: |_ctx, table| row_scorer(table, |a, b| jaro_rows(a, b, false))
-);
-runner!(
-    /// Jaro-Winkler on concept names (SecondString extension).
-    JaroWinklerRunner, "jaro_winkler", "Jaro-Winkler", MeasureKind::String, true,
-    |ctx, a, b| jaro_winkler(ctx.name(a), ctx.name(b)),
-    prepare: |_ctx, table| row_scorer(table, |a, b| jaro_rows(a, b, true))
-);
-runner!(
-    /// Padded trigram Dice on concept names (SimMetrics extension). The
-    /// table path merge-intersects packed gram profiles (bit-identical to
-    /// `qgram`).
-    QGramRunner, "qgram", "Q-Gram", MeasureKind::String, true,
-    |ctx, a, b| qgram(ctx.name(a), ctx.name(b), QGRAM_Q),
-    prepare: |_ctx, table| row_scorer(table, |a, b| qgram_packed_from(&a.qgrams, &b.qgrams))
-);
-runner!(
-    /// Monge-Elkan over name tokens with Levenshtein inner similarity,
-    /// symmetrized by averaging both directions.
-    MongeElkanRunner, "monge_elkan", "Monge-Elkan", MeasureKind::String, true,
-    |ctx, a, b| {
-        let ta = sst_index::tokenize(ctx.name(a));
-        let tb = sst_index::tokenize(ctx.name(b));
-        let ra: Vec<&str> = ta.iter().map(String::as_str).collect();
-        let rb: Vec<&str> = tb.iter().map(String::as_str).collect();
-        let ab = monge_elkan(&ra, &rb, levenshtein_similarity);
-        let ba = monge_elkan(&rb, &ra, levenshtein_similarity);
-        (ab + ba) / 2.0
-    },
-    prepare: |_ctx, table| row_scorer(table, move |a, b| {
-        table.monge_elkan(&a.name_tokens, &b.name_tokens)
-    })
-);
-runner!(
-    /// `1 / (1 + len)` over the undirected shortest path in the unified
-    /// tree.
-    ShortestPathRunner, "shortest_path", "Shortest Path", MeasureKind::Graph, true,
-    |ctx, a, b| {
-        shortest_path_similarity(ctx.tree.taxonomy(), ctx.tree.node(a), ctx.tree.node(b))
-    },
-    prepare: |ctx, table| Some(Box::new(ShortestPathScorer {
-        table,
-        taxonomy: ctx.tree.taxonomy(),
-        bfs: (0..table.len()).map(|_| OnceLock::new()).collect(),
-    }))
-);
-runner!(
-    /// Normalized edge counting (Eq. 5). The table path merges compact
-    /// ancestor lists, visiting candidates in the same ascending id order
-    /// with the same tie-breaks (bit-identical by construction).
-    EdgeRunner, "edge", "Edge Counting", MeasureKind::Graph, true,
-    |ctx, a, b| edge_similarity(ctx.tree.taxonomy(), ctx.tree.node(a), ctx.tree.node(b)),
-    prepare: |_ctx, table| row_scorer(table, move |a, b| {
-        edge_similarity_compact(&a.ancestors, &b.ancestors, a.node == b.node, table.depths().max())
-    })
-);
-runner!(
-    /// Wu & Palmer conceptual similarity (Eq. 6) — the paper's "Conceptual
-    /// Similarity" column. Uses the rooted (node-counted depth) convention
-    /// so cross-ontology pairs keep a small nonzero score, as in Table 1.
-    WuPalmerRunner, "wu_palmer", "Conceptual Similarity", MeasureKind::Graph, true,
-    |ctx, a, b| {
-        wu_palmer_similarity_rooted(ctx.tree.taxonomy(), ctx.tree.node(a), ctx.tree.node(b))
-    },
-    prepare: |_ctx, table| row_scorer(table, move |a, b| {
-        wu_palmer_similarity_rooted_compact(&a.ancestors, &b.ancestors, table.depths())
-    })
-);
-runner!(
-    /// Resnik information content similarity (Eq. 7) — **unnormalized**,
-    /// reported in bits. The table path scans the best subsumer over two
-    /// merged ancestor lists, with the same candidate order and
-    /// tie-breaks as the full-table scan.
-    ResnikRunner, "resnik", "Resnik", MeasureKind::InformationTheoretic, false,
-    |ctx, a, b| {
-        resnik_similarity(ctx.tree.taxonomy(), ctx.ic, ctx.tree.node(a), ctx.tree.node(b))
-    },
-    prepare: |ctx, table| {
-        let ic = ctx.ic;
-        row_scorer(table, move |a, b| resnik_similarity_compact(ic, &a.ancestors, &b.ancestors))
     }
-);
-runner!(
-    /// Lin similarity (Eq. 8).
-    LinRunner, "lin", "Lin", MeasureKind::InformationTheoretic, true,
-    |ctx, a, b| {
-        lin_similarity(ctx.tree.taxonomy(), ctx.ic, ctx.tree.node(a), ctx.tree.node(b))
-    },
-    prepare: |ctx, table| {
-        let ic = ctx.ic;
-        row_scorer(table, move |a, b| {
-            lin_similarity_compact(ic, a.node, b.node, &a.ancestors, &b.ancestors)
-        })
-    }
-);
-runner!(
-    /// Jiang-Conrath similarity (IC extension).
-    JiangConrathRunner, "jiang_conrath", "Jiang-Conrath",
-    MeasureKind::InformationTheoretic, true,
-    |ctx, a, b| {
-        jiang_conrath_similarity(ctx.tree.taxonomy(), ctx.ic, ctx.tree.node(a), ctx.tree.node(b))
-    },
-    prepare: |ctx, table| {
-        let ic = ctx.ic;
-        row_scorer(table, move |a, b| {
-            jiang_conrath_similarity_compact(ic, a.node, b.node, &a.ancestors, &b.ancestors)
-        })
-    }
-);
-runner!(
-    /// TF-IDF cosine over the concepts' exported full-text descriptions —
-    /// the paper's Lucene-backed measure.
-    TfidfRunner, "tfidf", "TFIDF", MeasureKind::FullText, true,
-    |ctx, a, b| {
-        let (Some(da), Some(db)) = (
-            ctx.doc_ids[ctx.tree.node(a) as usize],
-            ctx.doc_ids[ctx.tree.node(b) as usize],
-        ) else {
-            return 0.0;
-        };
-        ctx.index.cosine(da, db)
-    },
-    prepare: |_ctx, table| row_scorer(table, |a, b| {
-        if a.doc.is_some() && b.doc.is_some() {
-            cosine_sparse(&a.tfidf, &b.tfidf)
-        } else {
-            0.0
-        }
-    })
-);
-runner!(
-    /// Zhang-Shasha tree edit similarity of the concepts' subtrees
-    /// (depth-limited to 2) — the future-work tree measure.
-    TreeEditRunner, "tree_edit", "Tree Edit Distance", MeasureKind::Tree, true,
-    |ctx, a, b| tree_similarity(&ctx.subtree(a, 2), &ctx.subtree(b, 2)),
-    prepare: |_ctx, table| row_scorer(table, |a, b| {
-        with_zs_scratch(|s| tree_similarity_zs_scratch(&a.subtree, &b.subtree, s))
-    })
-);
-runner!(
-    /// Needleman-Wunsch global alignment of the M₂ token sequences
-    /// (SimPack's alignment-based sequence measure).
-    NeedlemanWunschRunner, "needleman_wunsch", "Needleman-Wunsch",
-    MeasureKind::Sequence, true,
-    |ctx, a, b| {
-        let x = ctx.token_sequence(a);
-        let y = ctx.token_sequence(b);
-        needleman_wunsch_similarity(&x, &y, AlignmentScoring::default())
-    },
-    prepare: |_ctx, table| row_scorer(table, |a, b| {
-        with_align_scratch(|s| {
-            needleman_wunsch_similarity_scratch(&a.tokens, &b.tokens, AlignmentScoring::default(), s)
-        })
-    })
-);
-runner!(
-    /// Smith-Waterman local alignment of the M₂ token sequences: scores the
-    /// best-matching shared *subpath* (e.g. a common taxonomy fragment).
-    SmithWatermanRunner, "smith_waterman", "Smith-Waterman",
-    MeasureKind::Sequence, true,
-    |ctx, a, b| {
-        let x = ctx.token_sequence(a);
-        let y = ctx.token_sequence(b);
-        smith_waterman_similarity(&x, &y, AlignmentScoring::default())
-    },
-    prepare: |_ctx, table| row_scorer(table, |a, b| {
-        with_align_scratch(|s| {
-            smith_waterman_similarity_scratch(&a.tokens, &b.tokens, AlignmentScoring::default(), s)
-        })
-    })
-);
-
-runner!(
-    /// Shifted unit cosine over dense concept embeddings — the measure
-    /// behind the toolkit's vector-retrieval subsystem. Embeddings are
-    /// deterministic signed random projections of the TF-IDF document
-    /// vectors (see `crate::vector`); the shifted unit cosine
-    /// `(1 + x·y)/2` is a strictly monotone transform of cosine, so
-    /// rankings agree with cosine order while scores stay in [0, 1].
-    DenseVectorRunner, "dense_vector", "Dense Vector", MeasureKind::Vector, true,
-    |ctx, a, b| {
-        if a == b {
-            return 1.0; // identity axiom, even for undescribed concepts
-        }
-        dense_unit_similarity(&ctx.dense_embedding(a), &ctx.dense_embedding(b))
-    },
-    prepare: |_ctx, table| row_scorer(table, |a, b| {
-        if a.concept == b.concept {
-            return 1.0; // identity axiom, even for undescribed concepts
-        }
-        dense_unit_similarity(&a.embedding, &b.embedding)
-    })
-);
-
-/// The default runner set, in registration order. The position of each
-/// runner is its paper-style integer measure constant (see
-/// `facade::measure_ids`).
-pub fn default_runners() -> Vec<Box<dyn MeasureRunner>> {
-    vec![
-        Box::new(CosineRunner),
-        Box::new(JaccardRunner),
-        Box::new(OverlapRunner),
-        Box::new(DiceRunner),
-        Box::new(LevenshteinRunner),
-        Box::new(JaroRunner),
-        Box::new(JaroWinklerRunner),
-        Box::new(QGramRunner),
-        Box::new(MongeElkanRunner),
-        Box::new(ShortestPathRunner),
-        Box::new(EdgeRunner),
-        Box::new(WuPalmerRunner),
-        Box::new(ResnikRunner),
-        Box::new(LinRunner),
-        Box::new(JiangConrathRunner),
-        Box::new(TfidfRunner),
-        Box::new(TreeEditRunner),
-        Box::new(NeedlemanWunschRunner),
-        Box::new(SmithWatermanRunner),
-        Box::new(DenseVectorRunner),
-    ]
 }

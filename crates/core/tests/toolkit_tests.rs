@@ -242,7 +242,7 @@ fn merged_roots_are_invalid_vector_queries() {
     let onto = sst.soqa().ontology("uni_owl").unwrap();
     let root = onto.concept(onto.roots()[0]).name.clone();
     for result in [
-        sst.most_similar_dense(&root, "uni_owl", 3),
+        sst.most_similar_approx_with(&root, "uni_owl", 3, usize::MAX),
         sst.most_similar_approx(&root, "uni_owl", 3),
     ] {
         match result {

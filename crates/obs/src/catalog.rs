@@ -197,16 +197,6 @@ pub const CATALOG: &[MetricDecl] = &[
         help: "concepts embedded into the vector store",
     },
     MetricDecl {
-        name: "core.vector.exact.latency",
-        kind: MetricKind::Histogram,
-        help: "exact vector-store rank wall time (ns)",
-    },
-    MetricDecl {
-        name: "core.vector.exact.queries",
-        kind: MetricKind::Counter,
-        help: "exact vector-store rank queries",
-    },
-    MetricDecl {
         name: "core.vector.probed",
         kind: MetricKind::Counter,
         help: "candidate rows scanned by approximate vector queries",

@@ -316,8 +316,8 @@ impl<'a> Router<'a> {
     /// Parameter audit: `k=0` and malformed or out-of-range numerics are
     /// 400, `k` larger than the concept set truncates to the full set
     /// (200), and `approx` accepts only `true`/`1`/`false`/`0`. The
-    /// approximate path serves the dense-vector measure from the IVF
-    /// index and bypasses the similarity cache (it never computes
+    /// approximate path serves the dense-vector measure from the NSW
+    /// proximity graph and bypasses the similarity cache (it never computes
     /// pairwise scores that would be worth caching); combining
     /// `approx=true` with any other `measure` is a 400, since no other
     /// measure has an embedding-space equivalent.

@@ -24,19 +24,17 @@ impl Default for AlignmentScoring {
     }
 }
 
-/// Reusable DP rows for the alignment kernels: batch scans hand the same
-/// scratch to every pair, hoisting the two per-call row allocations out of
-/// the hot loop. The scratch carries no state between calls — only
-/// capacity — so scratch and non-scratch paths are bit-identical.
+/// Reusable DP rows for the alignment kernels, one per thread: the
+/// scratch carries capacity between calls, never state.
 #[derive(Debug, Default)]
-pub struct AlignScratch {
+struct AlignScratch {
     prev: Vec<f64>,
     curr: Vec<f64>,
 }
 
-/// Hands a thread-local [`AlignScratch`] to `f` (fresh scratch fallback on
-/// reentrant use).
-pub fn with_align_scratch<R>(f: impl FnOnce(&mut AlignScratch) -> R) -> R {
+/// Runs `f` with this thread's [`AlignScratch`] (a fresh one on reentrant
+/// use).
+fn with_align_scratch<R>(f: impl FnOnce(&mut AlignScratch) -> R) -> R {
     thread_local! {
         static SCRATCH: std::cell::RefCell<AlignScratch> =
             std::cell::RefCell::new(AlignScratch::default());
@@ -49,48 +47,30 @@ pub fn with_align_scratch<R>(f: impl FnOnce(&mut AlignScratch) -> R) -> R {
 
 /// Needleman-Wunsch global alignment score of two token sequences.
 pub fn needleman_wunsch<T: PartialEq>(x: &[T], y: &[T], s: AlignmentScoring) -> f64 {
-    needleman_wunsch_scratch(x, y, s, &mut AlignScratch::default())
-}
-
-/// [`needleman_wunsch`] over caller-provided DP rows (its core).
-pub fn needleman_wunsch_scratch<T: PartialEq>(
-    x: &[T],
-    y: &[T],
-    s: AlignmentScoring,
-    scratch: &mut AlignScratch,
-) -> f64 {
-    // Two-row DP; `w = [prev[j], prev[j+1]]` via `windows(2)` and
-    // `curr.last()` is the cell to the left, so no subscript arithmetic.
-    let AlignScratch { prev, curr } = scratch;
-    prev.clear();
-    prev.extend((0..=y.len()).map(|j| j as f64 * s.gap));
-    for (i, tx) in x.iter().enumerate() {
-        curr.clear();
-        curr.push((i + 1) as f64 * s.gap);
-        for (ty, w) in y.iter().zip(prev.windows(2)) {
-            let m = if tx == ty { s.matched } else { s.mismatch };
-            let left = curr.last().copied().unwrap_or(0.0);
-            curr.push((w[0] + m).max(w[1] + s.gap).max(left + s.gap));
+    with_align_scratch(|scratch| {
+        // Two-row DP; `w = [prev[j], prev[j+1]]` via `windows(2)` and
+        // `curr.last()` is the cell to the left, so no subscript arithmetic.
+        let AlignScratch { prev, curr } = scratch;
+        prev.clear();
+        prev.extend((0..=y.len()).map(|j| j as f64 * s.gap));
+        for (i, tx) in x.iter().enumerate() {
+            curr.clear();
+            curr.push((i + 1) as f64 * s.gap);
+            for (ty, w) in y.iter().zip(prev.windows(2)) {
+                let m = if tx == ty { s.matched } else { s.mismatch };
+                let left = curr.last().copied().unwrap_or(0.0);
+                curr.push((w[0] + m).max(w[1] + s.gap).max(left + s.gap));
+            }
+            std::mem::swap(prev, curr);
         }
-        std::mem::swap(prev, curr);
-    }
-    prev.last().copied().unwrap_or(0.0)
+        prev.last().copied().unwrap_or(0.0)
+    })
 }
 
 /// Needleman-Wunsch normalized to [0, 1]: score divided by the best
 /// possible score (`matched · min(|x|, |y|)` less the unavoidable gap run),
 /// clamped at 0. Identical sequences score 1; empty-vs-empty scores 1.
 pub fn needleman_wunsch_similarity<T: PartialEq>(x: &[T], y: &[T], s: AlignmentScoring) -> f64 {
-    needleman_wunsch_similarity_scratch(x, y, s, &mut AlignScratch::default())
-}
-
-/// [`needleman_wunsch_similarity`] over caller-provided DP rows.
-pub fn needleman_wunsch_similarity_scratch<T: PartialEq>(
-    x: &[T],
-    y: &[T],
-    s: AlignmentScoring,
-    scratch: &mut AlignScratch,
-) -> f64 {
     if x.is_empty() && y.is_empty() {
         return 1.0;
     }
@@ -100,54 +80,36 @@ pub fn needleman_wunsch_similarity_scratch<T: PartialEq>(
     if best <= 0.0 {
         return 0.0;
     }
-    (needleman_wunsch_scratch(x, y, s, scratch) / best).clamp(0.0, 1.0)
+    (needleman_wunsch(x, y, s) / best).clamp(0.0, 1.0)
 }
 
 /// Smith-Waterman local alignment score: the best-scoring *subsequence*
 /// alignment (never negative).
 pub fn smith_waterman<T: PartialEq>(x: &[T], y: &[T], s: AlignmentScoring) -> f64 {
-    smith_waterman_scratch(x, y, s, &mut AlignScratch::default())
-}
-
-/// [`smith_waterman`] over caller-provided DP rows (its core).
-pub fn smith_waterman_scratch<T: PartialEq>(
-    x: &[T],
-    y: &[T],
-    s: AlignmentScoring,
-    scratch: &mut AlignScratch,
-) -> f64 {
-    let mut best = 0.0_f64;
-    let AlignScratch { prev, curr } = scratch;
-    prev.clear();
-    prev.resize(y.len() + 1, 0.0_f64);
-    for tx in x {
-        curr.clear();
-        curr.push(0.0);
-        for (ty, w) in y.iter().zip(prev.windows(2)) {
-            let m = if tx == ty { s.matched } else { s.mismatch };
-            let left = curr.last().copied().unwrap_or(0.0);
-            let cell = (w[0] + m).max(w[1] + s.gap).max(left + s.gap).max(0.0);
-            best = best.max(cell);
-            curr.push(cell);
+    with_align_scratch(|scratch| {
+        let mut best = 0.0_f64;
+        let AlignScratch { prev, curr } = scratch;
+        prev.clear();
+        prev.resize(y.len() + 1, 0.0_f64);
+        for tx in x {
+            curr.clear();
+            curr.push(0.0);
+            for (ty, w) in y.iter().zip(prev.windows(2)) {
+                let m = if tx == ty { s.matched } else { s.mismatch };
+                let left = curr.last().copied().unwrap_or(0.0);
+                let cell = (w[0] + m).max(w[1] + s.gap).max(left + s.gap).max(0.0);
+                best = best.max(cell);
+                curr.push(cell);
+            }
+            std::mem::swap(prev, curr);
         }
-        std::mem::swap(prev, curr);
-    }
-    best
+        best
+    })
 }
 
 /// Smith-Waterman normalized to [0, 1] by the best achievable local score
 /// (`matched · min(|x|, |y|)`).
 pub fn smith_waterman_similarity<T: PartialEq>(x: &[T], y: &[T], s: AlignmentScoring) -> f64 {
-    smith_waterman_similarity_scratch(x, y, s, &mut AlignScratch::default())
-}
-
-/// [`smith_waterman_similarity`] over caller-provided DP rows.
-pub fn smith_waterman_similarity_scratch<T: PartialEq>(
-    x: &[T],
-    y: &[T],
-    s: AlignmentScoring,
-    scratch: &mut AlignScratch,
-) -> f64 {
     if x.is_empty() && y.is_empty() {
         return 1.0;
     }
@@ -155,7 +117,7 @@ pub fn smith_waterman_similarity_scratch<T: PartialEq>(
     if best <= 0.0 {
         return 0.0;
     }
-    (smith_waterman_scratch(x, y, s, scratch) / best).clamp(0.0, 1.0)
+    (smith_waterman(x, y, s) / best).clamp(0.0, 1.0)
 }
 
 #[cfg(test)]

@@ -1,12 +1,12 @@
 //! Dense-vector similarity — the embedding counterpart of [`crate::vector`].
 //!
-//! The sparse measures in [`crate::vector`] operate on TF-IDF term
-//! vectors directly; this module provides the fixed-dimension dense
-//! kernels underneath the toolkit's vector-retrieval subsystem (concept
-//! embeddings, exact and approximate top-k). The functions are plain
-//! `&[f64]` slice math with a pinned accumulation order so that every
-//! caller — the naive per-pair runner, the concept-table scorer, and the
-//! vector store — produces bit-identical scores.
+//! The set measures in [`crate::vector`] operate on feature sets; this
+//! module provides the fixed-dimension dense kernels underneath the
+//! toolkit's vector-retrieval subsystem (concept embeddings, exact and
+//! approximate top-k). The functions are plain `&[f64]` slice math with a
+//! pinned accumulation order so that every caller — the concept-table
+//! scorer, the vector store, and the per-pair test oracle — produces
+//! bit-identical scores.
 //!
 //! Scores for ranking use the *shifted unit cosine*
 //! `(1 + x·y) / 2` over L2-normalized vectors: it is a strictly
@@ -27,7 +27,7 @@ pub fn dense_dot(x: &[f64], y: &[f64]) -> f64 {
 }
 
 /// Euclidean (L2) norm.
-pub fn dense_norm(x: &[f64]) -> f64 {
+fn dense_norm(x: &[f64]) -> f64 {
     dense_dot(x, x).sqrt()
 }
 
@@ -45,17 +45,6 @@ pub fn dense_normalize(x: &mut [f64]) {
         for v in x.iter_mut() {
             *v /= norm;
         }
-    }
-}
-
-/// Cosine similarity of arbitrary dense vectors, clamped to [-1, 1];
-/// 0 when either vector is zero.
-pub fn dense_cosine(x: &[f64], y: &[f64]) -> f64 {
-    let denom = dense_norm(x) * dense_norm(y);
-    if denom == 0.0 {
-        0.0
-    } else {
-        (dense_dot(x, y) / denom).clamp(-1.0, 1.0)
     }
 }
 
@@ -112,7 +101,6 @@ mod tests {
         dense_normalize(&mut a);
         assert_eq!(dense_unit_similarity(&z, &a), 0.0);
         assert_eq!(dense_unit_similarity(&z, &z), 0.0);
-        assert_eq!(dense_cosine(&z, &a), 0.0);
     }
 
     #[test]

@@ -150,7 +150,9 @@ impl Taxonomy {
     }
 
     /// Upward distances from `start` to every ancestor-or-self:
-    /// `dist[n] = Some(k)` if `n` subsumes `start` at k steps.
+    /// `dist[n] = Some(k)` if `n` subsumes `start` at k steps. The
+    /// full-table form of [`Taxonomy::ancestors`], kept as the reference
+    /// the compact lists are tested against.
     pub fn up_distances(&self, start: NodeId) -> Vec<Option<u32>> {
         self.bfs(start, false)
     }
@@ -246,9 +248,7 @@ impl Taxonomy {
     /// Length of the shortest path from `a` to `b` running through a common
     /// ancestor (the classical edge-counting distance on taxonomies).
     pub fn path_via_common_ancestor(&self, a: NodeId, b: NodeId) -> Option<u32> {
-        let da = self.up_distances(a);
-        let db = self.up_distances(b);
-        path_via_common_ancestor_from(&da, &db)
+        path_via_common_ancestor_compact(&self.ancestors(a), &self.ancestors(b))
     }
 
     /// Most recent common ancestor: the common ancestor minimizing the
@@ -256,46 +256,34 @@ impl Taxonomy {
     /// determinism). Returns the node together with N1 = dist(a → mrca) and
     /// N2 = dist(b → mrca).
     pub fn mrca(&self, a: NodeId, b: NodeId) -> Option<(NodeId, u32, u32)> {
-        let da = self.up_distances(a);
-        let db = self.up_distances(b);
-        // One depth-table fetch for the whole candidate scan — the previous
-        // `self.depth(n)` re-acquired the cache lock per candidate node.
-        let depths = self.depths();
-        mrca_from(&da, &db, &depths)
+        mrca_compact(&self.ancestors(a), &self.ancestors(b), &self.depths())
     }
 }
 
 /// Compact ancestor list of one source concept: `(node, upward distance)`
-/// for every ancestor-or-self, sorted by node id. Ontology DAGs are
-/// shallow, so a concept's ancestor set is tiny compared to the node count
-/// — walking two of these lists replaces the O(node-count) full-table scans
-/// of [`mrca_from`]/[`path_via_common_ancestor_from`] with a merge over a
-/// handful of entries. Iteration stays in ascending id order, so every
-/// tie-break selects the same node and the measures stay bit-identical.
+/// for every ancestor-or-self, sorted by node id — the `Some` entries of
+/// [`Taxonomy::up_distances`]. Ontology DAGs are shallow, so a concept's
+/// ancestor set is tiny compared to the node count, and every graph and
+/// information-content measure selects its common ancestor by a merge over
+/// two of these lists. Iteration runs in ascending id order, which fixes
+/// every tie-break.
 #[derive(Debug, Clone, Default)]
 pub struct AncestorList {
     entries: Vec<(NodeId, u32)>,
 }
 
 impl AncestorList {
-    /// Extracts the `Some` entries of a full upward-distance table (already
-    /// in ascending id order).
-    pub fn from_table(up: &[Option<u32>]) -> AncestorList {
-        AncestorList {
-            entries: up
-                .iter()
-                .enumerate()
-                .filter_map(|(n, d)| d.map(|d| (n as NodeId, d)))
-                .collect(),
-        }
-    }
-
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// The ancestor-or-self nodes, in ascending id order.
+    pub(crate) fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.entries.iter().map(|&(n, _)| n)
     }
 
     /// Merge-walks two lists, yielding the common nodes in ascending id
@@ -334,16 +322,17 @@ impl Iterator for CommonAncestors<'_> {
     }
 }
 
-/// [`path_via_common_ancestor_from`] over compact ancestor lists. `min`
-/// over the same value set as the full-table zip, so the result is
-/// identical.
-pub fn path_via_common_ancestor_compact(a: &AncestorList, b: &AncestorList) -> Option<u32> {
+/// Length of the shortest path through a common ancestor: the smallest
+/// summed upward distance over the common entries.
+fn path_via_common_ancestor_compact(a: &AncestorList, b: &AncestorList) -> Option<u32> {
     a.common(b).map(|(_, x, y)| x + y).min()
 }
 
-/// [`mrca_from`] over compact ancestor lists: the candidate scan visits the
-/// common nodes in the same ascending id order with the same tie-breaks.
-pub fn mrca_compact(
+/// The most recent common ancestor over two ancestor lists: the common
+/// node with the smallest summed upward distance, ties broken by greater
+/// depth, then by smaller id (the scan visits candidates in ascending id
+/// order).
+fn mrca_compact(
     a: &AncestorList,
     b: &AncestorList,
     depths: &DepthTable,
@@ -366,7 +355,7 @@ pub fn mrca_compact(
     best.map(|(n, n1, n2, _)| (n, n1, n2))
 }
 
-/// [`edge_similarity_from`] over compact ancestor lists.
+/// [`edge_similarity`] over precomputed ancestor lists and `MAX` depth.
 pub fn edge_similarity_compact(
     a: &AncestorList,
     b: &AncestorList,
@@ -376,61 +365,14 @@ pub fn edge_similarity_compact(
     edge_length_similarity(path_via_common_ancestor_compact(a, b), same, max_depth)
 }
 
-/// [`wu_palmer_similarity_from`] over compact ancestor lists.
-pub fn wu_palmer_similarity_compact(
-    a: &AncestorList,
-    b: &AncestorList,
-    depths: &DepthTable,
-    same: bool,
-) -> f64 {
-    wu_palmer_core(mrca_compact(a, b, depths), depths, same)
-}
-
-/// [`wu_palmer_similarity_rooted_from`] over compact ancestor lists.
+/// [`wu_palmer_similarity_rooted`] over precomputed ancestor lists and a
+/// shared depth table.
 pub fn wu_palmer_similarity_rooted_compact(
     a: &AncestorList,
     b: &AncestorList,
     depths: &DepthTable,
 ) -> f64 {
     wu_palmer_rooted_core(mrca_compact(a, b, depths), depths)
-}
-
-/// Table-based [`Taxonomy::path_via_common_ancestor`]: zip-min over two
-/// precomputed upward-distance tables.
-pub fn path_via_common_ancestor_from(da: &[Option<u32>], db: &[Option<u32>]) -> Option<u32> {
-    da.iter()
-        .zip(db)
-        .filter_map(|(x, y)| Some(x.as_ref()? + y.as_ref()?))
-        .min()
-}
-
-/// Table-based [`Taxonomy::mrca`]: same scan and tie-breaks (smaller summed
-/// distance, then greater depth, then smaller id) over precomputed upward
-/// distances and a shared depth table.
-pub fn mrca_from(
-    da: &[Option<u32>],
-    db: &[Option<u32>],
-    depths: &DepthTable,
-) -> Option<(NodeId, u32, u32)> {
-    let mut best: Option<(NodeId, u32, u32, u32)> = None; // (node, n1, n2, depth)
-    for n in 0..da.len() as NodeId {
-        let (Some(n1), Some(n2)) = (da[n as usize], db[n as usize]) else {
-            continue;
-        };
-        let depth = depths.depth(n);
-        let better = match &best {
-            None => true,
-            Some((bn, b1, b2, bd)) => {
-                let (bn, b1, b2, bd) = (*bn, *b1, *b2, *bd);
-                let (sum, bsum) = (n1 + n2, b1 + b2);
-                sum < bsum || (sum == bsum && (depth > bd || (depth == bd && n < bn)))
-            }
-        };
-        if better {
-            best = Some((n, n1, n2, depth));
-        }
-    }
-    best.map(|(n, n1, n2, _)| (n, n1, n2))
 }
 
 /// Shortest-path similarity: `1 / (1 + len)` over the undirected shortest
@@ -456,17 +398,6 @@ pub fn edge_similarity(t: &Taxonomy, a: NodeId, b: NodeId) -> f64 {
     edge_length_similarity(t.path_via_common_ancestor(a, b), a == b, t.max_depth())
 }
 
-/// Table-based [`edge_similarity`] over two precomputed upward-distance
-/// tables and a cached `MAX` depth.
-pub fn edge_similarity_from(
-    da: &[Option<u32>],
-    db: &[Option<u32>],
-    same: bool,
-    max_depth: u32,
-) -> f64 {
-    edge_length_similarity(path_via_common_ancestor_from(da, db), same, max_depth)
-}
-
 fn edge_length_similarity(len: Option<u32>, same: bool, max_depth: u32) -> f64 {
     let max = max_depth as f64;
     if max == 0.0 {
@@ -483,16 +414,6 @@ fn edge_length_similarity(len: Option<u32>, same: bool, max_depth: u32) -> f64 {
 /// the distances from the two concepts to it.
 pub fn wu_palmer_similarity(t: &Taxonomy, a: NodeId, b: NodeId) -> f64 {
     wu_palmer_core(t.mrca(a, b), &t.depths(), a == b)
-}
-
-/// Table-based [`wu_palmer_similarity`].
-pub fn wu_palmer_similarity_from(
-    da: &[Option<u32>],
-    db: &[Option<u32>],
-    depths: &DepthTable,
-    same: bool,
-) -> f64 {
-    wu_palmer_core(mrca_from(da, db, depths), depths, same)
 }
 
 fn wu_palmer_core(mrca: Option<(NodeId, u32, u32)>, depths: &DepthTable, same: bool) -> f64 {
@@ -516,15 +437,6 @@ fn wu_palmer_core(mrca: Option<(NodeId, u32, u32)>, depths: &DepthTable, same: b
 /// length, matching the paper's Table 1 column. Self-similarity is 1.
 pub fn wu_palmer_similarity_rooted(t: &Taxonomy, a: NodeId, b: NodeId) -> f64 {
     wu_palmer_rooted_core(t.mrca(a, b), &t.depths())
-}
-
-/// Table-based [`wu_palmer_similarity_rooted`].
-pub fn wu_palmer_similarity_rooted_from(
-    da: &[Option<u32>],
-    db: &[Option<u32>],
-    depths: &DepthTable,
-) -> f64 {
-    wu_palmer_rooted_core(mrca_from(da, db, depths), depths)
 }
 
 fn wu_palmer_rooted_core(mrca: Option<(NodeId, u32, u32)>, depths: &DepthTable) -> f64 {
@@ -728,38 +640,14 @@ mod tests {
             t.add_edge(4, 5);
             t
         }] {
-            let n = t.node_count() as NodeId;
-            let depths = t.depths();
-            let tables: Vec<_> = (0..n).map(|a| t.up_distances(a)).collect();
-            let lists: Vec<_> = tables
-                .iter()
-                .map(|up| AncestorList::from_table(up))
-                .collect();
-            for a in 0..n {
-                assert_eq!(t.ancestors(a).entries, lists[a as usize].entries);
-            }
-            for a in 0..n {
-                for b in 0..n {
-                    let (ta, tb) = (&tables[a as usize], &tables[b as usize]);
-                    let (la, lb) = (&lists[a as usize], &lists[b as usize]);
-                    assert_eq!(
-                        path_via_common_ancestor_compact(la, lb),
-                        path_via_common_ancestor_from(ta, tb)
-                    );
-                    assert_eq!(mrca_compact(la, lb, &depths), mrca_from(ta, tb, &depths));
-                    assert_eq!(
-                        edge_similarity_compact(la, lb, a == b, depths.max()).to_bits(),
-                        edge_similarity_from(ta, tb, a == b, depths.max()).to_bits()
-                    );
-                    assert_eq!(
-                        wu_palmer_similarity_compact(la, lb, &depths, a == b).to_bits(),
-                        wu_palmer_similarity_from(ta, tb, &depths, a == b).to_bits()
-                    );
-                    assert_eq!(
-                        wu_palmer_similarity_rooted_compact(la, lb, &depths).to_bits(),
-                        wu_palmer_similarity_rooted_from(ta, tb, &depths).to_bits()
-                    );
-                }
+            for a in 0..t.node_count() as NodeId {
+                let table: Vec<(NodeId, u32)> = t
+                    .up_distances(a)
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(n, d)| d.map(|d| (n as NodeId, d)))
+                    .collect();
+                assert_eq!(t.ancestors(a).entries, table, "node {a}");
             }
         }
     }
@@ -769,26 +657,22 @@ mod tests {
         let t = sample();
         let depths = t.depths();
         for a in 0..7 {
-            let (up_a, undirected) = (t.up_distances(a), t.undirected_distances(a));
+            let (up_a, undirected) = (t.ancestors(a), t.undirected_distances(a));
             for b in 0..7 {
-                let up_b = t.up_distances(b);
+                let up_b = t.ancestors(b);
                 assert_eq!(
                     shortest_path_length_similarity(undirected[b as usize]).to_bits(),
                     shortest_path_similarity(&t, a, b).to_bits()
                 );
                 assert_eq!(
-                    edge_similarity_from(&up_a, &up_b, a == b, depths.max()).to_bits(),
+                    edge_similarity_compact(&up_a, &up_b, a == b, depths.max()).to_bits(),
                     edge_similarity(&t, a, b).to_bits()
                 );
                 assert_eq!(
-                    wu_palmer_similarity_from(&up_a, &up_b, &depths, a == b).to_bits(),
-                    wu_palmer_similarity(&t, a, b).to_bits()
-                );
-                assert_eq!(
-                    wu_palmer_similarity_rooted_from(&up_a, &up_b, &depths).to_bits(),
+                    wu_palmer_similarity_rooted_compact(&up_a, &up_b, &depths).to_bits(),
                     wu_palmer_similarity_rooted(&t, a, b).to_bits()
                 );
-                assert_eq!(mrca_from(&up_a, &up_b, &depths), t.mrca(a, b));
+                assert_eq!(mrca_compact(&up_a, &up_b, &depths), t.mrca(a, b));
             }
         }
     }

@@ -35,13 +35,12 @@ impl InformationContent {
         assert_eq!(counts.len(), taxonomy.node_count(), "one count per node");
         let n = taxonomy.node_count();
         let mut cumulative = vec![0.0; n];
+        // Nodes in ascending order, so every slot sums its weights in node
+        // order whatever order the ancestors are listed in.
         for node in 0..n as NodeId {
             let weight = counts[node as usize].max(1e-9);
-            // Propagate to self and every ancestor (deduplicated).
-            for (anc, d) in taxonomy.up_distances(node).iter().enumerate() {
-                if d.is_some() {
-                    cumulative[anc] += weight;
-                }
+            for anc in taxonomy.ancestors(node).nodes() {
+                cumulative[anc as usize] += weight;
             }
         }
         let total = cumulative[taxonomy.root() as usize];
@@ -94,37 +93,10 @@ impl InformationContent {
     }
 }
 
-/// The common subsumer with maximal information content, if any, computed
-/// from two precomputed upward-distance tables (see
-/// [`Taxonomy::up_distances`]). This is the batch entry point: matrix scans
-/// compute one table per concept instead of two fresh BFS runs per pair.
-pub fn best_subsumer_from(
-    ic: &InformationContent,
-    da: &[Option<u32>],
-    db: &[Option<u32>],
-) -> Option<NodeId> {
-    (0..da.len() as NodeId)
-        .filter(|&n| da[n as usize].is_some() && db[n as usize].is_some())
-        .max_by(|&x, &y| {
-            ic.ic(x)
-                .partial_cmp(&ic.ic(y))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(y.cmp(&x)) // deterministic tie-break on smaller id
-        })
-}
-
-/// The common subsumer with maximal information content, if any.
-fn best_subsumer(t: &Taxonomy, ic: &InformationContent, a: NodeId, b: NodeId) -> Option<NodeId> {
-    best_subsumer_from(ic, &t.up_distances(a), &t.up_distances(b))
-}
-
-/// [`best_subsumer_from`] over compact ancestor lists (see
-/// [`AncestorList`]). The merge walk visits the common nodes in the same
-/// ascending id order as the full-table scan, and the fold replicates
-/// `max_by` exactly (keep the incumbent only when it compares `Greater`),
-/// so the selected subsumer — and every IC measure built on it — is
-/// identical.
-pub fn best_subsumer_compact(
+/// The common subsumer with maximal information content, if any: the merge
+/// walk visits the common nodes in ascending id order, and an equal IC
+/// keeps the smaller id.
+fn best_subsumer_compact(
     ic: &InformationContent,
     a: &AncestorList,
     b: &AncestorList,
@@ -151,7 +123,7 @@ pub fn best_subsumer_compact(
     best
 }
 
-/// [`resnik_similarity_from`] over compact ancestor lists.
+/// [`resnik_similarity`] over precomputed ancestor lists.
 pub fn resnik_similarity_compact(
     ic: &InformationContent,
     a: &AncestorList,
@@ -160,7 +132,7 @@ pub fn resnik_similarity_compact(
     resnik_core(ic, best_subsumer_compact(ic, a, b))
 }
 
-/// [`lin_similarity_from`] over compact ancestor lists.
+/// [`lin_similarity`] over precomputed ancestor lists.
 pub fn lin_similarity_compact(
     ic: &InformationContent,
     a: NodeId,
@@ -175,7 +147,7 @@ pub fn lin_similarity_compact(
     lin_core(ic, best_subsumer_compact(ic, la, lb), denom)
 }
 
-/// [`jiang_conrath_similarity_from`] over compact ancestor lists.
+/// [`jiang_conrath_similarity`] over precomputed ancestor lists.
 pub fn jiang_conrath_similarity_compact(
     ic: &InformationContent,
     a: NodeId,
@@ -191,16 +163,7 @@ pub fn jiang_conrath_similarity_compact(
 /// **Unnormalized**: the value is an information content in bits (Table 1
 /// reports 12.7 for the self-comparison), not a score in [0, 1].
 pub fn resnik_similarity(t: &Taxonomy, ic: &InformationContent, a: NodeId, b: NodeId) -> f64 {
-    resnik_core(ic, best_subsumer(t, ic, a, b))
-}
-
-/// Table-based [`resnik_similarity`].
-pub fn resnik_similarity_from(
-    ic: &InformationContent,
-    da: &[Option<u32>],
-    db: &[Option<u32>],
-) -> f64 {
-    resnik_core(ic, best_subsumer_from(ic, da, db))
+    resnik_similarity_compact(ic, &t.ancestors(a), &t.ancestors(b))
 }
 
 fn resnik_core(ic: &InformationContent, best: Option<NodeId>) -> f64 {
@@ -214,26 +177,7 @@ fn resnik_core(ic: &InformationContent, best: Option<NodeId>) -> f64 {
 /// When both arguments carry zero information (p = 1, e.g. the root), the
 /// value is 1 for identical concepts and 0 otherwise.
 pub fn lin_similarity(t: &Taxonomy, ic: &InformationContent, a: NodeId, b: NodeId) -> f64 {
-    let denom = ic.probability(a).log2() + ic.probability(b).log2();
-    if denom == 0.0 {
-        return if a == b { 1.0 } else { 0.0 };
-    }
-    lin_core(ic, best_subsumer(t, ic, a, b), denom)
-}
-
-/// Table-based [`lin_similarity`].
-pub fn lin_similarity_from(
-    ic: &InformationContent,
-    a: NodeId,
-    b: NodeId,
-    da: &[Option<u32>],
-    db: &[Option<u32>],
-) -> f64 {
-    let denom = ic.probability(a).log2() + ic.probability(b).log2();
-    if denom == 0.0 {
-        return if a == b { 1.0 } else { 0.0 };
-    }
-    lin_core(ic, best_subsumer_from(ic, da, db), denom)
+    lin_similarity_compact(ic, a, b, &t.ancestors(a), &t.ancestors(b))
 }
 
 fn lin_core(ic: &InformationContent, best: Option<NodeId>, denom: f64) -> f64 {
@@ -253,18 +197,7 @@ pub fn jiang_conrath_similarity(
     a: NodeId,
     b: NodeId,
 ) -> f64 {
-    jiang_conrath_core(ic, a, b, best_subsumer(t, ic, a, b))
-}
-
-/// Table-based [`jiang_conrath_similarity`].
-pub fn jiang_conrath_similarity_from(
-    ic: &InformationContent,
-    a: NodeId,
-    b: NodeId,
-    da: &[Option<u32>],
-    db: &[Option<u32>],
-) -> f64 {
-    jiang_conrath_core(ic, a, b, best_subsumer_from(ic, da, db))
+    jiang_conrath_similarity_compact(ic, a, b, &t.ancestors(a), &t.ancestors(b))
 }
 
 fn jiang_conrath_core(ic: &InformationContent, a: NodeId, b: NodeId, best: Option<NodeId>) -> f64 {
@@ -379,26 +312,29 @@ mod tests {
         assert!(near > far);
     }
 
+    /// The ancestor walk of `from_counts` sums each slot in node order, as
+    /// the full upward-distance tables did: the probabilities agree bit for
+    /// bit, on a multi-parent taxonomy too.
     #[test]
     fn table_variants_are_bit_identical() {
-        let t = sample();
-        let ic = InformationContent::from_subclasses(&t);
-        let tables: Vec<_> = (0..7).map(|n| t.up_distances(n)).collect();
-        for a in 0..7 {
-            for b in 0..7 {
-                let (da, db) = (&tables[a as usize], &tables[b as usize]);
-                assert_eq!(
-                    resnik_similarity_from(&ic, da, db).to_bits(),
-                    resnik_similarity(&t, &ic, a, b).to_bits()
-                );
-                assert_eq!(
-                    lin_similarity_from(&ic, a, b, da, db).to_bits(),
-                    lin_similarity(&t, &ic, a, b).to_bits()
-                );
-                assert_eq!(
-                    jiang_conrath_similarity_from(&ic, a, b, da, db).to_bits(),
-                    jiang_conrath_similarity(&t, &ic, a, b).to_bits()
-                );
+        let mut diamond = sample();
+        diamond.add_edge(4, 5);
+        for t in [sample(), diamond] {
+            let n = t.node_count();
+            let counts: Vec<f64> = (0..n).map(|i| (i % 3) as f64 + 0.5).collect();
+            let mut cumulative = vec![0.0; n];
+            for node in 0..n as NodeId {
+                for (anc, d) in t.up_distances(node).iter().enumerate() {
+                    if d.is_some() {
+                        cumulative[anc] += counts[node as usize];
+                    }
+                }
+            }
+            let total = cumulative[t.root() as usize];
+            let ic = InformationContent::from_counts(&t, &counts);
+            for (node, c) in cumulative.iter().enumerate() {
+                let expected = (c / total).clamp(1e-12, 1.0);
+                assert_eq!(ic.probability(node as NodeId).to_bits(), expected.to_bits());
             }
         }
     }
@@ -407,30 +343,21 @@ mod tests {
     fn compact_variants_are_bit_identical() {
         let t = sample();
         let ic = InformationContent::from_subclasses(&t);
-        let tables: Vec<_> = (0..7).map(|n| t.up_distances(n)).collect();
-        let lists: Vec<_> = tables
-            .iter()
-            .map(|up| AncestorList::from_table(up))
-            .collect();
+        let lists: Vec<_> = (0..7).map(|n| t.ancestors(n)).collect();
         for a in 0..7 {
             for b in 0..7 {
-                let (da, db) = (&tables[a as usize], &tables[b as usize]);
                 let (la, lb) = (&lists[a as usize], &lists[b as usize]);
                 assert_eq!(
-                    best_subsumer_compact(&ic, la, lb),
-                    best_subsumer_from(&ic, da, db)
-                );
-                assert_eq!(
                     resnik_similarity_compact(&ic, la, lb).to_bits(),
-                    resnik_similarity_from(&ic, da, db).to_bits()
+                    resnik_similarity(&t, &ic, a, b).to_bits()
                 );
                 assert_eq!(
                     lin_similarity_compact(&ic, a, b, la, lb).to_bits(),
-                    lin_similarity_from(&ic, a, b, da, db).to_bits()
+                    lin_similarity(&t, &ic, a, b).to_bits()
                 );
                 assert_eq!(
                     jiang_conrath_similarity_compact(&ic, a, b, la, lb).to_bits(),
-                    jiang_conrath_similarity_from(&ic, a, b, da, db).to_bits()
+                    jiang_conrath_similarity(&t, &ic, a, b).to_bits()
                 );
             }
         }

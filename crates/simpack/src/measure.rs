@@ -52,7 +52,8 @@ pub struct MeasureDescriptor {
     pub reference: &'static str,
 }
 
-/// The catalogue of measures this SimPack implements.
+/// The catalogue of measures this SimPack implements, in the order of the
+/// toolkit's integer measure ids (`sst_core::measure_ids`).
 pub const CATALOG: &[MeasureDescriptor] = &[
     MeasureDescriptor {
         name: "cosine",
@@ -172,6 +173,27 @@ pub const CATALOG: &[MeasureDescriptor] = &[
         kind: MeasureKind::Tree,
         normalized: true,
         reference: "Zhang & Shasha 1989 (future-work measure)",
+    },
+    MeasureDescriptor {
+        name: "needleman_wunsch",
+        display: "Needleman-Wunsch",
+        kind: MeasureKind::Sequence,
+        normalized: true,
+        reference: "Needleman & Wunsch 1970 (extension)",
+    },
+    MeasureDescriptor {
+        name: "smith_waterman",
+        display: "Smith-Waterman",
+        kind: MeasureKind::Sequence,
+        normalized: true,
+        reference: "Smith & Waterman 1981 (extension)",
+    },
+    MeasureDescriptor {
+        name: "dense_vector",
+        display: "Dense Vector",
+        kind: MeasureKind::Vector,
+        normalized: true,
+        reference: "signed random projection of TF-IDF vectors (extension)",
     },
 ];
 

@@ -4,9 +4,10 @@
 //!
 //! The core works over `u32` symbols so the same kernel serves both
 //! character strings (chars cast to their scalar values) and interned
-//! token sequences. The distance is an exact integer — identical to the
-//! classic dynamic program — so the similarity wrappers reproduce the DP
-//! entry points bit for bit by reusing their final float expressions.
+//! token sequences; it is the library's only Levenshtein kernel. The
+//! distance is an exact integer — identical to the classic dynamic
+//! program, which the differential tests keep as the reference — so the
+//! similarity functions reproduce the classic normalization bit for bit.
 //!
 //! A pattern is preprocessed once ([`MyersPattern`]) into per-symbol
 //! per-block bit masks (`Peq`), then streamed against any number of texts.
@@ -96,25 +97,21 @@ impl MyersPattern {
         }
     }
 
-    /// Exact Levenshtein distance to `text`, reusing `scratch` for the
-    /// vertical delta vectors of the multi-block path.
-    pub fn distance_ids(&self, text: &[u32], scratch: &mut MyersScratch) -> usize {
-        self.distance_iter(text.iter().copied(), text.len(), scratch)
+    /// Exact Levenshtein distance to `text`.
+    fn distance_ids(&self, text: &[u32]) -> usize {
+        self.distance_iter(text.iter().copied(), text.len())
     }
 
     /// Exact Levenshtein distance to a character text (chars cast to
     /// symbols, matching [`MyersPattern::from_chars`]).
-    pub fn distance_chars(&self, text: &[char], scratch: &mut MyersScratch) -> usize {
-        self.distance_iter(text.iter().map(|&c| c as u32), text.len(), scratch)
+    pub(crate) fn distance_chars(&self, text: &[char]) -> usize {
+        self.distance_iter(text.iter().map(|&c| c as u32), text.len())
     }
 
+    /// The multi-block path keeps its vertical delta vectors in a
+    /// per-thread scratch.
     #[inline]
-    fn distance_iter(
-        &self,
-        text: impl Iterator<Item = u32>,
-        text_len: usize,
-        scratch: &mut MyersScratch,
-    ) -> usize {
+    fn distance_iter(&self, text: impl Iterator<Item = u32>, text_len: usize) -> usize {
         if self.len == 0 {
             return text_len;
         }
@@ -124,7 +121,7 @@ impl MyersPattern {
         if self.blocks == 1 {
             self.distance_single_block(text)
         } else {
-            self.distance_multi_block(text, scratch)
+            with_myers_scratch(|scratch| self.distance_multi_block(text, scratch))
         }
     }
 
@@ -220,61 +217,36 @@ impl MyersPattern {
     }
 }
 
-/// Reusable vertical-delta buffers for the multi-block path; hoisted out of
-/// the per-pair loop so batch scans allocate once per thread.
+/// Reusable vertical-delta buffers for the multi-block path, one per
+/// thread.
 #[derive(Debug, Clone, Default)]
-pub struct MyersScratch {
+struct MyersScratch {
     vp: Vec<u64>,
     vn: Vec<u64>,
 }
 
-impl MyersScratch {
-    pub fn new() -> MyersScratch {
-        MyersScratch::default()
+/// Runs `f` with this thread's [`MyersScratch`] (a fresh one if the
+/// thread-local is already borrowed).
+fn with_myers_scratch<R>(f: impl FnOnce(&mut MyersScratch) -> R) -> R {
+    thread_local! {
+        static SCRATCH: std::cell::RefCell<MyersScratch> =
+            std::cell::RefCell::new(MyersScratch::default());
     }
-}
-
-thread_local! {
-    static MYERS_SCRATCH: std::cell::RefCell<MyersScratch> =
-        std::cell::RefCell::new(MyersScratch::new());
-}
-
-/// Runs `f` with this thread's shared [`MyersScratch`], so batch scans on
-/// worker threads reuse one allocation per thread. Falls back to a fresh
-/// scratch if the thread-local is already borrowed (reentrant use).
-pub fn with_myers_scratch<R>(f: impl FnOnce(&mut MyersScratch) -> R) -> R {
-    MYERS_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+    SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut scratch) => f(&mut scratch),
-        Err(_) => f(&mut MyersScratch::new()),
+        Err(_) => f(&mut MyersScratch::default()),
     })
 }
 
-/// One-shot distance between two character slices (builds the pattern and
-/// scratch internally; batch paths preprocess [`MyersPattern`] instead).
-pub fn myers_distance_chars(a: &[char], b: &[char]) -> usize {
-    let mut scratch = MyersScratch::new();
-    MyersPattern::from_chars(a).distance_chars(b, &mut scratch)
-}
-
-/// One-shot distance between two symbol sequences.
-pub fn myers_distance_ids(a: &[u32], b: &[u32]) -> usize {
-    let mut scratch = MyersScratch::new();
-    MyersPattern::new(a).distance_ids(b, &mut scratch)
-}
-
-/// [`crate::levenshtein_similarity_chars`] on the bit-parallel core: the
-/// distance is the same integer, and this reuses that function's exact
-/// final expression (`1 − d / max(|a|, |b|)`), so the two are bit-identical.
-pub fn myers_similarity_chars_from(
-    pattern: &MyersPattern,
-    text: &[char],
-    scratch: &mut MyersScratch,
-) -> f64 {
+/// Levenshtein similarity `1 − d / max(|a|, |b|)` of a preprocessed
+/// character pattern and a text — the kernel of
+/// [`crate::levenshtein_similarity`].
+pub fn myers_similarity_chars_from(pattern: &MyersPattern, text: &[char]) -> f64 {
     let max_len = pattern.len().max(text.len());
     if max_len == 0 {
         return 1.0;
     }
-    1.0 - pattern.distance_chars(text, scratch) as f64 / max_len as f64
+    1.0 - pattern.distance_chars(text) as f64 / max_len as f64
 }
 
 /// [`crate::sequence_similarity`] with [`crate::CostModel::UNIT`] on the
@@ -282,11 +254,7 @@ pub fn myers_similarity_chars_from(
 /// integer Levenshtein distance in f64 (small-integer arithmetic is exact),
 /// and the worst case is `max(|x|, |y|)` — so feeding the Myers distance
 /// through the same normalization expression is bit-identical.
-pub fn myers_sequence_similarity_from(
-    pattern: &MyersPattern,
-    text: &[u32],
-    scratch: &mut MyersScratch,
-) -> f64 {
+pub fn myers_sequence_similarity_from(pattern: &MyersPattern, text: &[u32]) -> f64 {
     if pattern.is_empty() && text.is_empty() {
         return 1.0;
     }
@@ -300,18 +268,23 @@ pub fn myers_sequence_similarity_from(
     if worst == 0.0 {
         return 1.0;
     }
-    let d = pattern.distance_ids(text, scratch) as f64;
+    let d = pattern.distance_ids(text) as f64;
     (1.0 - d / worst).clamp(0.0, 1.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sequence::{sequence_similarity, CostModel};
-    use crate::string::{levenshtein_distance_chars, levenshtein_similarity_chars};
+    use crate::sequence::{sequence_similarity, xform, CostModel};
 
     fn chars(s: &str) -> Vec<char> {
         s.chars().collect()
+    }
+
+    /// The unit-cost edit DP of [`crate::sequence`] as the distance
+    /// reference.
+    fn dp(a: &[char], b: &[char]) -> usize {
+        xform(a, b, CostModel::UNIT) as usize
     }
 
     #[test]
@@ -329,8 +302,8 @@ mod tests {
         for (a, b) in pairs {
             let (ca, cb) = (chars(a), chars(b));
             assert_eq!(
-                myers_distance_chars(&ca, &cb),
-                levenshtein_distance_chars(&ca, &cb),
+                MyersPattern::from_chars(&ca).distance_chars(&cb),
+                dp(&ca, &cb),
                 "{a:?} vs {b:?}"
             );
         }
@@ -348,8 +321,8 @@ mod tests {
                     .map(|i| char::from_u32('a' as u32 + (i % 5) as u32).unwrap_or('a'))
                     .collect();
                 assert_eq!(
-                    myers_distance_chars(&a, &b),
-                    levenshtein_distance_chars(&a, &b),
+                    MyersPattern::from_chars(&a).distance_chars(&b),
+                    dp(&a, &b),
                     "la={la} lb={lb}"
                 );
             }
@@ -359,19 +332,18 @@ mod tests {
     #[test]
     fn similarity_wrappers_are_bit_identical() {
         let pairs = [("kitten", "sitting"), ("", ""), ("Professor", "Professors")];
-        let mut scratch = MyersScratch::new();
         for (a, b) in pairs {
             let (ca, cb) = (chars(a), chars(b));
             let pat = MyersPattern::from_chars(&ca);
             assert_eq!(
-                myers_similarity_chars_from(&pat, &cb, &mut scratch).to_bits(),
-                levenshtein_similarity_chars(&ca, &cb).to_bits()
+                myers_similarity_chars_from(&pat, &cb).to_bits(),
+                sequence_similarity(&ca, &cb, CostModel::UNIT).to_bits()
             );
             let xa: Vec<u32> = ca.iter().map(|&c| c as u32).collect();
             let xb: Vec<u32> = cb.iter().map(|&c| c as u32).collect();
             let pat = MyersPattern::new(&xa);
             assert_eq!(
-                myers_sequence_similarity_from(&pat, &xb, &mut scratch).to_bits(),
+                myers_sequence_similarity_from(&pat, &xb).to_bits(),
                 sequence_similarity(&xa, &xb, CostModel::UNIT).to_bits()
             );
         }

@@ -5,98 +5,22 @@
 
 use std::collections::BTreeSet;
 
+use crate::myers::{myers_similarity_chars_from, MyersPattern};
+
 /// Character-level Levenshtein edit distance (Levenshtein 1966): minimal
-/// number of insertions, deletions, and substitutions.
+/// number of insertions, deletions, and substitutions, on the bit-parallel
+/// Myers kernel.
 pub fn levenshtein_distance(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
-    levenshtein_distance_chars(&a, &b)
-}
-
-/// [`levenshtein_distance`] over pre-collected character slices (its core;
-/// batch scans cache the `Vec<char>` per string and call this directly).
-pub fn levenshtein_distance_chars(a: &[char], b: &[char]) -> usize {
-    if a.is_empty() {
-        return b.len();
-    }
-    if b.is_empty() {
-        return a.len();
-    }
-    // Two-row dynamic program; `w = [prev[j], prev[j+1]]` via `windows(2)`
-    // and `curr.last()` is the cell to the left, so no subscript arithmetic.
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut curr: Vec<usize> = Vec::with_capacity(b.len() + 1);
-    for (i, &ca) in a.iter().enumerate() {
-        curr.clear();
-        curr.push(i + 1);
-        for (&cb, w) in b.iter().zip(prev.windows(2)) {
-            let cost = usize::from(ca != cb);
-            let left = curr.last().copied().unwrap_or(0);
-            curr.push((w[1] + 1).min(left + 1).min(w[0] + cost));
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev.last().copied().unwrap_or(0)
-}
-
-/// Reusable DP rows for [`levenshtein_distance_chars_scratch`], hoisted out
-/// of the per-pair path (the classic-DP fallback used where the
-/// bit-parallel core does not apply).
-#[derive(Debug, Clone, Default)]
-pub struct LevenshteinScratch {
-    prev: Vec<usize>,
-    curr: Vec<usize>,
-}
-
-impl LevenshteinScratch {
-    pub fn new() -> LevenshteinScratch {
-        LevenshteinScratch::default()
-    }
-}
-
-/// [`levenshtein_distance_chars`] with caller-provided row buffers.
-pub fn levenshtein_distance_chars_scratch(
-    a: &[char],
-    b: &[char],
-    scratch: &mut LevenshteinScratch,
-) -> usize {
-    if a.is_empty() {
-        return b.len();
-    }
-    if b.is_empty() {
-        return a.len();
-    }
-    let LevenshteinScratch { prev, curr } = scratch;
-    prev.clear();
-    prev.extend(0..=b.len());
-    curr.clear();
-    for (i, &ca) in a.iter().enumerate() {
-        curr.clear();
-        curr.push(i + 1);
-        for (&cb, w) in b.iter().zip(prev.windows(2)) {
-            let cost = usize::from(ca != cb);
-            let left = curr.last().copied().unwrap_or(0);
-            curr.push((w[1] + 1).min(left + 1).min(w[0] + cost));
-        }
-        std::mem::swap(prev, curr);
-    }
-    prev.last().copied().unwrap_or(0)
+    MyersPattern::from_chars(&a).distance_chars(&b)
 }
 
 /// Levenshtein similarity in [0, 1]: `1 − d / max(|a|, |b|)`.
 pub fn levenshtein_similarity(a: &str, b: &str) -> f64 {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
-    levenshtein_similarity_chars(&a, &b)
-}
-
-/// [`levenshtein_similarity`] over pre-collected character slices.
-pub fn levenshtein_similarity_chars(a: &[char], b: &[char]) -> f64 {
-    let max_len = a.len().max(b.len());
-    if max_len == 0 {
-        return 1.0;
-    }
-    1.0 - levenshtein_distance_chars(a, b) as f64 / max_len as f64
+    myers_similarity_chars_from(&MyersPattern::from_chars(&a), &b)
 }
 
 /// Jaro similarity (matching characters within half the longer length,
@@ -104,89 +28,36 @@ pub fn levenshtein_similarity_chars(a: &[char], b: &[char]) -> f64 {
 pub fn jaro(a: &str, b: &str) -> f64 {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
-    jaro_chars(&a, &b)
+    jaro_fast(&a, &b, None)
 }
 
-/// [`jaro`] over pre-collected character slices (its core).
-pub fn jaro_chars(a: &[char], b: &[char]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let window = (a.len().max(b.len()) / 2).saturating_sub(1);
-    let mut b_used = vec![false; b.len()];
-    let mut matches_a = Vec::new();
-    for (i, &ca) in a.iter().enumerate() {
-        let lo = i.saturating_sub(window);
-        let hi = (i + window + 1).min(b.len());
-        for j in lo..hi {
-            if !b_used[j] && b[j] == ca {
-                b_used[j] = true;
-                matches_a.push((i, j));
-                break;
-            }
-        }
-    }
-    let m = matches_a.len();
-    if m == 0 {
-        return 0.0;
-    }
-    // Transpositions: matched characters out of order.
-    let mut b_matches: Vec<usize> = matches_a.iter().map(|&(_, j)| j).collect();
-    let mut transpositions = 0;
-    let sorted = {
-        let mut s = b_matches.clone();
-        s.sort_unstable();
-        s
-    };
-    for (actual, expected) in b_matches.iter().zip(&sorted) {
-        if actual != expected {
-            transpositions += 1;
-        }
-    }
-    b_matches.clear();
-    let t = transpositions as f64 / 2.0;
-    let m = m as f64;
-    (m / a.len() as f64 + m / b.len() as f64 + (m - t) / m) / 3.0
-}
-
-/// Reusable buffers for the Jaro match/transposition phases, hoisted out
-/// of the per-pair path: batch scans keep one per thread instead of three
-/// fresh `Vec`s per pair.
+/// Reusable buffers for the Jaro match/transposition phases: each thread
+/// keeps one instead of three fresh `Vec`s per pair.
 #[derive(Debug, Clone, Default)]
-pub struct JaroScratch {
+struct JaroScratch {
     b_used: Vec<bool>,
     b_matches: Vec<usize>,
     sorted: Vec<usize>,
 }
 
-impl JaroScratch {
-    pub fn new() -> JaroScratch {
-        JaroScratch::default()
-    }
-}
-
-/// One thread-local [`JaroScratch`] per thread, so `&self` batch scorers
-/// reuse buffers without interior mutability in their own state.
-pub fn with_jaro_scratch<R>(f: impl FnOnce(&mut JaroScratch) -> R) -> R {
+/// Runs `f` with this thread's [`JaroScratch`].
+fn with_jaro_scratch<R>(f: impl FnOnce(&mut JaroScratch) -> R) -> R {
     use std::cell::RefCell;
     thread_local! {
-        static SCRATCH: RefCell<JaroScratch> = RefCell::new(JaroScratch::new());
+        static SCRATCH: RefCell<JaroScratch> = RefCell::new(JaroScratch::default());
     }
     SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut scratch) => f(&mut scratch),
         // Unreachable in practice (`f` never re-enters); a fresh scratch
         // keeps the result identical either way.
-        Err(_) => f(&mut JaroScratch::new()),
+        Err(_) => f(&mut JaroScratch::default()),
     })
 }
 
-/// Shared final phase of every Jaro variant: transposition count over the
+/// Shared final phase of both Jaro kernels: transposition count over the
 /// matched `b` positions in `a`-order vs. ascending order, then the
-/// classic three-term average. Keeping one expression guarantees the fast
-/// paths are bit-identical to [`jaro_chars`].
+/// classic three-term average. Keeping one expression keeps the masked
+/// kernel bit-identical to the greedy scan.
 fn jaro_finish(a_len: usize, b_len: usize, b_matches: &[usize], sorted: &[usize]) -> f64 {
     let m = b_matches.len();
     if m == 0 {
@@ -203,9 +74,10 @@ fn jaro_finish(a_len: usize, b_len: usize, b_matches: &[usize], sorted: &[usize]
     (m / a_len as f64 + m / b_len as f64 + (m - t) / m) / 3.0
 }
 
-/// [`jaro_chars`] with caller-provided scratch buffers — the allocation-free
-/// fallback for `b` longer than 64 characters.
-pub fn jaro_chars_scratch(a: &[char], b: &[char], scratch: &mut JaroScratch) -> f64 {
+/// The greedy Jaro scan: each `a` character takes the first unused equal
+/// `b` character inside the match window. Backs [`jaro`] and the names
+/// over 64 characters that have no [`JaroMask`].
+fn jaro_chars_scratch(a: &[char], b: &[char], scratch: &mut JaroScratch) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
@@ -303,12 +175,12 @@ fn low_bits(k: usize) -> u64 {
     }
 }
 
-/// [`jaro_chars`] over a precomputed [`JaroMask`] of `b` (|b| ≤ 64): the
-/// inner window scan becomes one AND + trailing-zeros per `a` character.
-/// The lowest set bit of `char-mask ∧ window ∧ free` is exactly the first
-/// unused in-window match the reference loop would take, so the greedy
-/// assignment — and hence the score — is identical bit for bit.
-pub fn jaro_chars_masked(a: &[char], bmask: &JaroMask, scratch: &mut JaroScratch) -> f64 {
+/// The greedy Jaro scan over a precomputed [`JaroMask`] of `b` (|b| ≤ 64):
+/// the inner window scan becomes one AND + trailing-zeros per `a`
+/// character. The lowest set bit of `char-mask ∧ window ∧ free` is exactly
+/// the first unused in-window match [`jaro_chars_scratch`] takes, so the
+/// greedy assignment — and hence the score — is identical bit for bit.
+fn jaro_chars_masked(a: &[char], bmask: &JaroMask, scratch: &mut JaroScratch) -> f64 {
     let b_len = bmask.len;
     if a.is_empty() && b_len == 0 {
         return 1.0;
@@ -342,8 +214,7 @@ pub fn jaro_chars_masked(a: &[char], bmask: &JaroMask, scratch: &mut JaroScratch
     jaro_finish(a.len(), b_len, &scratch.b_matches, &scratch.sorted)
 }
 
-/// Winkler prefix boost shared by [`jaro_winkler_chars`] and the fast
-/// batch path.
+/// Winkler's prefix boost of a Jaro score `j`.
 fn winkler_boost(a: &[char], b: &[char], j: f64) -> f64 {
     if j <= JARO_WINKLER_BOOST_THRESHOLD {
         return j;
@@ -357,24 +228,20 @@ fn winkler_boost(a: &[char], b: &[char], j: f64) -> f64 {
     j + prefix * 0.1 * (1.0 - j)
 }
 
-/// Batch-path Jaro: masked single-word kernel when a [`JaroMask`] of `b`
-/// exists, scratch-buffer fallback otherwise. Bit-identical to
-/// [`jaro_chars`] either way.
-pub fn jaro_fast(a: &[char], b: &[char], bmask: Option<&JaroMask>, s: &mut JaroScratch) -> f64 {
-    match bmask {
+/// [`jaro`] over character slices: the masked single-word kernel when a
+/// [`JaroMask`] of `b` is given, the greedy scan otherwise — bit-identical
+/// either way. Buffers come from a per-thread scratch.
+pub fn jaro_fast(a: &[char], b: &[char], bmask: Option<&JaroMask>) -> f64 {
+    with_jaro_scratch(|s| match bmask {
         Some(mask) => jaro_chars_masked(a, mask, s),
         None => jaro_chars_scratch(a, b, s),
-    }
+    })
 }
 
-/// Batch-path Jaro-Winkler on the same kernels as [`jaro_fast`].
-pub fn jaro_winkler_fast(
-    a: &[char],
-    b: &[char],
-    bmask: Option<&JaroMask>,
-    s: &mut JaroScratch,
-) -> f64 {
-    winkler_boost(a, b, jaro_fast(a, b, bmask, s))
+/// [`jaro_winkler`] over character slices, on the same kernels as
+/// [`jaro_fast`].
+pub fn jaro_winkler_fast(a: &[char], b: &[char], bmask: Option<&JaroMask>) -> f64 {
+    winkler_boost(a, b, jaro_fast(a, b, bmask))
 }
 
 /// Winkler's boost threshold: the prefix bonus only applies to pairs whose
@@ -389,12 +256,7 @@ const JARO_WINKLER_BOOST_THRESHOLD: f64 = 0.7;
 pub fn jaro_winkler(a: &str, b: &str) -> f64 {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
-    jaro_winkler_chars(&a, &b)
-}
-
-/// [`jaro_winkler`] over pre-collected character slices (its core).
-pub fn jaro_winkler_chars(a: &[char], b: &[char]) -> f64 {
-    winkler_boost(a, b, jaro_chars(a, b))
+    jaro_winkler_fast(&a, &b, None)
 }
 
 /// Q-gram (here trigram, padded) similarity: Dice coefficient over the sets
@@ -405,12 +267,10 @@ pub fn qgram(a: &str, b: &str, q: usize) -> f64 {
     qgram_from(&QGramProfile::new(a, q), &QGramProfile::new(b, q))
 }
 
-/// Precomputed padded q-gram set of one string. Building the profile
-/// dominates the cost of [`qgram`], so batch scans construct one per
-/// string and compare with [`qgram_from`] — which is [`qgram`]'s own core,
-/// making the two bit-identical by construction.
+/// Padded q-gram set of one string: [`qgram`]'s general form, the only
+/// one for `q > 3`.
 #[derive(Debug, Clone)]
-pub struct QGramProfile {
+struct QGramProfile {
     grams: BTreeSet<Vec<char>>,
     /// Whether the source string was empty (the grams of an empty padded
     /// string are non-empty for q ≥ 2, so this is tracked separately).
@@ -418,7 +278,7 @@ pub struct QGramProfile {
 }
 
 impl QGramProfile {
-    pub fn new(s: &str, q: usize) -> Self {
+    fn new(s: &str, q: usize) -> Self {
         let q = q.max(1);
         let padded: Vec<char> = std::iter::repeat_n('#', q - 1)
             .chain(s.chars())
@@ -445,8 +305,8 @@ fn qgram_dice(inter: usize, len_a: usize, len_b: usize, empty_a: bool, empty_b: 
     2.0 * inter as f64 / (len_a + len_b) as f64
 }
 
-/// Q-gram similarity of two precomputed profiles (the core of [`qgram`]).
-pub fn qgram_from(a: &QGramProfile, b: &QGramProfile) -> f64 {
+/// Q-gram similarity of two profiles (the core of [`qgram`]).
+fn qgram_from(a: &QGramProfile, b: &QGramProfile) -> f64 {
     qgram_dice(
         a.grams.intersection(&b.grams).count(),
         a.grams.len(),
@@ -460,8 +320,9 @@ pub fn qgram_from(a: &QGramProfile, b: &QGramProfile) -> f64 {
 /// injectively into one `u64` (21 bits per `char` — the scalar-value space
 /// tops out at `0x10FFFF < 2²¹`), so the gram *set* becomes a sorted,
 /// deduplicated `Vec<u64>` and intersection a linear merge walk instead of
-/// tree-set iteration. Cardinalities are identical to [`QGramProfile`]'s by
-/// injectivity, hence so is the Dice value, bit for bit.
+/// tree-set iteration. Cardinalities are identical to the tree-set
+/// profile's of [`qgram`] by injectivity, hence so is the Dice value, bit
+/// for bit.
 #[derive(Debug, Clone, Default)]
 pub struct QGramPacked {
     grams: Vec<u64>,
@@ -473,7 +334,7 @@ const QGRAM_CHAR_BITS: u32 = 21;
 
 impl QGramPacked {
     /// Builds the packed profile, or `None` when `q > 3` grams do not fit
-    /// one word (callers fall back to [`QGramProfile`]).
+    /// one word (callers fall back to [`qgram`]).
     pub fn new(s: &str, q: usize) -> Option<QGramPacked> {
         let q = q.max(1);
         if q > 3 {
@@ -500,7 +361,7 @@ impl QGramPacked {
 }
 
 /// Q-gram similarity of two packed profiles: sorted-u64 merge intersection
-/// feeding the same Dice expression as [`qgram_from`].
+/// feeding the same Dice expression as [`qgram`].
 pub fn qgram_packed_from(a: &QGramPacked, b: &QGramPacked) -> f64 {
     let mut inter = 0usize;
     let mut xs = a.grams.iter().peekable();
@@ -632,17 +493,17 @@ mod tests {
             let cb: Vec<char> = b.chars().collect();
             assert_eq!(
                 levenshtein_similarity(a, b).to_bits(),
-                levenshtein_similarity_chars(&ca, &cb).to_bits()
+                myers_similarity_chars_from(&MyersPattern::from_chars(&ca), &cb).to_bits()
             );
             // Exact symmetry underpins mirrored similarity tables.
             assert_eq!(
                 levenshtein_similarity(a, b).to_bits(),
                 levenshtein_similarity(b, a).to_bits()
             );
-            assert_eq!(jaro(a, b).to_bits(), jaro_chars(&ca, &cb).to_bits());
+            assert_eq!(jaro(a, b).to_bits(), jaro_fast(&ca, &cb, None).to_bits());
             assert_eq!(
                 jaro_winkler(a, b).to_bits(),
-                jaro_winkler_chars(&ca, &cb).to_bits()
+                jaro_winkler_fast(&ca, &cb, None).to_bits()
             );
             assert_eq!(
                 qgram(a, b, 3).to_bits(),
@@ -664,11 +525,11 @@ mod tests {
             ("aabbccdd", "ddccbbaa"),
             ("Professor", "Professional"),
         ];
-        let mut scratch = JaroScratch::new();
+        let mut scratch = JaroScratch::default();
         for (a, b) in pairs {
             let ca: Vec<char> = a.chars().collect();
             let cb: Vec<char> = b.chars().collect();
-            let reference = jaro_chars(&ca, &cb);
+            let reference = jaro(a, b);
             assert_eq!(
                 jaro_chars_scratch(&ca, &cb, &mut scratch).to_bits(),
                 reference.to_bits(),
@@ -681,8 +542,8 @@ mod tests {
                 "masked {a:?} vs {b:?}"
             );
             assert_eq!(
-                jaro_winkler_fast(&ca, &cb, Some(&mask), &mut scratch).to_bits(),
-                jaro_winkler_chars(&ca, &cb).to_bits(),
+                jaro_winkler_fast(&ca, &cb, Some(&mask)).to_bits(),
+                jaro_winkler(a, b).to_bits(),
                 "winkler {a:?} vs {b:?}"
             );
         }
@@ -714,15 +575,28 @@ mod tests {
         assert!(QGramPacked::new("abc", 4).is_none());
     }
 
+    /// The multi-block Myers path reuses its thread's scratch across calls
+    /// of any length; every distance still equals the unit-cost edit DP.
     #[test]
     fn levenshtein_scratch_matches() {
-        let mut scratch = LevenshteinScratch::new();
-        for (a, b) in [("kitten", "sitting"), ("", "abc"), ("same", "same")] {
+        let long: String = "abcdefghij".repeat(13);
+        let longer: String = "abcdefghik".repeat(20);
+        let pairs = [
+            (long.as_str(), longer.as_str()),
+            ("kitten", "sitting"),
+            (longer.as_str(), long.as_str()),
+            ("", "abc"),
+            ("same", "same"),
+            (long.as_str(), "abc"),
+        ];
+        for (a, b) in pairs {
             let ca: Vec<char> = a.chars().collect();
             let cb: Vec<char> = b.chars().collect();
+            let expected = crate::sequence::xform(&ca, &cb, crate::sequence::CostModel::UNIT);
             assert_eq!(
-                levenshtein_distance_chars_scratch(&ca, &cb, &mut scratch),
-                levenshtein_distance_chars(&ca, &cb)
+                levenshtein_distance(a, b) as f64,
+                expected,
+                "{a:?} vs {b:?}"
             );
         }
     }

@@ -155,61 +155,48 @@ pub fn tree_edit_distance(a: &LabeledTree, b: &LabeledTree) -> usize {
     tree_edit_distance_zs(&ZsTree::new(a), &ZsTree::new(b))
 }
 
-/// [`tree_edit_distance`] over pre-built [`ZsTree`] forms. Batch scans
-/// preprocess each tree once (postorder, leftmost leaves, keyroots) and
-/// reuse the forms across every pair.
-pub fn tree_edit_distance_zs(ta: &ZsTree, tb: &ZsTree) -> usize {
-    let mut scratch = ZsScratch::new();
-    tree_edit_distance_zs_scratch(ta, tb, &mut scratch)
-}
-
-/// Reusable flat DP buffers for the Zhang-Shasha distance: the `n_a × n_b`
-/// subtree-distance table plus the per-keyroot-pair forest table, hoisted
-/// out of the per-pair path so batch scans allocate once per thread.
+/// Reusable flat DP buffers for the Zhang-Shasha distance, one per thread:
+/// the `n_a × n_b` subtree-distance table plus the per-keyroot-pair forest
+/// table.
 #[derive(Debug, Clone, Default)]
-pub struct ZsScratch {
+struct ZsScratch {
     treedist: Vec<usize>,
     fd: Vec<usize>,
 }
 
-impl ZsScratch {
-    pub fn new() -> ZsScratch {
-        ZsScratch::default()
-    }
-}
-
-/// One thread-local [`ZsScratch`] per thread for `&self` batch scorers.
-pub fn with_zs_scratch<R>(f: impl FnOnce(&mut ZsScratch) -> R) -> R {
+/// Runs `f` with this thread's [`ZsScratch`].
+fn with_zs_scratch<R>(f: impl FnOnce(&mut ZsScratch) -> R) -> R {
     use std::cell::RefCell;
     thread_local! {
-        static SCRATCH: RefCell<ZsScratch> = RefCell::new(ZsScratch::new());
+        static SCRATCH: RefCell<ZsScratch> = RefCell::new(ZsScratch::default());
     }
     SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut scratch) => f(&mut scratch),
         // Unreachable in practice (`f` never re-enters); a fresh scratch
         // computes the same distance.
-        Err(_) => f(&mut ZsScratch::new()),
+        Err(_) => f(&mut ZsScratch::default()),
     })
 }
 
-/// [`tree_edit_distance_zs`] with caller-provided scratch buffers — the
-/// same integer DP, so the distance is identical.
-pub fn tree_edit_distance_zs_scratch(ta: &ZsTree, tb: &ZsTree, scratch: &mut ZsScratch) -> usize {
+/// [`tree_edit_distance`] over pre-built [`ZsTree`] forms.
+fn tree_edit_distance_zs(ta: &ZsTree, tb: &ZsTree) -> usize {
     if ta.n == 0 {
         return tb.n;
     }
     if tb.n == 0 {
         return ta.n;
     }
-    let cells = ta.n * tb.n;
-    scratch.treedist.clear();
-    scratch.treedist.resize(cells, 0);
-    for &i in &ta.keyroots {
-        for &j in &tb.keyroots {
-            compute_treedist(ta, tb, i, j, &mut scratch.treedist, &mut scratch.fd);
+    with_zs_scratch(|scratch| {
+        let cells = ta.n * tb.n;
+        scratch.treedist.clear();
+        scratch.treedist.resize(cells, 0);
+        for &i in &ta.keyroots {
+            for &j in &tb.keyroots {
+                compute_treedist(ta, tb, i, j, &mut scratch.treedist, &mut scratch.fd);
+            }
         }
-    }
-    scratch.treedist.last().copied().unwrap_or(0)
+        scratch.treedist.last().copied().unwrap_or(0)
+    })
 }
 
 /// Tree similarity: `1 − d / (|a| + |b|)`. The denominator is the worst
@@ -218,20 +205,15 @@ pub fn tree_similarity(a: &LabeledTree, b: &LabeledTree) -> f64 {
     tree_similarity_zs(&ZsTree::new(a), &ZsTree::new(b))
 }
 
-/// [`tree_similarity`] over pre-built [`ZsTree`] forms.
+/// [`tree_similarity`] over pre-built [`ZsTree`] forms: batch scans
+/// preprocess each tree once (postorder, leftmost leaves, keyroots) and
+/// reuse the forms across every pair.
 pub fn tree_similarity_zs(ta: &ZsTree, tb: &ZsTree) -> f64 {
-    let mut scratch = ZsScratch::new();
-    tree_similarity_zs_scratch(ta, tb, &mut scratch)
-}
-
-/// [`tree_similarity_zs`] with caller-provided scratch buffers (the same
-/// distance through the same final expression, hence bit-identical).
-pub fn tree_similarity_zs_scratch(ta: &ZsTree, tb: &ZsTree, scratch: &mut ZsScratch) -> f64 {
     let total = ta.n + tb.n;
     if total == 0 {
         return 1.0;
     }
-    1.0 - tree_edit_distance_zs_scratch(ta, tb, scratch) as f64 / total as f64
+    1.0 - tree_edit_distance_zs(ta, tb) as f64 / total as f64
 }
 
 /// Preprocessed tree in Zhang-Shasha form: postorder labels, leftmost-leaf

@@ -3,8 +3,8 @@
 //! The paper derives binary vectors from resource feature sets via the
 //! trivial mapping M₁ (union the features, mark presence). Since the
 //! vectors are characteristic functions of sets, the measures are provided
-//! both on explicit sets of features and on weighted sparse vectors (for
-//! TF-IDF term vectors).
+//! on explicit sets of features and on interned id sets. (TF-IDF term
+//! vectors are scored by `sst-index`.)
 
 use std::collections::BTreeSet;
 
@@ -136,69 +136,6 @@ impl InternedFeatures {
     }
 }
 
-// ---- Weighted sparse vectors ------------------------------------------
-
-/// A sparse weighted vector sorted by dimension id.
-pub type SparseVector = Vec<(u32, f64)>;
-
-fn sparse_dot(x: &SparseVector, y: &SparseVector) -> f64 {
-    let (mut i, mut j, mut sum) = (0, 0, 0.0);
-    while i < x.len() && j < y.len() {
-        match x[i].0.cmp(&y[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                sum += x[i].1 * y[j].1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    sum
-}
-
-fn sparse_norm_sq(x: &SparseVector) -> f64 {
-    x.iter().map(|&(_, w)| w * w).sum()
-}
-
-/// Cosine similarity of weighted vectors (Eq. 1).
-pub fn cosine_weighted(x: &SparseVector, y: &SparseVector) -> f64 {
-    let denom = (sparse_norm_sq(x) * sparse_norm_sq(y)).sqrt();
-    if denom == 0.0 {
-        0.0
-    } else {
-        (sparse_dot(x, y) / denom).clamp(-1.0, 1.0)
-    }
-}
-
-/// Extended Jaccard on weighted vectors (Eq. 2):
-/// `x·y / (‖x‖² + ‖y‖² − x·y)`.
-///
-/// With signed components (dense embeddings projected back to sparse
-/// form) the raw ratio can leave [0, 1] — a negative dot product makes
-/// it negative, and `min(‖x‖², ‖y‖²) < x·y` is possible for unequal
-/// norms — so the result is clamped like `cosine_weighted`.
-pub fn jaccard_weighted(x: &SparseVector, y: &SparseVector) -> f64 {
-    let dot = sparse_dot(x, y);
-    let denom = sparse_norm_sq(x) + sparse_norm_sq(y) - dot;
-    if denom == 0.0 {
-        0.0
-    } else {
-        (dot / denom).clamp(0.0, 1.0)
-    }
-}
-
-/// Overlap on weighted vectors (Eq. 3): `x·y / min(‖x‖², ‖y‖²)`, clamped
-/// to [0, 1] for the same reason as [`jaccard_weighted`].
-pub fn overlap_weighted(x: &SparseVector, y: &SparseVector) -> f64 {
-    let denom = sparse_norm_sq(x).min(sparse_norm_sq(y));
-    if denom == 0.0 {
-        0.0
-    } else {
-        (sparse_dot(x, y) / denom).clamp(0.0, 1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,47 +245,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn weighted_measures_match_binary_on_unit_weights() {
-        let x: SparseVector = vec![(0, 1.0), (1, 1.0)];
-        let y: SparseVector = vec![(0, 1.0), (2, 1.0)];
-        assert!((cosine_weighted(&x, &y) - 0.5).abs() < 1e-12);
-        assert!((jaccard_weighted(&x, &y) - 1.0 / 3.0).abs() < 1e-12);
-        assert!((overlap_weighted(&x, &y) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_measures_stay_in_unit_interval_with_negative_weights() {
-        // Anti-parallel signed vectors: the dot product is negative, so
-        // the unclamped Jaccard/overlap ratios would be negative too.
-        let x: SparseVector = vec![(0, 1.0), (1, -2.0)];
-        let y: SparseVector = vec![(0, -1.0), (1, 2.0)];
-        for f in [cosine_weighted, jaccard_weighted, overlap_weighted] {
-            let s = f(&x, &y);
-            assert!(s.is_finite());
-            assert!((-1.0..=1.0).contains(&s), "out of range: {s}");
-        }
-        assert_eq!(jaccard_weighted(&x, &y), 0.0);
-        assert_eq!(overlap_weighted(&x, &y), 0.0);
-    }
-
-    #[test]
-    fn weighted_overlap_clamps_above_one_for_unequal_norms() {
-        // x·y = 1.0 but min(‖x‖², ‖y‖²) = 0.25: the raw ratio is 4.0.
-        let x: SparseVector = vec![(0, 2.0)];
-        let y: SparseVector = vec![(0, 0.5)];
-        assert_eq!(overlap_weighted(&x, &y), 1.0);
-        let j = jaccard_weighted(&x, &y);
-        assert!((0.0..=1.0).contains(&j));
-    }
-
-    #[test]
-    fn weighted_cosine_scales_invariant() {
-        let x: SparseVector = vec![(0, 2.0), (1, 4.0)];
-        let x10: SparseVector = vec![(0, 20.0), (1, 40.0)];
-        let y: SparseVector = vec![(0, 1.0), (1, 1.0)];
-        assert!((cosine_weighted(&x, &y) - cosine_weighted(&x10, &y)).abs() < 1e-12);
     }
 }

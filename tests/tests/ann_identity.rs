@@ -4,27 +4,31 @@
 //! The invariants pinned here are what makes the approximate path
 //! trustworthy at all:
 //!
-//! 1. **Exact-store == naive scan, bitwise.** `most_similar_dense` (the
-//!    brute-force scan over the embedding matrix) must reproduce
-//!    `most_similar` under `measure_ids::DENSE_VECTOR_MEASURE` over
-//!    `ConceptSet::All` exactly — same concepts, same order, same
-//!    `f64` bits — for every query and every `k`.
+//! 1. **Exact-store == naive scan, bitwise.** A probe width of the whole
+//!    corpus (the brute-force scan over the embedding matrix) must
+//!    reproduce the per-pair oracle's `most_similar` under the
+//!    `dense_vector` measure over `ConceptSet::All` exactly — same
+//!    concepts, same order, same `f64` bits — for every query and every
+//!    `k`.
 //! 2. **Deterministic tie-breaking.** All k-best entry points share one
 //!    comparator (score, then ascending `(ontology, concept)` name), so
 //!    truncation at `k` is stable across rebuilds and paths.
-//! 3. **Full-probe == exact.** A probe width of the whole corpus
-//!    degenerates to the exact scan, bit for bit.
+//! 3. **Full-probe == exact.** The full-probe store scan equals the
+//!    toolkit's `most_similar` under `measure_ids::DENSE_VECTOR_MEASURE`,
+//!    bit for bit.
 //! 4. **Format round-trip.** `export_vectors` → `import_vectors`
 //!    reproduces the store (and its rankings) exactly; corrupted bytes
 //!    are structured errors, never panics.
 //! 5. **Recall floor.** Default-probe recall@10 stays ≥ 0.95 on a
 //!    seeded corpus (the full self-audit lives in `ann_bench`).
 
+use sst_bench::oracle::{self, oracle};
 use sst_bench::{generate_taxonomy, SplitMix64, TaxonomySpec};
-use sst_core::{measure_ids, ConceptSet, SstBuilder, SstError, SstToolkit};
+use sst_core::{measure_ids, ConceptAndSimilarity, ConceptSet, SstBuilder, SstError, SstToolkit};
 
 /// Two-ontology synthetic corpus: rankings cross ontology boundaries and
-/// the documentation strings give the TF-IDF embeddings real signal.
+/// the documentation strings give the TF-IDF embeddings real signal. The
+/// oracle runners are registered after the built-in measures.
 fn toolkit(primary: usize, secondary: usize, seed: u64) -> SstToolkit {
     let a = generate_taxonomy(TaxonomySpec {
         concepts: primary,
@@ -38,12 +42,20 @@ fn toolkit(primary: usize, secondary: usize, seed: u64) -> SstToolkit {
         instances: secondary / 4,
         seed: seed.wrapping_mul(31).wrapping_add(7),
     });
-    SstBuilder::new()
+    let builder = SstBuilder::new()
         .register_ontology(a)
         .expect("register primary")
         .register_ontology(b)
-        .expect("register secondary")
-        .build()
+        .expect("register secondary");
+    oracle::register(builder).build()
+}
+
+/// The exact top-`k` dense ranking: the approximate path probing every
+/// row of the store.
+fn exact(sst: &SstToolkit, concept: &str, ontology: &str, k: usize) -> Vec<ConceptAndSimilarity> {
+    let full = sst.vector_store().len();
+    sst.most_similar_approx_with(concept, ontology, k, full)
+        .expect("full probe")
 }
 
 /// Seeded sample of query `(concept, ontology)` names from the store.
@@ -60,11 +72,7 @@ fn sample_queries(sst: &SstToolkit, count: usize, seed: u64) -> Vec<(String, Str
         .collect()
 }
 
-fn assert_bit_identical(
-    what: &str,
-    a: &[sst_core::ConceptAndSimilarity],
-    b: &[sst_core::ConceptAndSimilarity],
-) {
+fn assert_bit_identical(what: &str, a: &[ConceptAndSimilarity], b: &[ConceptAndSimilarity]) {
     assert_eq!(a.len(), b.len(), "{what}: length mismatch");
     for (i, (ra, rb)) in a.iter().zip(b).enumerate() {
         assert_eq!(
@@ -93,12 +101,10 @@ fn exact_store_matches_naive_facade_scan_bitwise() {
                     &ontology,
                     &ConceptSet::All,
                     k,
-                    measure_ids::DENSE_VECTOR_MEASURE,
+                    oracle(measure_ids::DENSE_VECTOR_MEASURE),
                 )
                 .expect("naive rank");
-            let dense = sst
-                .most_similar_dense(&concept, &ontology, k)
-                .expect("dense rank");
+            let dense = exact(&sst, &concept, &ontology, k);
             assert_bit_identical(&format!("{ontology}:{concept} k={k}"), &naive, &dense);
             // The query itself is always rank 0 at exactly 1.0.
             assert_eq!(dense[0].concept, concept);
@@ -112,8 +118,8 @@ fn rankings_are_deterministic_across_rebuilds() {
     let a = toolkit(150, 60, 23);
     let b = toolkit(150, 60, 23);
     for (concept, ontology) in sample_queries(&a, 12, 0xBEEF) {
-        let ra = a.most_similar_dense(&concept, &ontology, 25).expect("a");
-        let rb = b.most_similar_dense(&concept, &ontology, 25).expect("b");
+        let ra = exact(&a, &concept, &ontology, 25);
+        let rb = exact(&b, &concept, &ontology, 25);
         assert_bit_identical("rebuild determinism", &ra, &rb);
         let aa = a.most_similar_approx(&concept, &ontology, 25).expect("a");
         let ab = b.most_similar_approx(&concept, &ontology, 25).expect("b");
@@ -169,15 +175,18 @@ fn tie_break_orders_equal_scores_by_name() {
 #[test]
 fn full_probe_approx_degenerates_to_exact() {
     let sst = toolkit(200, 100, 31);
-    let full = sst.vector_store().len();
     for (concept, ontology) in sample_queries(&sst, 12, 0xF00D) {
-        let exact = sst
-            .most_similar_dense(&concept, &ontology, 50)
-            .expect("exact");
-        let probed = sst
-            .most_similar_approx_with(&concept, &ontology, 50, full)
-            .expect("full probe");
-        assert_bit_identical("full probe vs exact", &exact, &probed);
+        let ranked = sst
+            .most_similar(
+                &concept,
+                &ontology,
+                &ConceptSet::All,
+                50,
+                measure_ids::DENSE_VECTOR_MEASURE,
+            )
+            .expect("exact rank");
+        let probed = exact(&sst, &concept, &ontology, 50);
+        assert_bit_identical("full probe vs exact", &ranked, &probed);
     }
 }
 
@@ -250,9 +259,7 @@ fn default_probe_recall_stays_high() {
     let mut hits = 0usize;
     let mut total = 0usize;
     for (concept, ontology) in &queries {
-        let exact = sst
-            .most_similar_dense(concept, ontology, 10)
-            .expect("exact");
+        let exact = exact(&sst, concept, ontology, 10);
         let approx = sst
             .most_similar_approx(concept, ontology, 10)
             .expect("approx");

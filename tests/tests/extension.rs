@@ -121,21 +121,122 @@ fn combined_runner_blends_families() {
 #[test]
 fn default_registry_is_stable() {
     // The paper-style integer constants must keep pointing at the right
-    // runners — this pins the registration order.
+    // measures, with the same metadata — this pins the registration order
+    // and every built-in's name, display name, kind and normalization.
     let sst = SstBuilder::new()
         .register_ontology(tiny_ontology("a"))
         .unwrap()
         .build();
-    for (constant, name) in [
-        (m::COSINE_MEASURE, "cosine"),
-        (m::LEVENSHTEIN_MEASURE, "levenshtein"),
-        (m::CONCEPTUAL_SIMILARITY_MEASURE, "wu_palmer"),
-        (m::RESNIK_MEASURE, "resnik"),
-        (m::LIN_MEASURE, "lin"),
-        (m::TFIDF_MEASURE, "tfidf"),
-        (m::TREE_EDIT_MEASURE, "tree_edit"),
-    ] {
-        assert_eq!(sst.measure_info(constant).unwrap().name, name);
+    use MeasureKind::*;
+    let expected = [
+        (m::COSINE_MEASURE, "cosine", "Cosine", Vector, true),
+        (
+            m::JACCARD_MEASURE,
+            "jaccard",
+            "Extended Jaccard",
+            Vector,
+            true,
+        ),
+        (m::OVERLAP_MEASURE, "overlap", "Overlap", Vector, true),
+        (m::DICE_MEASURE, "dice", "Dice", Vector, true),
+        (
+            m::LEVENSHTEIN_MEASURE,
+            "levenshtein",
+            "Levenshtein",
+            Sequence,
+            true,
+        ),
+        (m::JARO_MEASURE, "jaro", "Jaro", String, true),
+        (
+            m::JARO_WINKLER_MEASURE,
+            "jaro_winkler",
+            "Jaro-Winkler",
+            String,
+            true,
+        ),
+        (m::QGRAM_MEASURE, "qgram", "Q-Gram", String, true),
+        (
+            m::MONGE_ELKAN_MEASURE,
+            "monge_elkan",
+            "Monge-Elkan",
+            String,
+            true,
+        ),
+        (
+            m::SHORTEST_PATH_MEASURE,
+            "shortest_path",
+            "Shortest Path",
+            Graph,
+            true,
+        ),
+        (m::EDGE_MEASURE, "edge", "Edge Counting", Graph, true),
+        (
+            m::CONCEPTUAL_SIMILARITY_MEASURE,
+            "wu_palmer",
+            "Conceptual Similarity",
+            Graph,
+            true,
+        ),
+        (
+            m::RESNIK_MEASURE,
+            "resnik",
+            "Resnik",
+            InformationTheoretic,
+            false,
+        ),
+        (m::LIN_MEASURE, "lin", "Lin", InformationTheoretic, true),
+        (
+            m::JIANG_CONRATH_MEASURE,
+            "jiang_conrath",
+            "Jiang-Conrath",
+            InformationTheoretic,
+            true,
+        ),
+        (m::TFIDF_MEASURE, "tfidf", "TFIDF", FullText, true),
+        (
+            m::TREE_EDIT_MEASURE,
+            "tree_edit",
+            "Tree Edit Distance",
+            Tree,
+            true,
+        ),
+        (
+            m::NEEDLEMAN_WUNSCH_MEASURE,
+            "needleman_wunsch",
+            "Needleman-Wunsch",
+            Sequence,
+            true,
+        ),
+        (
+            m::SMITH_WATERMAN_MEASURE,
+            "smith_waterman",
+            "Smith-Waterman",
+            Sequence,
+            true,
+        ),
+        (
+            m::DENSE_VECTOR_MEASURE,
+            "dense_vector",
+            "Dense Vector",
+            Vector,
+            true,
+        ),
+    ];
+    assert_eq!(sst.measure_count(), expected.len());
+    assert_eq!(sst.measures().len(), expected.len());
+    for (id, (constant, name, display, kind, normalized)) in expected.into_iter().enumerate() {
+        assert_eq!(constant, id, "{name}");
+        let info = sst.measure_info(constant).unwrap();
+        assert_eq!(
+            info,
+            RunnerInfo {
+                name: name.into(),
+                display: display.into(),
+                kind,
+                normalized,
+            }
+        );
+        assert_eq!(sst.measures()[id], info);
         assert_eq!(sst.measure_id(name).unwrap(), constant);
     }
 }

@@ -3,8 +3,8 @@
 //! monotonicity properties the distance measures promise. Sampled with
 //! the vendored deterministic PRNG so failures reproduce exactly.
 
-use sst_bench::{generate_taxonomy, SplitMix64, TaxonomySpec};
-use sst_core::SstBuilder;
+use sst_bench::{generate_taxonomy, load_corpus, SplitMix64, TaxonomySpec};
+use sst_core::{SstBuilder, TreeMode};
 use sst_simpack::{
     edge_similarity, lin_similarity, resnik_similarity, shortest_path_similarity,
     wu_palmer_similarity, wu_palmer_similarity_rooted, InformationContent, Taxonomy,
@@ -152,6 +152,36 @@ fn facade_measures_hold_invariants_on_generated_ontologies() {
                     "case {case}: {} self {}",
                     info.name,
                     self_sim
+                );
+            }
+        }
+    }
+}
+
+/// The identity axiom, exactly: every normalized built-in scores every
+/// registered concept of the paper corpus 1.0 against itself, bit for bit,
+/// in both tree modes — including the ontology roots that `MergedThing`
+/// merges into the shared root.
+#[test]
+fn normalized_measures_score_every_concept_exactly_one_against_itself() {
+    for mode in [TreeMode::SuperThing, TreeMode::MergedThing] {
+        let sst = load_corpus(mode, false);
+        let soqa = sst.soqa();
+        for (id, info) in sst.measures().into_iter().enumerate() {
+            if !info.normalized {
+                continue;
+            }
+            for gc in soqa.all_concepts() {
+                let (concept, ontology) =
+                    (&soqa.concept(gc).name, soqa.ontology_at(gc.ontology).name());
+                let own = sst
+                    .get_similarity(concept, ontology, concept, ontology, id)
+                    .unwrap();
+                assert_eq!(
+                    own.to_bits(),
+                    1.0f64.to_bits(),
+                    "{mode:?} {}: {ontology}:{concept} scores {own} against itself",
+                    info.name
                 );
             }
         }

@@ -1,23 +1,30 @@
 //! Bit-identity of the resident concept table: every service that scores
-//! from the table must produce *exactly* the same IEEE 754 bits as the
-//! naive per-pair `MeasureRunner::similarity` formulas (reached through
-//! `BatchMode::Naive` matrices), for every registered measure, on the
-//! paper corpus under both tree modes. Comparisons use `f64::to_bits`, so
-//! even a `-0.0` vs `0.0` or NaN-payload drift fails.
+//! a built-in measure from the table must produce *exactly* the same IEEE
+//! 754 bits as the per-pair reference formulas of `sst_bench::oracle`
+//! (registered as user runners and scored pair by pair), for every
+//! built-in measure, on the paper corpus under both tree modes.
+//! Comparisons use `f64::to_bits`, so even a `-0.0` vs `0.0` or
+//! NaN-payload drift fails.
 
-use sst_bench::{load_corpus, names};
+use sst_bench::oracle::{self, oracle};
+use sst_bench::{corpus_builder, names};
 use sst_core::{
-    BatchMode, CachedSimilarity, ConceptAndSimilarity, ConceptRef, ConceptSet, SstToolkit, TreeMode,
+    CachedSimilarity, ConceptAndSimilarity, ConceptRef, ConceptSet, SstToolkit, TreeMode,
 };
 use sst_simpack::{Amalgamation, Combiner};
 
-fn corpus() -> SstToolkit {
-    load_corpus(TreeMode::SuperThing, false)
+/// The paper corpus with the oracle runners registered.
+fn corpus_with_oracle(mode: TreeMode) -> SstToolkit {
+    oracle::register(corpus_builder(mode, false)).build()
 }
 
-/// The naive per-pair scores of `query` against each of `members`: row 0
-/// of the `BatchMode::Naive` matrix over `[query, members…]`, whose cells
-/// are `MeasureRunner::similarity(ctx, query, member)`.
+fn corpus() -> SstToolkit {
+    corpus_with_oracle(TreeMode::SuperThing)
+}
+
+/// The oracle's per-pair scores of `query` against each of `members`: row
+/// 0 of the oracle's matrix over `[query, members…]`, whose cells are its
+/// `MeasureRunner::similarity(ctx, query, member)`.
 fn naive_scores(
     sst: &SstToolkit,
     query: &ConceptRef,
@@ -27,7 +34,7 @@ fn naive_scores(
     let mut list = vec![query.clone()];
     list.extend_from_slice(members);
     let (_, matrix) = sst
-        .similarity_matrix_mode(&ConceptSet::List(list), measure, BatchMode::Naive)
+        .similarity_matrix(&ConceptSet::List(list), oracle(measure))
         .unwrap();
     matrix[0][1..].to_vec()
 }
@@ -106,8 +113,10 @@ fn mixed_set() -> ConceptSet {
     ])
 }
 
+/// The built-in measures (the oracles follow them).
 fn all_measures(sst: &SstToolkit) -> Vec<usize> {
-    (0..sst.measure_count()).collect()
+    assert_eq!(sst.measure_count(), 2 * oracle::BUILTINS);
+    (0..oracle::BUILTINS).collect()
 }
 
 fn assert_matrices_bit_identical(
@@ -133,12 +142,8 @@ fn prepared_matrix_is_bit_identical_to_naive_for_every_measure() {
     let sst = corpus();
     let set = mixed_set();
     for measure in all_measures(&sst) {
-        let naive = sst
-            .similarity_matrix_mode(&set, measure, BatchMode::Naive)
-            .unwrap();
-        let prepared = sst
-            .similarity_matrix_mode(&set, measure, BatchMode::Prepared)
-            .unwrap();
+        let naive = sst.similarity_matrix(&set, oracle(measure)).unwrap();
+        let prepared = sst.similarity_matrix(&set, measure).unwrap();
         assert_matrices_bit_identical(measure, &naive, &prepared, "prepared vs naive");
     }
 }
@@ -148,12 +153,8 @@ fn prepared_matrix_is_bit_identical_on_a_subtree_set() {
     let sst = corpus();
     let set = ConceptSet::Subtree(ConceptRef::new("Person", names::UNIV_BENCH));
     for measure in all_measures(&sst) {
-        let naive = sst
-            .similarity_matrix_mode(&set, measure, BatchMode::Naive)
-            .unwrap();
-        let prepared = sst
-            .similarity_matrix_mode(&set, measure, BatchMode::Prepared)
-            .unwrap();
+        let naive = sst.similarity_matrix(&set, oracle(measure)).unwrap();
+        let prepared = sst.similarity_matrix(&set, measure).unwrap();
         assert_matrices_bit_identical(measure, &naive, &prepared, "subtree prepared vs naive");
     }
 }
@@ -163,21 +164,17 @@ fn parallel_prepared_matrix_matches_serial_for_every_measure() {
     let sst = corpus();
     let set = mixed_set();
     for measure in all_measures(&sst) {
-        let naive = sst
-            .similarity_matrix_mode(&set, measure, BatchMode::Naive)
-            .unwrap();
-        let serial = sst
-            .similarity_matrix_mode(&set, measure, BatchMode::Prepared)
-            .unwrap();
+        let naive = sst.similarity_matrix(&set, oracle(measure)).unwrap();
+        let serial = sst.similarity_matrix(&set, measure).unwrap();
         for threads in [1, 3, 8] {
             let parallel = sst
-                .similarity_matrix_parallel_mode(&set, measure, threads, BatchMode::Prepared)
+                .similarity_matrix_parallel(&set, measure, threads)
                 .unwrap();
             assert_matrices_bit_identical(measure, &serial, &parallel, "parallel vs serial");
             assert_matrices_bit_identical(measure, &naive, &parallel, "parallel vs naive");
         }
         let naive_parallel = sst
-            .similarity_matrix_parallel_mode(&set, measure, 4, BatchMode::Naive)
+            .similarity_matrix_parallel(&set, oracle(measure), 4)
             .unwrap();
         assert_matrices_bit_identical(measure, &serial, &naive_parallel, "naive-parallel");
     }
@@ -292,34 +289,47 @@ fn cached_most_similar_matches_direct_for_every_measure() {
     assert!(hits > 0 && misses > 0, "hits={hits} misses={misses}");
 }
 
+/// From `RANK_PARALLEL_THRESHOLD` (256) members up, the rank scan fans out
+/// over the work-stealing scheduler: every `/rank` over the whole corpus
+/// takes that path. For every built-in measure the full ranking over
+/// `ConceptSet::All` — direct, cached cold and cached warm — equals the
+/// ranking built from one oracle pairwise call per member.
 #[test]
-fn most_similar_multi_matches_per_measure_rankings() {
+fn whole_corpus_rankings_match_the_oracle_for_every_measure() {
     let sst = corpus();
-    let set = mixed_set();
-    let measures = all_measures(&sst);
-    let multi = sst
-        .most_similar_multi("Human", names::SUMO, &set, 5, &measures)
-        .unwrap();
-    assert_eq!(multi.len(), measures.len());
-    let query = ConceptRef::new("Human", names::SUMO);
-    for (&measure, ranking) in measures.iter().zip(&multi) {
-        let single = sst
-            .most_similar("Human", names::SUMO, &set, 5, measure)
+    let soqa = sst.soqa();
+    let members: Vec<ConceptRef> = sst
+        .concept_set(&ConceptSet::All)
+        .unwrap()
+        .into_iter()
+        .map(|gc| ConceptRef::new(&soqa.concept(gc).name, soqa.ontology_at(gc.ontology).name()))
+        .collect();
+    assert!(
+        members.len() >= 256,
+        "the parallel rank path needs 256 members"
+    );
+    let n = members.len();
+    let cache = CachedSimilarity::new(&sst);
+    let (query, query_onto) = ("Student", names::UNIV_BENCH);
+    for measure in all_measures(&sst) {
+        let scores = members
+            .iter()
+            .map(|r| {
+                sst.get_similarity(query, query_onto, &r.concept, &r.ontology, oracle(measure))
+                    .unwrap()
+            })
+            .collect();
+        let expected = naive_ranking(&members, scores, n);
+        let what = format!("measure {measure} whole-corpus ranking");
+        let direct = sst
+            .most_similar(query, query_onto, &ConceptSet::All, n, measure)
             .unwrap();
-        let naive = naive_ranking(
-            refs(&set),
-            naive_scores(&sst, &query, refs(&set), measure),
-            5,
-        );
-        assert_rankings_bit_identical(ranking, &naive, &format!("measure {measure} multi"));
-        assert_eq!(ranking.len(), single.len());
-        for (a, b) in ranking.iter().zip(&single) {
-            assert_eq!((&a.concept, &a.ontology), (&b.concept, &b.ontology));
-            assert_eq!(
-                a.similarity.to_bits(),
-                b.similarity.to_bits(),
-                "measure {measure} multi vs single ranking diverges"
-            );
+        assert_rankings_bit_identical(&direct, &expected, &what);
+        for pass in ["cold", "warm"] {
+            let cached = cache
+                .most_similar(query, query_onto, &ConceptSet::All, n, measure)
+                .unwrap();
+            assert_rankings_bit_identical(&cached, &expected, &format!("{what} ({pass})"));
         }
     }
 }
@@ -418,7 +428,7 @@ fn alignment_scores_match_pairwise_combined_scores() {
 /// must score bit-identically to the naive formulas on every service.
 #[test]
 fn merged_thing_services_match_naive_with_collapsed_roots() {
-    let sst = load_corpus(TreeMode::MergedThing, false);
+    let sst = corpus_with_oracle(TreeMode::MergedThing);
     let soqa = sst.soqa();
     let roots: Vec<ConceptRef> = (0..soqa.ontology_count())
         .flat_map(|i| {
@@ -435,16 +445,10 @@ fn merged_thing_services_match_naive_with_collapsed_roots() {
     let set = ConceptSet::List(list.clone());
     let cache = CachedSimilarity::new(&sst);
     for measure in all_measures(&sst) {
-        let naive = sst
-            .similarity_matrix_mode(&set, measure, BatchMode::Naive)
-            .unwrap();
-        let prepared = sst
-            .similarity_matrix_mode(&set, measure, BatchMode::Prepared)
-            .unwrap();
+        let naive = sst.similarity_matrix(&set, oracle(measure)).unwrap();
+        let prepared = sst.similarity_matrix(&set, measure).unwrap();
         assert_matrices_bit_identical(measure, &naive, &prepared, "merged prepared vs naive");
-        let parallel = sst
-            .similarity_matrix_parallel_mode(&set, measure, 3, BatchMode::Prepared)
-            .unwrap();
+        let parallel = sst.similarity_matrix_parallel(&set, measure, 3).unwrap();
         assert_matrices_bit_identical(measure, &naive, &parallel, "merged parallel vs naive");
 
         for query in [&roots[0], &ConceptRef::new("Student", names::UNIV_BENCH)] {

@@ -9,8 +9,8 @@
 
 use sst_bench::{generate_taxonomy, load_corpus, names, SplitMix64, TaxonomySpec};
 use sst_core::{
-    BatchMode, ConceptRef, ConceptSet, ProbabilityModeConfig, SstBuilder, SstError, SstToolkit,
-    TreeMode, SNAPSHOT_MAGIC,
+    ConceptRef, ConceptSet, ProbabilityModeConfig, SstBuilder, SstError, SstToolkit, TreeMode,
+    SNAPSHOT_MAGIC,
 };
 
 fn corpus() -> SstToolkit {
@@ -48,12 +48,8 @@ fn snapshot_round_trip_is_bit_identical_for_every_measure() {
     assert_eq!(imported.measure_count(), sst.measure_count());
     let set = mixed_set();
     for measure in 0..sst.measure_count() {
-        let original = sst
-            .similarity_matrix_mode(&set, measure, BatchMode::Prepared)
-            .unwrap();
-        let reloaded = imported
-            .similarity_matrix_mode(&set, measure, BatchMode::Prepared)
-            .unwrap();
+        let original = sst.similarity_matrix(&set, measure).unwrap();
+        let reloaded = imported.similarity_matrix(&set, measure).unwrap();
         assert_eq!(
             original.0, reloaded.0,
             "labels diverge for measure {measure}"
