@@ -19,8 +19,10 @@
 # gate (SSTSNAP1 round trip bit-identical on every measure and faster
 # than a cold parse; the full run writes results/BENCH_snapshot.json),
 # and the benchmark gate (perfbench, a workspace of its own, must build
-# against the current crates, pass its self-tests, and finish a short
-# batch_matrix run whose result line reports "correct":true), and the
+# against the current crates, pass its self-tests, and finish short
+# batch_matrix, serve_cold and serve_hot runs whose result lines report
+# "correct":true; the serve runs check every /similarity and /rank answer
+# served over HTTP against an independently loaded toolkit), and the
 # examples gate (every example that writes nothing into the repository
 # runs to a zero exit).
 set -eu
@@ -46,15 +48,17 @@ converted=$(mktemp)
 cargo run --release -q -p sst-examples --bin convert -- data/ontologies/course.ploom --format turtle -o "$converted" > /dev/null
 rm -f "$converted"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
-bench_line=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
-    --workload batch_matrix --seed 1 --seconds 1 --trace 0 | tail -n 1)
-case "$bench_line" in
-*'"correct":true'*) ;;
-*)
-    echo "ci.sh: perfbench batch_matrix smoke run is not correct: $bench_line" >&2
-    exit 1
-    ;;
-esac
+for workload in batch_matrix serve_cold serve_hot; do
+    bench_line=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    case "$bench_line" in
+    *'"correct":true'*) ;;
+    *)
+        echo "ci.sh: perfbench $workload smoke run is not correct: $bench_line" >&2
+        exit 1
+        ;;
+    esac
+done
 # The archived full-run matrix benchmark must agree with the smoke gate:
 # every measure row records an honest bit_identical flag, and a stale or
 # regressed archive with any false flag fails the build.

@@ -13,6 +13,12 @@
 //! recovered rather than propagated: the memo holds only derived scores,
 //! so a panicking writer can never leave it semantically inconsistent.
 //!
+//! A key is one `u64` packed from the measure and the pair's two
+//! concept-table rows, lower row first: `(measure·n + lo)·n + hi` over the
+//! table's row count `n`. The packing is injective, and it is computed in
+//! checked arithmetic, so a corpus too large to pack is an error, never a
+//! collision.
+//!
 //! ## Bounded memory
 //!
 //! [`CachedSimilarity::new`] bounds the memo at
@@ -36,18 +42,31 @@
 //! work under concurrency but stays value-identical).
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sst_obs::Counter;
-use sst_soqa::GlobalConcept;
 
-use crate::error::Result;
-use crate::facade::{rank_descending, ConceptAndSimilarity, ConceptSet, SstToolkit};
+use crate::error::{Result, SstError};
+use crate::facade::{ConceptAndSimilarity, ConceptSet, MeasureOp, RankOrder, SstToolkit};
 use crate::lru::{ShardedLru, Slot};
 
-type Key = (usize, GlobalConcept, GlobalConcept);
+/// The memo key of `measure` over the unordered row pair `{a, b}` of a
+/// table with `rows` rows: `(measure·rows + lo)·rows + hi`. `None` when a
+/// row is out of range or the key does not fit a `u64`.
+fn pack_key(rows: usize, measure: usize, a: usize, b: usize) -> Option<u64> {
+    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+    if hi >= rows {
+        return None;
+    }
+    let n = u64::try_from(rows).ok()?;
+    u64::try_from(measure)
+        .ok()?
+        .checked_mul(n)?
+        .checked_add(u64::try_from(lo).ok()?)?
+        .checked_mul(n)?
+        .checked_add(u64::try_from(hi).ok()?)
+}
 
 /// A memoizing view over a toolkit.
 ///
@@ -65,7 +84,7 @@ type Key = (usize, GlobalConcept, GlobalConcept);
 #[derive(Debug)]
 pub struct CachedSimilarity<T: Borrow<SstToolkit>> {
     toolkit: T,
-    memo: ShardedLru<Key, f64>,
+    memo: ShardedLru<u64, f64>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -159,13 +178,15 @@ impl<T: Borrow<SstToolkit>> CachedSimilarity<T> {
         self.memo.clear();
     }
 
-    fn canonical(measure: usize, a: GlobalConcept, b: GlobalConcept) -> Key {
-        // Symmetric measures: store each unordered pair once.
-        if (a.ontology, a.concept) <= (b.ontology, b.concept) {
-            (measure, a, b)
-        } else {
-            (measure, b, a)
-        }
+    /// The memo key of `measure` over the row pair `{a, b}`. Symmetric
+    /// measures: each unordered pair is stored once.
+    fn key(&self, measure: usize, a: usize, b: usize) -> Result<u64> {
+        let rows = self.toolkit().concept_table().len();
+        pack_key(rows, measure, a, b).ok_or_else(|| {
+            SstError::Internal(format!(
+                "memo key of measure {measure} over rows {a} and {b} of {rows} does not fit 64 bits"
+            ))
+        })
     }
 
     /// Records an eviction reported by the memo.
@@ -190,15 +211,10 @@ impl<T: Borrow<SstToolkit>> CachedSimilarity<T> {
         second_ontology: &str,
         measure: usize,
     ) -> Result<f64> {
-        let a = self
-            .toolkit()
-            .soqa()
-            .resolve(first_ontology, first_concept)?;
-        let b = self
-            .toolkit()
-            .soqa()
-            .resolve(second_ontology, second_concept)?;
-        let key = Self::canonical(measure, a, b);
+        let toolkit = self.toolkit();
+        let a = toolkit.soqa().resolve(first_ontology, first_concept)?;
+        let b = toolkit.soqa().resolve(second_ontology, second_concept)?;
+        let key = self.key(measure, toolkit.row(a)?, toolkit.row(b)?)?;
         match self.memo.get_or_reserve(&key) {
             Slot::Hit(cached) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -206,7 +222,7 @@ impl<T: Borrow<SstToolkit>> CachedSimilarity<T> {
                 Ok(cached)
             }
             Slot::Reserved => {
-                match self.toolkit().pair_similarity(measure, a, b) {
+                match toolkit.pair_similarity(measure, a, b) {
                     Ok(value) => {
                         self.misses.fetch_add(1, Ordering::Relaxed);
                         self.misses_metric.inc();
@@ -228,12 +244,14 @@ impl<T: Borrow<SstToolkit>> CachedSimilarity<T> {
     /// Cached version of [`SstToolkit::most_similar`]: reuses any pairs
     /// already scored and stores the rest.
     ///
-    /// Members are keyed and scored by concept identity, never by display
-    /// name, so concepts sharing a name keep distinct memo entries. Misses
-    /// are scored from the toolkit's resident concept table in one pass.
-    /// Hit/miss counters move only after the whole scan has completed — an
-    /// error partway through (unknown measure, unknown query) leaves every
-    /// counter untouched.
+    /// Members are keyed and scored by concept-table row, never by display
+    /// name, so concepts sharing a name keep distinct memo entries. One
+    /// pass looks every member up; the missed rows are then sorted and
+    /// deduplicated, so a repeated member is scored once and its repeats
+    /// count as hits, and the misses are scored from the resident concept
+    /// table and stored. Argument errors (unknown query, measure or set)
+    /// fail before any lookup, and hit/miss counters move only after every
+    /// member is scored, so a failing call leaves every counter untouched.
     pub fn most_similar(
         &self,
         concept: &str,
@@ -243,79 +261,61 @@ impl<T: Borrow<SstToolkit>> CachedSimilarity<T> {
         measure: usize,
     ) -> Result<Vec<ConceptAndSimilarity>> {
         let toolkit = self.toolkit();
-        let members = toolkit.concept_set(set)?;
-        if members.is_empty() {
-            return Ok(Vec::new());
-        }
-        let query = toolkit.soqa().resolve(ontology, concept)?;
-        // Fail on an unknown measure *before* any accounting.
-        toolkit.check_measure(measure)?;
+        let (query, members) = toolkit.set_arguments(concept, ontology, set, &[measure])?;
+        let _span = toolkit.measure_span(measure, MeasureOp::Rank);
+        let qrow = toolkit.row(query)?;
+        let rows = toolkit.rows(&members)?;
 
-        // Scan the memo once; misses are deduplicated into batch slots so a
-        // repeated pair is computed once and the repeat counts as a hit,
-        // exactly as the sequential per-member path behaved. Hits and
-        // misses accumulate locally until all work has actually happened.
-        let mut hits: u64 = 0;
-        let mut misses: u64 = 0;
-        let mut scores: Vec<f64> = Vec::with_capacity(members.len());
-        let mut slot_of_member: Vec<Option<usize>> = Vec::with_capacity(members.len());
-        let mut pending_keys: HashMap<Key, usize> = HashMap::new();
-        let mut pending: Vec<GlobalConcept> = Vec::new();
-        for &gc in &members {
-            let key = Self::canonical(measure, query, gc);
-            let (similarity, slot) = if let Some(cached) = self.memo.get(&key) {
-                hits += 1;
-                (cached, None)
-            } else if let Some(&slot) = pending_keys.get(&key) {
-                hits += 1;
-                (0.0, Some(slot))
-            } else {
-                let slot = pending.len();
-                pending_keys.insert(key, slot);
-                pending.push(gc);
-                misses += 1;
-                (0.0, Some(slot))
-            };
-            scores.push(similarity);
-            slot_of_member.push(slot);
+        let mut scores: Vec<f64> = Vec::with_capacity(rows.len());
+        // (row, member position) of every member the memo misses.
+        let mut missed: Vec<(usize, usize)> = Vec::new();
+        for (position, &row) in rows.iter().enumerate() {
+            match self.memo.get(&self.key(measure, qrow, row)?) {
+                Some(cached) => scores.push(cached),
+                None => {
+                    scores.push(0.0);
+                    missed.push((row, position));
+                }
+            }
         }
 
-        if !pending.is_empty() {
+        // Sorted by row, repeats of a missed member are adjacent: score
+        // each distinct row once, then store the fresh scores.
+        missed.sort_unstable();
+        let mut fresh: Vec<(usize, f64)> = Vec::new();
+        if !missed.is_empty() {
             let scorer = toolkit.scorer(measure)?;
-            let qrow = toolkit.row(query)?;
-            let values: Vec<f64> = toolkit
-                .rows(&pending)?
-                .into_iter()
-                .map(|r| toolkit.timed_score(measure, || scorer.score(qrow, r)))
-                .collect();
+            for &(row, position) in &missed {
+                let value = match fresh.last() {
+                    Some(&(last, value)) if last == row => value,
+                    _ => {
+                        let value = toolkit.timed_score(measure, || scorer.score(qrow, row));
+                        fresh.push((row, value));
+                        value
+                    }
+                };
+                if let Some(score) = scores.get_mut(position) {
+                    *score = value;
+                }
+            }
             let mut evicted: u64 = 0;
-            for (&key, &slot) in &pending_keys {
-                if self.memo.insert(key, values[slot]) {
+            for &(row, value) in &fresh {
+                if self.memo.insert(self.key(measure, qrow, row)?, value) {
                     evicted += 1;
                 }
             }
             self.note_evictions(evicted);
-            for (score, slot) in scores.iter_mut().zip(&slot_of_member) {
-                if let Some(slot) = *slot {
-                    *score = values[slot];
-                }
-            }
         }
 
         // Every pair is scored: account for the completed work.
+        let misses = fresh.len() as u64;
+        let hits = rows.len() as u64 - misses;
         self.hits.fetch_add(hits, Ordering::Relaxed);
         self.hits_metric.add(hits);
         self.misses.fetch_add(misses, Ordering::Relaxed);
         self.misses_metric.add(misses);
 
-        let mut all: Vec<ConceptAndSimilarity> = members
-            .iter()
-            .zip(scores)
-            .map(|(&gc, s)| toolkit.to_result(gc, s))
-            .collect();
-        all.sort_by(rank_descending);
-        all.truncate(k);
-        Ok(all)
+        Ok(toolkit.select_k_best(members.into_iter().zip(scores), k, RankOrder::Descending))
     }
 }
 
@@ -504,7 +504,9 @@ mod tests {
         assert_eq!(cache.evictions(), 0);
     }
 
-    /// Satellite pin: a failing service call must not move the counters.
+    /// A failing service call must not move the counters, and every rank
+    /// service checks its arguments before it looks at the set: an empty
+    /// list fails exactly like the whole corpus.
     #[test]
     fn errors_leave_counters_untouched() {
         let sst = toolkit();
@@ -517,8 +519,140 @@ mod tests {
         cache
             .get_similarity("Nobody", "uni", "Person", "uni", m::SHORTEST_PATH_MEASURE)
             .unwrap_err();
+
+        let pair = sst_simpack::Combiner::uniform(sst_simpack::Amalgamation::WeightedAverage, 2);
+        let (lin, jaro) = (m::LIN_MEASURE, m::JARO_MEASURE);
+        let rank_calls = |sst: &SstToolkit| {
+            let snap = sst.metrics().snapshot();
+            sst.measures()
+                .iter()
+                .map(|info| snap.counter(&format!("core.rank.calls.{}", info.name)))
+                .collect::<Vec<_>>()
+        };
+        let before = rank_calls(&sst);
+        let empty = ConceptSet::List(Vec::new());
+        let same_error = |all: Result<Vec<ConceptAndSimilarity>>,
+                          empty: Result<Vec<ConceptAndSimilarity>>,
+                          what: &str| {
+            let expected = all.expect_err(what);
+            assert_eq!(empty.expect_err(what), expected, "{what}");
+        };
+        for (concept, measure) in [("Nobody", lin), ("Student", 999)] {
+            let what = format!("query {concept}, measure {measure}");
+            same_error(
+                cache.most_similar(concept, "uni", &ConceptSet::All, 3, measure),
+                cache.most_similar(concept, "uni", &empty, 3, measure),
+                &format!("cached most_similar, {what}"),
+            );
+            same_error(
+                sst.most_similar(concept, "uni", &ConceptSet::All, 3, measure),
+                sst.most_similar(concept, "uni", &empty, 3, measure),
+                &format!("most_similar, {what}"),
+            );
+            same_error(
+                sst.most_dissimilar(concept, "uni", &ConceptSet::All, 3, measure),
+                sst.most_dissimilar(concept, "uni", &empty, 3, measure),
+                &format!("most_dissimilar, {what}"),
+            );
+        }
+        let combinations: [(&str, &[usize]); 3] = [
+            ("Nobody", &[lin, jaro]),
+            ("Student", &[lin, 999]),
+            ("Student", &[lin, jaro, 999]),
+        ];
+        for (concept, measures) in combinations {
+            same_error(
+                sst.most_similar_combined(concept, "uni", &ConceptSet::All, 3, measures, &pair),
+                sst.most_similar_combined(concept, "uni", &empty, 3, measures, &pair),
+                &format!("most_similar_combined, query {concept}, measures {measures:?}"),
+            );
+        }
+        assert_eq!(rank_calls(&sst), before, "failed ranks are not recorded");
         assert_eq!(cache.stats(), (0, 0), "no work happened, nothing counted");
         assert!(cache.is_empty());
+    }
+
+    /// Keys are injective and symmetric over every measure id, user runners
+    /// included, up to the last row; they fill `[0, measures·n²)` exactly
+    /// on the pairs they cover, and a corpus too large to pack is an error.
+    #[test]
+    fn packed_keys_are_injective_and_symmetric() {
+        #[derive(Debug)]
+        struct Constant;
+        impl crate::MeasureRunner for Constant {
+            fn info(&self) -> crate::RunnerInfo {
+                crate::RunnerInfo {
+                    name: "constant".into(),
+                    display: "Constant".into(),
+                    kind: sst_simpack::MeasureKind::String,
+                    normalized: true,
+                }
+            }
+            fn similarity(
+                &self,
+                _: &crate::SimilarityContext<'_>,
+                _: sst_soqa::GlobalConcept,
+                _: sst_soqa::GlobalConcept,
+            ) -> f64 {
+                0.5
+            }
+        }
+        let mut b = OntologyBuilder::new(OntologyMetadata {
+            name: "uni".into(),
+            ..OntologyMetadata::default()
+        });
+        for name in ["Thing", "Person", "Student"] {
+            b.concept(name);
+        }
+        let sst = SstBuilder::new()
+            .register_ontology(b.build())
+            .unwrap()
+            .register_runner(Box::new(Constant))
+            .register_runner(Box::new(Constant))
+            .build();
+        let cache = CachedSimilarity::new(&sst);
+        let (measures, n) = (sst.measure_count(), sst.concept_table().len());
+        assert!(measures > 20, "user runner ids follow the built-ins");
+        let mut seen = std::collections::HashMap::new();
+        for measure in 0..measures {
+            for a in 0..n {
+                for b in 0..n {
+                    let key = cache.key(measure, a, b).unwrap();
+                    assert_eq!(key, cache.key(measure, b, a).unwrap(), "symmetric");
+                    let pair = (measure, a.min(b), a.max(b));
+                    assert_eq!(*seen.entry(key).or_insert(pair), pair, "key {key} collides");
+                }
+            }
+        }
+        let (measures, n) = (measures as u64, n as u64);
+        assert_eq!(seen.len() as u64, measures * n * (n + 1) / 2);
+        assert_eq!(seen.keys().max(), Some(&(measures * n * n - 1)), "last row");
+        // Out of range rows and unpackable corpora are errors.
+        assert!(cache.key(0, 0, n as usize).is_err());
+        assert_eq!(pack_key(1 << 32, 0, (1 << 32) - 1, 0), Some((1 << 32) - 1));
+        assert_eq!(
+            pack_key(1 << 32, 0, (1 << 32) - 1, (1 << 32) - 1),
+            Some(u64::MAX)
+        );
+        assert_eq!(pack_key(1 << 32, 1, 0, 0), None, "overflow is no collision");
+        assert_eq!(pack_key(usize::MAX, 0, 1, 1), None);
+    }
+
+    /// Cached ranks record the per-measure rank span, cold and warm, like
+    /// the direct ones.
+    #[test]
+    fn cached_ranks_record_rank_metrics() {
+        let sst = toolkit();
+        let cache = CachedSimilarity::new(&sst);
+        for _ in 0..3 {
+            cache
+                .most_similar("Student", "uni", &ConceptSet::All, 2, m::LIN_MEASURE)
+                .unwrap();
+        }
+        let snap = sst.metrics().snapshot();
+        assert_eq!(snap.counter("core.rank.calls.lin"), Some(3));
+        assert_eq!(snap.histogram("core.rank.latency.lin").unwrap().count, 3);
+        assert_eq!(cache.stats(), (10, 5), "one cold rank, two warm");
     }
 
     /// Bounded capacity: the LRU never grows past its bound, evictions are
@@ -624,21 +758,24 @@ mod tests {
         ];
         for measure in 0..sst.measure_count() {
             for (concept, ontology) in queries {
-                let direct = sst
-                    .most_similar(concept, ontology, &ConceptSet::All, 10, measure)
-                    .unwrap();
-                let cached = cache
-                    .most_similar(concept, ontology, &ConceptSet::All, 10, measure)
-                    .unwrap();
-                assert_eq!(cached.len(), direct.len());
-                for (c, d) in cached.iter().zip(&direct) {
-                    assert_eq!((&c.concept, &c.ontology), (&d.concept, &d.ontology));
-                    assert_eq!(
-                        c.similarity.to_bits(),
-                        d.similarity.to_bits(),
-                        "measure {measure}, query {ontology}:{concept}, member {}",
-                        c.concept
-                    );
+                for k in [1, 2, 3, 10] {
+                    let direct = sst
+                        .most_similar(concept, ontology, &ConceptSet::All, k, measure)
+                        .unwrap();
+                    let cached = cache
+                        .most_similar(concept, ontology, &ConceptSet::All, k, measure)
+                        .unwrap();
+                    assert_eq!(direct.len(), k.min(7));
+                    assert_eq!(cached.len(), direct.len());
+                    for (c, d) in cached.iter().zip(&direct) {
+                        assert_eq!((&c.concept, &c.ontology), (&d.concept, &d.ontology));
+                        assert_eq!(
+                            c.similarity.to_bits(),
+                            d.similarity.to_bits(),
+                            "measure {measure}, k {k}, query {ontology}:{concept}, member {}",
+                            c.concept
+                        );
+                    }
                 }
             }
         }

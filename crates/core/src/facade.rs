@@ -100,42 +100,22 @@ pub struct ConceptAndSimilarity {
 /// fans out over the work-stealing scheduler instead of scoring serially.
 const RANK_PARALLEL_THRESHOLD: usize = 256;
 
-/// The shared tiebreak of every k-best ranking: the qualified
-/// `(ontology, concept)` name in ascending lexicographic order. Qualified
-/// names are unique, so any comparator ending in this tiebreak is a
-/// strict total order — equal-score truncation at `k` returns the same
-/// entries no matter what order the scores were produced in.
-fn rank_tiebreak(x: &ConceptAndSimilarity, y: &ConceptAndSimilarity) -> std::cmp::Ordering {
-    (&x.ontology, &x.concept).cmp(&(&y.ontology, &y.concept))
+/// Which end of the score order a k-best service keeps.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RankOrder {
+    /// Highest scores first: `most_similar` and its siblings.
+    Descending,
+    /// Lowest scores first: `most_dissimilar`.
+    Ascending,
 }
 
-/// Shared descending rank order for k-best results: IEEE 754 `total_cmp`
-/// on the similarity (NaN ranks first), then [`rank_tiebreak`]. Every
-/// descending rank entry point — direct, multi-measure, combined, cached,
-/// and the exact/approximate vector paths — sorts with this, so a NaN
-/// score from a user-registered runner ranks identically whether or not
-/// the pair was memoized, and exact/approx parity is assertable entry by
-/// entry.
-pub(crate) fn rank_descending(
-    x: &ConceptAndSimilarity,
-    y: &ConceptAndSimilarity,
-) -> std::cmp::Ordering {
-    y.similarity
-        .total_cmp(&x.similarity)
-        .then_with(|| rank_tiebreak(x, y))
-}
-
-/// Shared ascending rank order — the `most_dissimilar` counterpart of
-/// [`rank_descending`]. The score order flips; the name tiebreak does
-/// not, so the two orders stay mirror images on distinct scores and
-/// agree on tied ones.
-pub(crate) fn rank_ascending(
-    x: &ConceptAndSimilarity,
-    y: &ConceptAndSimilarity,
-) -> std::cmp::Ordering {
-    x.similarity
-        .total_cmp(&y.similarity)
-        .then_with(|| rank_tiebreak(x, y))
+/// One candidate of [`SstToolkit::select_k_best`]: its score, its
+/// qualified name borrowed from SOQA, and its input position.
+struct Candidate<'a> {
+    score: f64,
+    ontology: &'a str,
+    concept: &'a str,
+    position: usize,
 }
 
 /// Configuration knobs for toolkit construction.
@@ -331,8 +311,9 @@ struct MeasureMetrics {
 
 /// Which whole-operation metric family a facade service records into.
 #[derive(Debug, Clone, Copy)]
-enum MeasureOp {
-    /// The k-best services (`most_similar`, `most_dissimilar`, combined).
+pub(crate) enum MeasureOp {
+    /// The single-measure k-best services (`most_similar`,
+    /// `most_dissimilar`, and the cached rank).
     Rank,
     /// The similarity-matrix services (serial and parallel).
     Matrix,
@@ -519,7 +500,7 @@ impl SstToolkit {
 
     /// An RAII span over a whole-operation histogram of `measure`, plus the
     /// matching call counter, selected by `op`.
-    fn measure_span(&self, measure: usize, op: MeasureOp) -> Option<sst_obs::Span> {
+    pub(crate) fn measure_span(&self, measure: usize, op: MeasureOp) -> Option<sst_obs::Span> {
         let mm = self.measure_metrics.get(measure)?;
         let (calls, latency) = match op {
             MeasureOp::Rank => (&mm.rank_calls, &mm.rank_latency),
@@ -533,12 +514,69 @@ impl SstToolkit {
         Ok(self.soqa.resolve(&r.ontology, &r.concept)?)
     }
 
-    pub(crate) fn to_result(&self, gc: GlobalConcept, similarity: f64) -> ConceptAndSimilarity {
+    fn to_result(&self, gc: GlobalConcept, similarity: f64) -> ConceptAndSimilarity {
         ConceptAndSimilarity {
             concept: self.soqa.concept(gc).name.clone(),
             ontology: self.soqa.ontology_at(gc.ontology).name().to_owned(),
             similarity,
         }
+    }
+
+    /// The one k-best selector behind every ranking service: the `k` best
+    /// of the `scored` (concept, score) pairs, named.
+    ///
+    /// The order is strict and total: IEEE 754 `total_cmp` on the score
+    /// (descending or ascending per `order`; NaN ranks first when
+    /// descending), then the qualified `(ontology, concept)` name, then the
+    /// input position. The name makes equal-score truncation at `k`
+    /// independent of the order the scores were produced in, so a ranking
+    /// is the same whether or not its pairs were memoized and exact/approx
+    /// parity is assertable entry by entry; the position only separates
+    /// equal-score concepts sharing a display name, keeping them in input
+    /// order as a stable sort would. Below the input size the `k` best are
+    /// selected first, and only they are sorted and named.
+    pub(crate) fn select_k_best(
+        &self,
+        scored: impl IntoIterator<Item = (GlobalConcept, f64)>,
+        k: usize,
+        order: RankOrder,
+    ) -> Vec<ConceptAndSimilarity> {
+        if k == 0 {
+            return Vec::new();
+        }
+        let mut candidates: Vec<Candidate<'_>> = scored
+            .into_iter()
+            .enumerate()
+            .map(|(position, (gc, score))| Candidate {
+                score,
+                ontology: self.soqa.ontology_at(gc.ontology).name(),
+                concept: &self.soqa.concept(gc).name,
+                position,
+            })
+            .collect();
+        let cmp = |x: &Candidate<'_>, y: &Candidate<'_>| {
+            let by_score = match order {
+                RankOrder::Descending => y.score.total_cmp(&x.score),
+                RankOrder::Ascending => x.score.total_cmp(&y.score),
+            };
+            by_score.then_with(|| {
+                (x.ontology, x.concept, x.position).cmp(&(y.ontology, y.concept, y.position))
+            })
+        };
+        if k < candidates.len() {
+            // In range: 0 < k < len.
+            candidates.select_nth_unstable_by(k - 1, cmp);
+            candidates.truncate(k);
+        }
+        candidates.sort_unstable_by(cmp);
+        candidates
+            .into_iter()
+            .map(|c| ConceptAndSimilarity {
+                concept: c.concept.to_owned(),
+                ontology: c.ontology.to_owned(),
+                similarity: c.score,
+            })
+            .collect()
     }
 
     /// Materializes a [`ConceptSet`] into global concept handles.
@@ -588,6 +626,74 @@ impl SstToolkit {
 
     // ---- concept-vs-set and k-best services --------------------------------
 
+    /// The argument checks every set service runs before it scores: the
+    /// query concept resolves, every measure is registered, and the set
+    /// resolves. An empty set therefore fails on a bad argument exactly
+    /// like a full one. Returns the query and the set's members.
+    pub(crate) fn set_arguments(
+        &self,
+        concept: &str,
+        ontology: &str,
+        set: &ConceptSet,
+        measures: &[usize],
+    ) -> Result<(GlobalConcept, Vec<GlobalConcept>)> {
+        let query = self.soqa.resolve(ontology, concept)?;
+        for &measure in measures {
+            self.check_measure(measure)?;
+        }
+        Ok((query, self.concept_set(set)?))
+    }
+
+    /// The rank scan: `query` scored against every member under one
+    /// measure, in member order, from the resident concept table.
+    fn scan(
+        &self,
+        query: GlobalConcept,
+        members: &[GlobalConcept],
+        measure: usize,
+    ) -> Result<Vec<f64>> {
+        let scorer = self.scorer(measure)?;
+        let qrow = self.row(query)?;
+        let rows = self.rows(members)?;
+        let n = rows.len();
+        // Large rank scans reuse the work-stealing chunk scheduler: the
+        // member axis is cut into chunks and scored concurrently, then
+        // assembled positionally (same scores, same order, any worker
+        // count). Small sets stay serial — spawn overhead would dominate.
+        if n < RANK_PARALLEL_THRESHOLD {
+            return Ok(rows
+                .iter()
+                .map(|&r| self.timed_score(measure, || scorer.score(qrow, r)))
+                .collect());
+        }
+        let tiles = sched::rect_tiles(1, n, 64);
+        let workers = sched::default_workers().min(tiles.len());
+        let (scorer, rows) = (&scorer, &rows);
+        let (results, stats) = sched::run_tiles(&tiles, workers, |_, tile| {
+            let mut vals = Vec::with_capacity(tile.len());
+            tile.for_each(|_, i| {
+                vals.push(self.timed_score(measure, || scorer.score(qrow, rows[i])));
+            });
+            vals
+        });
+        if stats.panicked > 0 {
+            return Err(SstError::Internal("rank worker thread died".into()));
+        }
+        self.record_sched_stats(&stats);
+        let mut scores = vec![0.0; n];
+        for (idx, vals) in results {
+            if let Some(tile) = tiles.get(idx) {
+                let mut it = vals.into_iter();
+                tile.for_each(|_, i| {
+                    if let Some(v) = it.next() {
+                        scores[i] = v;
+                    }
+                });
+            }
+        }
+        Ok(scores)
+    }
+
     /// Similarity of `concept` to every member of `set` under one measure,
     /// in set order, scored from the resident concept table.
     pub fn similarity_to_set(
@@ -597,51 +703,8 @@ impl SstToolkit {
         set: &ConceptSet,
         measure: usize,
     ) -> Result<Vec<ConceptAndSimilarity>> {
-        let query = self.soqa.resolve(ontology, concept)?;
-        let members = self.concept_set(set)?;
-        if members.is_empty() {
-            return Ok(Vec::new());
-        }
-        let scorer = self.scorer(measure)?;
-        let qrow = self.row(query)?;
-        let rows = self.rows(&members)?;
-        let n = rows.len();
-        // Large rank scans reuse the work-stealing chunk scheduler: the
-        // member axis is cut into chunks and scored concurrently, then
-        // assembled positionally (same scores, same order, any worker
-        // count). Small sets stay serial — spawn overhead would dominate.
-        let scores: Vec<f64> = if n >= RANK_PARALLEL_THRESHOLD {
-            let tiles = sched::rect_tiles(1, n, 64);
-            let workers = sched::default_workers().min(tiles.len());
-            let (scorer, rows) = (&scorer, &rows);
-            let (results, stats) = sched::run_tiles(&tiles, workers, |_, tile| {
-                let mut vals = Vec::with_capacity(tile.len());
-                tile.for_each(|_, i| {
-                    vals.push(self.timed_score(measure, || scorer.score(qrow, rows[i])));
-                });
-                vals
-            });
-            if stats.panicked > 0 {
-                return Err(SstError::Internal("rank worker thread died".into()));
-            }
-            self.record_sched_stats(&stats);
-            let mut scores = vec![0.0; n];
-            for (idx, vals) in results {
-                if let Some(tile) = tiles.get(idx) {
-                    let mut it = vals.into_iter();
-                    tile.for_each(|_, i| {
-                        if let Some(v) = it.next() {
-                            scores[i] = v;
-                        }
-                    });
-                }
-            }
-            scores
-        } else {
-            rows.iter()
-                .map(|&r| self.timed_score(measure, || scorer.score(qrow, r)))
-                .collect()
-        };
+        let (query, members) = self.set_arguments(concept, ontology, set, &[measure])?;
+        let scores = self.scan(query, &members, measure)?;
         Ok(members
             .iter()
             .zip(scores)
@@ -663,14 +726,11 @@ impl SstToolkit {
         k: usize,
         measure: usize,
     ) -> Result<Vec<ConceptAndSimilarity>> {
-        let _span = self.measure_span(measure, MeasureOp::Rank);
-        let mut all = self.similarity_to_set(concept, ontology, set, measure)?;
-        all.sort_by(rank_descending);
-        all.truncate(k);
-        Ok(all)
+        self.rank(concept, ontology, set, k, measure, RankOrder::Descending)
     }
 
-    /// The `k` most *dissimilar* concepts of `set` for the query concept.
+    /// The `k` most *dissimilar* concepts of `set` for the query concept:
+    /// ascending similarity, the same name tiebreak.
     pub fn most_dissimilar(
         &self,
         concept: &str,
@@ -679,11 +739,23 @@ impl SstToolkit {
         k: usize,
         measure: usize,
     ) -> Result<Vec<ConceptAndSimilarity>> {
+        self.rank(concept, ontology, set, k, measure, RankOrder::Ascending)
+    }
+
+    /// The direct k-best service: one rank scan, then the selector.
+    fn rank(
+        &self,
+        concept: &str,
+        ontology: &str,
+        set: &ConceptSet,
+        k: usize,
+        measure: usize,
+        order: RankOrder,
+    ) -> Result<Vec<ConceptAndSimilarity>> {
+        let (query, members) = self.set_arguments(concept, ontology, set, &[measure])?;
         let _span = self.measure_span(measure, MeasureOp::Rank);
-        let mut all = self.similarity_to_set(concept, ontology, set, measure)?;
-        all.sort_by(rank_ascending);
-        all.truncate(k);
-        Ok(all)
+        let scores = self.scan(query, &members, measure)?;
+        Ok(self.select_k_best(members.into_iter().zip(scores), k, order))
     }
 
     // ---- dense vector retrieval (sub-linear k-best) ------------------------
@@ -695,19 +767,15 @@ impl SstToolkit {
         &self.vectors
     }
 
-    /// Maps `(store row, score)` candidates to ranked results: the same
-    /// shared comparator and `k`-truncation as every other rank entry
-    /// point, so full-probe rankings are bit-identical to
+    /// Maps `(store row, score)` candidates to ranked results through the
+    /// shared selector, so full-probe rankings are bit-identical to
     /// [`SstToolkit::most_similar`] under the dense measure and
     /// approximate rankings are directly comparable.
     fn rank_vector_rows(&self, scored: Vec<(usize, f64)>, k: usize) -> Vec<ConceptAndSimilarity> {
-        let mut all: Vec<ConceptAndSimilarity> = scored
+        let scored = scored
             .into_iter()
-            .filter_map(|(row, s)| self.vectors.concept(row).map(|gc| self.to_result(gc, s)))
-            .collect();
-        all.sort_by(rank_descending);
-        all.truncate(k);
-        all
+            .filter_map(|(row, s)| self.vectors.concept(row).map(|gc| (gc, s)));
+        self.select_k_best(scored, k, RankOrder::Descending)
     }
 
     /// Resolves the query concept to its vector-store row. The store holds
@@ -959,21 +1027,7 @@ impl SstToolkit {
         measures: &[usize],
         combiner: &sst_simpack::Combiner,
     ) -> Result<f64> {
-        if measures.len() != combiner.arity() {
-            return Err(SstError::InvalidArgument(format!(
-                "{} measures but combiner arity {}",
-                measures.len(),
-                combiner.arity()
-            )));
-        }
-        for &mid in measures {
-            if !self.measure_info(mid)?.normalized {
-                return Err(SstError::InvalidArgument(format!(
-                    "measure `{}` is unnormalized and cannot be combined",
-                    self.measure_info(mid)?.name
-                )));
-            }
-        }
+        self.check_combination(measures, combiner)?;
         let scores = self.get_similarities(
             first_concept,
             first_ontology,
@@ -982,6 +1036,32 @@ impl SstToolkit {
             measures,
         )?;
         Ok(combiner.combine(&scores))
+    }
+
+    /// Fails unless `measures` fit `combiner`: as many measures as its
+    /// arity, each registered and normalized.
+    fn check_combination(
+        &self,
+        measures: &[usize],
+        combiner: &sst_simpack::Combiner,
+    ) -> Result<()> {
+        if measures.len() != combiner.arity() {
+            return Err(SstError::InvalidArgument(format!(
+                "{} measures but combiner arity {}",
+                measures.len(),
+                combiner.arity()
+            )));
+        }
+        for &mid in measures {
+            let info = self.measure_info(mid)?;
+            if !info.normalized {
+                return Err(SstError::InvalidArgument(format!(
+                    "measure `{}` is unnormalized and cannot be combined",
+                    info.name
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// k most similar concepts under a combined measure: one table scorer
@@ -995,47 +1075,23 @@ impl SstToolkit {
         measures: &[usize],
         combiner: &sst_simpack::Combiner,
     ) -> Result<Vec<ConceptAndSimilarity>> {
-        let members = self.concept_set(set)?;
-        if members.is_empty() {
-            return Ok(Vec::new());
-        }
-        if measures.len() != combiner.arity() {
-            return Err(SstError::InvalidArgument(format!(
-                "{} measures but combiner arity {}",
-                measures.len(),
-                combiner.arity()
-            )));
-        }
-        for &mid in measures {
-            if !self.measure_info(mid)?.normalized {
-                return Err(SstError::InvalidArgument(format!(
-                    "measure `{}` is unnormalized and cannot be combined",
-                    self.measure_info(mid)?.name
-                )));
-            }
-        }
-        let query = self.soqa.resolve(ontology, concept)?;
+        self.check_combination(measures, combiner)?;
+        let (query, members) = self.set_arguments(concept, ontology, set, measures)?;
         let scorers: Vec<PairScorer<'_>> = measures
             .iter()
             .map(|&m| self.scorer(m))
             .collect::<Result<_>>()?;
         let qrow = self.row(query)?;
         let rows = self.rows(&members)?;
-        let mut all: Vec<ConceptAndSimilarity> = members
-            .iter()
-            .zip(&rows)
-            .map(|(&gc, &r)| {
-                let scores: Vec<f64> = measures
-                    .iter()
-                    .zip(&scorers)
-                    .map(|(&m, scorer)| self.timed_score(m, || scorer.score(qrow, r)))
-                    .collect();
-                self.to_result(gc, combiner.combine(&scores))
-            })
-            .collect();
-        all.sort_by(rank_descending);
-        all.truncate(k);
-        Ok(all)
+        let combined = members.iter().zip(&rows).map(|(&gc, &r)| {
+            let scores: Vec<f64> = measures
+                .iter()
+                .zip(&scorers)
+                .map(|(&m, scorer)| self.timed_score(m, || scorer.score(qrow, r)))
+                .collect();
+            (gc, combiner.combine(&scores))
+        });
+        Ok(self.select_k_best(combined, k, RankOrder::Descending))
     }
 
     // ---- (S3) visualization services ---------------------------------------

@@ -22,11 +22,19 @@
 //! Reservations live in a side table, not in the LRU itself, so a
 //! reserved-but-uncomputed key can never be evicted and never counts
 //! against the capacity bound (in-flight reservations are bounded by the
-//! number of computing threads).
+//! number of computing threads). Only a reserved key can have waiters, so
+//! a plain [`ShardedLru::insert`] wakes the shard's condvar only when it
+//! lands on a reserved key: std's futex condvar does not track waiters,
+//! and an unconditional wake is a system call per insert.
+//!
+//! Keys are hashed with [`mix64`], a fixed 64-bit mixer, both to pick the
+//! shard and inside the shard's map. The memo's keys are packed row
+//! indices of a frozen corpus, not request bytes, so a keyed
+//! (flood-resistant) hash buys nothing and SipHash would cost a pass per
+//! lookup.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Sentinel index for "no node".
@@ -35,6 +43,41 @@ const NIL: usize = usize::MAX;
 /// Number of shards; a small power of two — enough to spread write
 /// contention across a worker pool without fragmenting tiny capacities.
 const SHARD_COUNT: usize = 8;
+
+/// The SplitMix64 finalizer: a fixed bijective 64-bit mixer whose every
+/// output bit depends on every input bit.
+fn mix64(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+/// A [`Hasher`] over [`mix64`]: an integer key `x` hashes to `mix64(x)`.
+#[derive(Debug, Default)]
+struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    fn finish(&self) -> u64 {
+        mix64(self.0)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        // `mix64(0) == 0`, so a single integer write leaves exactly `x`.
+        self.0 = mix64(self.0) ^ x;
+    }
+}
+
+type MixState = BuildHasherDefault<MixHasher>;
 
 #[derive(Debug)]
 struct Node<K, V> {
@@ -48,7 +91,7 @@ struct Node<K, V> {
 #[derive(Debug)]
 struct LruInner<K, V> {
     /// Key → slab slot.
-    map: HashMap<K, usize>,
+    map: HashMap<K, usize, MixState>,
     /// Slab of list nodes; `free` holds recycled slots.
     nodes: Vec<Node<K, V>>,
     free: Vec<usize>,
@@ -59,20 +102,30 @@ struct LruInner<K, V> {
     /// Maximum resident entries in this shard.
     capacity: usize,
     /// Keys currently reserved by a computing thread.
-    pending: HashSet<K>,
+    pending: HashSet<K, MixState>,
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> LruInner<K, V> {
     fn new(capacity: usize) -> Self {
         LruInner {
-            map: HashMap::new(),
+            map: HashMap::default(),
             nodes: Vec::new(),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
             capacity,
-            pending: HashSet::new(),
+            pending: HashSet::default(),
         }
+    }
+
+    /// Drops every resident entry (and its memory); the capacity and the
+    /// reservations stay.
+    fn clear_entries(&mut self) {
+        self.map = HashMap::default();
+        self.nodes = Vec::new();
+        self.free = Vec::new();
+        self.head = NIL;
+        self.tail = NIL;
     }
 
     /// Unlinks node `i` from the recency list.
@@ -229,23 +282,25 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
     }
 
     /// Drops every resident entry. Reservations (and their waiters) are
-    /// untouched: the in-flight computations complete normally.
+    /// untouched: the in-flight computations complete normally, and a
+    /// thread that misses a reserved key still waits for it instead of
+    /// computing it a second time.
     pub(crate) fn clear(&self) {
         for shard in &self.shards {
             // lint: allow(lock-in-loop) each iteration locks a *different* shard exactly once
-            let mut inner = shard.lock();
-            let capacity = inner.capacity;
-            *inner = LruInner::new(capacity);
+            shard.lock().clear_entries();
         }
     }
 
     fn shard(&self, key: &K) -> &Shard<K, V> {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        // `shards` is non-empty by construction (capacity is clamped ≥ 1),
-        // and the modulo keeps the index in range.
-        let idx = (hasher.finish() as usize) % self.shards.len().max(1);
-        &self.shards[idx]
+        // A multiply-shift reduction of the hash's upper half picks the
+        // shard: the shard's map buckets by the low bits of the same hash,
+        // so no bucket bits are constant within a shard. The product of a
+        // 32-bit value and the shard count, shifted down 32 bits, is below
+        // the shard count, which is at least one by construction.
+        let hash = MixState::default().hash_one(key);
+        let idx = ((hash >> 32) * self.shards.len() as u64) >> 32;
+        &self.shards[idx as usize]
     }
 
     /// Non-blocking lookup refreshing recency; never reserves.
@@ -299,13 +354,20 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
         shard.ready.notify_all();
     }
 
-    /// Plain insert (no reservation involved), waking any waiters that
-    /// were blocked on a concurrent reservation of the same key. Returns
-    /// `true` when an entry was evicted to make room.
+    /// Plain insert (no reservation involved). When another thread holds
+    /// a reservation of the same key, its waiters wake to the value; any
+    /// other insert skips the wake, since only a reserved key can have
+    /// waiters. Returns `true` when an entry was evicted to make room.
     pub(crate) fn insert(&self, key: K, value: V) -> bool {
         let shard = self.shard(&key);
-        let evicted = shard.lock().insert(key, value);
-        shard.ready.notify_all();
+        let (evicted, reserved) = {
+            let mut inner = shard.lock();
+            let reserved = inner.pending.contains(&key);
+            (inner.insert(key, value), reserved)
+        };
+        if reserved {
+            shard.ready.notify_all();
+        }
         evicted
     }
 }
@@ -444,6 +506,57 @@ mod tests {
                 "a waiter inherits the abandoned reservation"
             );
         });
+    }
+
+    #[test]
+    fn plain_insert_of_a_reserved_key_wakes_its_waiter() {
+        let lru: ShardedLru<u64, u64> = ShardedLru::with_capacity(8);
+        assert_eq!(lru.get_or_reserve(&7), Slot::Reserved);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| lru.get_or_reserve(&7));
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(!lru.insert(7, 70));
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            while !waiter.is_finished() && std::time::Instant::now() < deadline {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            let woke = waiter.is_finished();
+            // The reservation is still the first thread's to release (and
+            // releasing it frees a waiter the insert failed to wake).
+            assert!(!lru.fulfill(7, 70));
+            assert!(woke, "the insert must wake the waiter");
+            assert_eq!(waiter.join().expect("waiter"), Slot::Hit(70));
+        });
+        assert_eq!(lru.get(&7), Some(70));
+    }
+
+    #[test]
+    fn clear_keeps_reservations() {
+        let lru: ShardedLru<u64, u64> = ShardedLru::with_capacity(8);
+        assert_eq!(lru.get_or_reserve(&7), Slot::Reserved);
+        lru.clear();
+        std::thread::scope(|scope| {
+            // Key 7 is still being computed: a second miss must wait for
+            // it, not reserve and compute it again.
+            let waiter = scope.spawn(|| lru.get_or_reserve(&7));
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(!waiter.is_finished(), "the second miss must block");
+            assert!(!lru.fulfill(7, 70));
+            assert_eq!(waiter.join().expect("waiter"), Slot::Hit(70));
+        });
+    }
+
+    #[test]
+    fn mixer_hashes_integer_keys_to_their_mix() {
+        for x in [0_u64, 1, 7, 1 << 40, u64::MAX] {
+            assert_eq!(MixState::default().hash_one(x), mix64(x));
+            if let Ok(small) = u32::try_from(x) {
+                assert_eq!(MixState::default().hash_one(small), mix64(x));
+            }
+        }
+        // A bijection: distinct keys never share a hash.
+        let hashes: HashSet<u64> = (0..10_000_u64).map(mix64).collect();
+        assert_eq!(hashes.len(), 10_000);
     }
 
     #[test]

@@ -154,12 +154,12 @@ pub const CATALOG: &[MetricDecl] = &[
     MetricDecl {
         name: "core.rank.calls.*",
         kind: MetricKind::Counter,
-        help: "rank-query runs, per measure",
+        help: "rank-query runs (direct and cached k-best), per measure",
     },
     MetricDecl {
         name: "core.rank.latency.*",
         kind: MetricKind::Histogram,
-        help: "rank-query wall time per measure (ns)",
+        help: "rank-query wall time (direct and cached k-best) per measure (ns)",
     },
     MetricDecl {
         name: "core.sched.imbalance",

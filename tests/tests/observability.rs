@@ -81,31 +81,43 @@ fn nan_scores_rank_deterministically() {
     assert_eq!(ranked[1].similarity, 1.0);
     let tail: Vec<&str> = ranked[2..].iter().map(|r| r.concept.as_str()).collect();
     assert_eq!(tail, ["Person", "Professor", "Thing"]);
+    // Every shorter ranking is a prefix of the full one, the cut included.
+    for k in 1..=4 {
+        let top = sst
+            .most_similar("Student", "uni", &ConceptSet::All, k, id)
+            .unwrap();
+        assert_same_shape(&top, &ranked[..k]);
+    }
+}
+
+/// Names in order, and NaN positions (NaN != NaN, so the scores are
+/// compared by bits).
+fn assert_same_shape(a: &[sst_core::ConceptAndSimilarity], b: &[sst_core::ConceptAndSimilarity]) {
+    assert_eq!(a.len(), b.len());
+    for (x, y) in a.iter().zip(b) {
+        assert_eq!((&x.concept, &x.ontology), (&y.concept, &y.ontology));
+        assert_eq!(x.similarity.to_bits(), y.similarity.to_bits());
+    }
 }
 
 #[test]
 fn cached_and_direct_paths_rank_nan_identically() {
     let sst = nan_toolkit();
     let id = sst.measure_id("nan_prone").unwrap();
-    let direct = sst
-        .most_similar("Student", "uni", &ConceptSet::All, 5, id)
-        .unwrap();
-    let cache = CachedSimilarity::new(&sst);
-    let cached = cache
-        .most_similar("Student", "uni", &ConceptSet::All, 5, id)
-        .unwrap();
-    // NaN != NaN, so compare shape: names in order plus NaN positions.
-    assert_eq!(direct.len(), cached.len());
-    for (d, c) in direct.iter().zip(&cached) {
-        assert_eq!((&d.concept, &d.ontology), (&c.concept, &c.ontology));
-        assert_eq!(d.similarity.is_nan(), c.similarity.is_nan());
-    }
-    // Second cached run (memo warm) must not reshuffle either.
-    let warm = cache
-        .most_similar("Student", "uni", &ConceptSet::All, 5, id)
-        .unwrap();
-    for (d, w) in direct.iter().zip(&warm) {
-        assert_eq!((&d.concept, &d.ontology), (&w.concept, &w.ontology));
+    for k in 1..=5 {
+        let direct = sst
+            .most_similar("Student", "uni", &ConceptSet::All, k, id)
+            .unwrap();
+        let cache = CachedSimilarity::new(&sst);
+        let cached = cache
+            .most_similar("Student", "uni", &ConceptSet::All, k, id)
+            .unwrap();
+        assert_same_shape(&cached, &direct);
+        // Second cached run (memo warm) must not reshuffle either.
+        let warm = cache
+            .most_similar("Student", "uni", &ConceptSet::All, k, id)
+            .unwrap();
+        assert_same_shape(&warm, &direct);
     }
 }
 
@@ -120,6 +132,13 @@ fn most_dissimilar_handles_nan() {
     assert_eq!(ranked.len(), 5);
     assert!(ranked[4].similarity.is_nan());
     assert_eq!(ranked[4].concept, "Course");
+    for k in 1..=4 {
+        let bottom = sst
+            .most_dissimilar("Student", "uni", &ConceptSet::All, k, id)
+            .unwrap();
+        assert_same_shape(&bottom, &ranked[..k]);
+        assert!(bottom.iter().all(|r| !r.similarity.is_nan()), "k {k}");
+    }
 }
 
 // ---- matrix triangle + mirror ---------------------------------------------

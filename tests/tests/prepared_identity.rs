@@ -60,6 +60,23 @@ fn naive_ranking(members: &[ConceptRef], scores: Vec<f64>, k: usize) -> Vec<Conc
     ranked
 }
 
+/// The k-worst ranking of `members` by their naive `scores`, ordered like
+/// `most_dissimilar`: ascending `total_cmp`, then the qualified name.
+fn naive_dissimilar_ranking(
+    members: &[ConceptRef],
+    scores: Vec<f64>,
+    k: usize,
+) -> Vec<ConceptAndSimilarity> {
+    let mut ranked = naive_ranking(members, scores, usize::MAX);
+    ranked.sort_by(|x, y| {
+        x.similarity
+            .total_cmp(&y.similarity)
+            .then_with(|| (&x.ontology, &x.concept).cmp(&(&y.ontology, &y.concept)))
+    });
+    ranked.truncate(k);
+    ranked
+}
+
 fn assert_rankings_bit_identical(
     a: &[ConceptAndSimilarity],
     b: &[ConceptAndSimilarity],
@@ -236,17 +253,11 @@ fn most_dissimilar_matches_naive_for_every_measure() {
         let ranked = sst
             .most_dissimilar("Human", names::SUMO, &set, 6, measure)
             .unwrap();
-        let mut naive = naive_ranking(
+        let naive = naive_dissimilar_ranking(
             refs(&set),
             naive_scores(&sst, &query, refs(&set), measure),
-            usize::MAX,
+            6,
         );
-        naive.sort_by(|x, y| {
-            x.similarity
-                .total_cmp(&y.similarity)
-                .then_with(|| (&x.ontology, &x.concept).cmp(&(&y.ontology, &y.concept)))
-        });
-        naive.truncate(6);
         let what = format!("measure {measure} most_dissimilar");
         assert_rankings_bit_identical(&ranked, &naive, &what);
     }
@@ -291,45 +302,76 @@ fn cached_most_similar_matches_direct_for_every_measure() {
 
 /// From `RANK_PARALLEL_THRESHOLD` (256) members up, the rank scan fans out
 /// over the work-stealing scheduler: every `/rank` over the whole corpus
-/// takes that path. For every built-in measure the full ranking over
-/// `ConceptSet::All` — direct, cached cold and cached warm — equals the
-/// ranking built from one oracle pairwise call per member.
+/// takes that path. For every built-in measure, under both tree modes and
+/// at every k from 1 past the corpus size, the rankings over
+/// `ConceptSet::All` — `most_similar`, `most_dissimilar`, the cached rank
+/// cold and warm, and for `dense_vector` the full-probe approximate rank —
+/// equal the rankings built from one oracle pairwise call per member.
+/// Graph and IC measures tie heavily, so small k cuts through ties.
 #[test]
 fn whole_corpus_rankings_match_the_oracle_for_every_measure() {
-    let sst = corpus();
-    let soqa = sst.soqa();
-    let members: Vec<ConceptRef> = sst
-        .concept_set(&ConceptSet::All)
-        .unwrap()
-        .into_iter()
-        .map(|gc| ConceptRef::new(&soqa.concept(gc).name, soqa.ontology_at(gc.ontology).name()))
-        .collect();
-    assert!(
-        members.len() >= 256,
-        "the parallel rank path needs 256 members"
-    );
-    let n = members.len();
-    let cache = CachedSimilarity::new(&sst);
-    let (query, query_onto) = ("Student", names::UNIV_BENCH);
-    for measure in all_measures(&sst) {
-        let scores = members
-            .iter()
-            .map(|r| {
-                sst.get_similarity(query, query_onto, &r.concept, &r.ontology, oracle(measure))
-                    .unwrap()
-            })
+    for mode in [TreeMode::SuperThing, TreeMode::MergedThing] {
+        let sst = corpus_with_oracle(mode);
+        let soqa = sst.soqa();
+        let members: Vec<ConceptRef> = sst
+            .concept_set(&ConceptSet::All)
+            .unwrap()
+            .into_iter()
+            .map(|gc| ConceptRef::new(&soqa.concept(gc).name, soqa.ontology_at(gc.ontology).name()))
             .collect();
-        let expected = naive_ranking(&members, scores, n);
-        let what = format!("measure {measure} whole-corpus ranking");
-        let direct = sst
-            .most_similar(query, query_onto, &ConceptSet::All, n, measure)
-            .unwrap();
-        assert_rankings_bit_identical(&direct, &expected, &what);
-        for pass in ["cold", "warm"] {
-            let cached = cache
-                .most_similar(query, query_onto, &ConceptSet::All, n, measure)
-                .unwrap();
-            assert_rankings_bit_identical(&cached, &expected, &format!("{what} ({pass})"));
+        assert!(
+            members.len() >= 256,
+            "the parallel rank path needs 256 members"
+        );
+        let n = members.len();
+        assert_eq!(
+            sst.vector_store().len(),
+            n,
+            "the store holds the tree's concepts"
+        );
+        let (query, query_onto) = ("Student", names::UNIV_BENCH);
+        for measure in all_measures(&sst) {
+            let scores: Vec<f64> = members
+                .iter()
+                .map(|r| {
+                    sst.get_similarity(query, query_onto, &r.concept, &r.ontology, oracle(measure))
+                        .unwrap()
+                })
+                .collect();
+            for k in [1, 2, 10, n - 1, n, n + 5] {
+                let what = format!("{mode:?} measure {measure} k {k} whole-corpus ranking");
+                let expected = naive_ranking(&members, scores.clone(), k);
+                assert_eq!(expected.len(), k.min(n));
+                let direct = sst
+                    .most_similar(query, query_onto, &ConceptSet::All, k, measure)
+                    .unwrap();
+                assert_rankings_bit_identical(&direct, &expected, &what);
+                let cache = CachedSimilarity::new(&sst);
+                for pass in ["cold", "warm"] {
+                    let cached = cache
+                        .most_similar(query, query_onto, &ConceptSet::All, k, measure)
+                        .unwrap();
+                    assert_rankings_bit_identical(&cached, &expected, &format!("{what} ({pass})"));
+                }
+                if measure == sst_core::measure_ids::DENSE_VECTOR_MEASURE {
+                    let approx = sst
+                        .most_similar_approx_with(query, query_onto, k, n)
+                        .unwrap();
+                    assert_rankings_bit_identical(
+                        &approx,
+                        &expected,
+                        &format!("{what} (full probe)"),
+                    );
+                }
+                let dissimilar = sst
+                    .most_dissimilar(query, query_onto, &ConceptSet::All, k, measure)
+                    .unwrap();
+                assert_rankings_bit_identical(
+                    &dissimilar,
+                    &naive_dissimilar_ranking(&members, scores.clone(), k),
+                    &format!("{what} (most_dissimilar)"),
+                );
+            }
         }
     }
 }
@@ -352,14 +394,25 @@ fn combined_ranking_matches_pairwise_combined_scores() {
         .iter()
         .map(|&m| naive_scores(&sst, &query, refs(&set), m))
         .collect();
-    let combined = (0..refs(&set).len())
+    let combined: Vec<f64> = (0..refs(&set).len())
         .map(|i| {
             let scores: Vec<f64> = per_measure.iter().map(|s| s[i]).collect();
             combiner.combine(&scores)
         })
         .collect();
-    let naive = naive_ranking(refs(&set), combined, 20);
+    let naive = naive_ranking(refs(&set), combined.clone(), 20);
     assert_rankings_bit_identical(&ranked, &naive, "combined ranking vs naive");
+    // Below the set size the k best are selected before they are sorted.
+    let k = refs(&set).len() / 2;
+    let top = sst
+        .most_similar_combined("Student", names::UNIV_BENCH, &set, k, &measures, &combiner)
+        .unwrap();
+    assert_eq!(top.len(), k);
+    assert_rankings_bit_identical(
+        &top,
+        &naive_ranking(refs(&set), combined, k),
+        "combined top-k vs naive",
+    );
     for row in &ranked {
         let direct = sst
             .combined_similarity(
