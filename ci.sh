@@ -10,21 +10,23 @@
 # query service answers every concurrent request 200/429, sheds instead
 # of queueing unboundedly, and drains cleanly on shutdown), and the ANN
 # smoke gate (exact vector-store rankings bit-identical to the naive
-# scan, approximate recall@10 at least 0.95; writes
+# scan, approximate recall@10 at least 0.95; the full run writes
 # results/BENCH_ann.json), and the alignment smoke gate (blocked
 # candidate generation never materializes n*m and leaves no source
 # without candidates, stable-matching F1 at least greedy F1 at every
 # blocking width and strictly better on average, stable precision above
-# its floor; writes results/BENCH_align.json), and the snapshot smoke
-# gate (SSTSNAP1 round trip bit-identical on every measure and faster
-# than a cold parse; the full run writes results/BENCH_snapshot.json),
+# its floor; the full run writes results/BENCH_align.json), and the
+# snapshot smoke gate (SSTSNAP1 round trip bit-identical on every
+# measure and faster than a cold parse; the full run writes
+# results/BENCH_snapshot.json),
 # and the benchmark gate (perfbench, a workspace of its own, must build
 # against the current crates, pass its self-tests, and finish short
 # batch_matrix, serve_cold and serve_hot runs whose result lines report
 # "correct":true; the serve runs check every /similarity and /rank answer
 # served over HTTP against an independently loaded toolkit), and the
 # examples gate (every example that writes nothing into the repository
-# runs to a zero exit).
+# runs to a zero exit). Smoke runs print their results and write no
+# tracked file, so a green run leaves `git status` clean.
 set -eu
 cd "$(dirname "$0")"
 # Archive the machine-readable findings document first (written even

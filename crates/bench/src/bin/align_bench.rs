@@ -1,6 +1,7 @@
 //! Alignment-quality harness: measures precision/recall/F1 of the greedy
 //! and stable matching engines against seeded-perturbation ground truth,
-//! at several blocking widths, and writes `results/BENCH_align.json`.
+//! at several blocking widths, and (full run only) writes
+//! `results/BENCH_align.json`.
 //!
 //! Ground truth comes from `sst_bench::perturb`: the perturbed copy of a
 //! seeded taxonomy keeps concept ids index-aligned with the original, so
@@ -12,7 +13,7 @@
 //! Usage:
 //! ```text
 //! cargo run --release -p sst-bench --bin align_bench            # full run
-//! cargo run --release -p sst-bench --bin align_bench -- --smoke # CI gate
+//! cargo run --release -p sst-bench --bin align_bench -- --smoke # CI gate (prints, writes nothing)
 //! ```
 //!
 //! Both modes enforce the subsystem's contract: blocked candidate counts
@@ -125,7 +126,7 @@ fn run_one(
     }
 }
 
-fn render_json(concepts: usize, mode: &str, runs: &[Run]) -> String {
+fn render_json(concepts: usize, runs: &[Run]) -> String {
     let rows: Vec<String> = runs
         .iter()
         .map(|r| {
@@ -159,7 +160,7 @@ fn render_json(concepts: usize, mode: &str, runs: &[Run]) -> String {
     let greedy_f1 = mean(MatchMode::Greedy);
     format!(
         "{{\"workload\":{{\"concepts\":{concepts},\"strength\":{STRENGTH},\
-         \"perturbation\":\"all\",\"mode\":\"{mode}\"}},\
+         \"perturbation\":\"all\",\"mode\":\"full\"}},\
          \"runs\":[{}],\
          \"mean_greedy_f1\":{greedy_f1:.4},\"mean_stable_f1\":{stable_f1:.4},\
          \"stable_beats_greedy\":{}}}",
@@ -274,12 +275,16 @@ fn main() {
         stable_precision >= PRECISION_FLOOR,
         "stable precision {stable_precision:.4} below the {PRECISION_FLOOR} floor"
     );
+    if smoke {
+        println!("align_bench --smoke: blocking and matching contract holds (nothing written)");
+        return;
+    }
 
     let results = data_dir().join("../results");
     std::fs::create_dir_all(&results).expect("results dir");
     std::fs::write(
         results.join("BENCH_align.json"),
-        render_json(concepts, if smoke { "smoke" } else { "full" }, &runs),
+        render_json(concepts, &runs),
     )
     .expect("write BENCH_align");
     println!("(written to results/BENCH_align.json)");

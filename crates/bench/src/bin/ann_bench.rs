@@ -2,12 +2,12 @@
 //! scan (`most_similar_approx_with` at a full-corpus probe) against the
 //! approximate graph path (`most_similar_approx`) on a seeded synthetic
 //! corpus, measures recall@10 of the approximate ranking against the
-//! exact one, and writes `results/BENCH_ann.json`.
+//! exact one, and (full run only) writes `results/BENCH_ann.json`.
 //!
 //! Usage:
 //! ```text
 //! cargo run --release -p sst-bench --bin ann_bench            # full run (n≈10k, 1000 queries)
-//! cargo run --release -p sst-bench --bin ann_bench -- --smoke # CI gate (small corpus)
+//! cargo run --release -p sst-bench --bin ann_bench -- --smoke # CI gate (small corpus, prints, writes nothing)
 //! cargo run --release -p sst-bench --bin ann_bench -- --tune  # probe-width sweep (dev aid)
 //! ```
 //!
@@ -141,11 +141,10 @@ fn render_json(
     recall: f64,
     exact_s: f64,
     approx_s: f64,
-    mode: &str,
 ) -> String {
     format!(
         "{{\"workload\":{{\"concepts\":{concepts},\"queries\":{queries},\"k\":{K},\
-         \"probe\":{probe},\"repeats\":{REPEATS},\"mode\":\"{mode}\"}},\
+         \"probe\":{probe},\"repeats\":{REPEATS},\"mode\":\"full\"}},\
          \"recall_at_10\":{recall:.4},\
          \"exact_seconds\":{exact_s},\"approx_seconds\":{approx_s},\
          \"speedup\":{:.2},\"exact_bit_identical\":true}}",
@@ -214,26 +213,20 @@ fn main() {
         recall >= 0.95,
         "recall@10 {recall:.4} below the 0.95 floor at default probe {probe}"
     );
-    if !smoke {
-        assert!(
-            speedup > 5.0,
-            "approximate path speedup {speedup:.2}x is not > 5x at n={concepts}"
-        );
+    if smoke {
+        println!("ann_bench --smoke: exact identity and recall floor hold (nothing written)");
+        return;
     }
+    assert!(
+        speedup > 5.0,
+        "approximate path speedup {speedup:.2}x is not > 5x at n={concepts}"
+    );
 
     let results = data_dir().join("../results");
     std::fs::create_dir_all(&results).expect("results dir");
     std::fs::write(
         results.join("BENCH_ann.json"),
-        render_json(
-            concepts,
-            query_count,
-            probe,
-            recall,
-            exact_s,
-            approx_s,
-            if smoke { "smoke" } else { "full" },
-        ),
+        render_json(concepts, query_count, probe, recall, exact_s, approx_s),
     )
     .expect("write BENCH_ann");
     println!("(written to results/BENCH_ann.json)");

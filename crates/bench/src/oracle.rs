@@ -12,6 +12,10 @@
 //! The graph and information-content formulas walk the taxonomy with the
 //! same `sst-simpack` kernels the table scorers use; those kernels are
 //! checked against full-table scans in `kernel_differential`.
+//!
+//! [`NswOracle`] is the reference of the vector store's approximate path:
+//! the NSW graph construction and the two-heap beam search as the store
+//! ran them before its one-beam search.
 
 use sst_core::{embed_tfidf, MeasureRunner, RunnerInfo, SimilarityContext, SstBuilder, EMBED_DIM};
 use sst_simpack::{
@@ -21,6 +25,10 @@ use sst_simpack::{
     tree_similarity, wu_palmer_similarity_rooted, AlignmentScoring, CostModel, CATALOG,
 };
 use sst_soqa::GlobalConcept;
+
+mod nsw;
+
+pub use nsw::NswOracle;
 
 /// Number of built-in measures; the oracle of built-in `m` is registered
 /// at `BUILTINS + m`.

@@ -231,12 +231,15 @@ pub fn align_with_limits(
     let (src_rows, tgt_rows) = (sst.rows(&sources)?, sst.rows(&targets)?);
 
     // ---- Candidate generation -------------------------------------------
-    let candidates: Vec<Vec<usize>> = match config.candidates {
-        CandidateGen::Exhaustive => sources
-            .iter()
-            .map(|_| (0..targets.len()).collect())
-            .collect(),
-        CandidateGen::Blocked { width } => blocked_candidates(sst, &src_rows, &tgt_rows, width),
+    let candidates: Vec<Vec<usize>> = {
+        let _span = sst.metrics().span("core.align.blocking.latency");
+        match config.candidates {
+            CandidateGen::Exhaustive => sources
+                .iter()
+                .map(|_| (0..targets.len()).collect())
+                .collect(),
+            CandidateGen::Blocked { width } => blocked_candidates(sst, &src_rows, &tgt_rows, width),
+        }
     };
     stats.sources_without_candidates = candidates.iter().filter(|c| c.is_empty()).count();
     let pair_list: Vec<(usize, usize)> = candidates

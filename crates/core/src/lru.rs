@@ -413,13 +413,39 @@ mod tests {
         assert_eq!(inner.get_touch(&4), Some(40));
     }
 
+    /// The first `count` keys from 0 upward that land in pairwise
+    /// different shards of `lru`.
+    fn keys_in_distinct_shards(lru: &ShardedLru<u32, u32>, count: usize) -> Vec<u32> {
+        let mut keys: Vec<u32> = Vec::new();
+        for k in 0..10_000 {
+            if keys.len() == count {
+                break;
+            }
+            if !keys
+                .iter()
+                .any(|other| std::ptr::eq(lru.shard(other), lru.shard(&k)))
+            {
+                keys.push(k);
+            }
+        }
+        assert_eq!(keys.len(), count, "no {count} keys in distinct shards");
+        keys
+    }
+
     #[test]
     fn reinsert_refreshes_instead_of_evicting() {
+        // Capacity two is two one-slot shards; with one key in each, both
+        // shards are full, so only a refresh can keep the overwrite from
+        // evicting.
         let lru: ShardedLru<u32, u32> = ShardedLru::with_capacity(2);
-        lru.insert(1, 10);
-        lru.insert(2, 20);
-        assert!(!lru.insert(1, 11), "overwrite does not evict");
-        assert_eq!(lru.get(&1), Some(11));
+        assert_eq!(lru.shards.len(), 2);
+        let keys = keys_in_distinct_shards(&lru, 2);
+        let (a, b) = (keys[0], keys[1]);
+        assert!(!lru.insert(a, 10));
+        assert!(!lru.insert(b, 20));
+        assert!(!lru.insert(a, 11), "overwrite does not evict");
+        assert_eq!(lru.get(&a), Some(11));
+        assert_eq!(lru.get(&b), Some(20));
         assert_eq!(lru.len(), 2);
     }
 
@@ -561,14 +587,22 @@ mod tests {
 
     #[test]
     fn clear_keeps_capacity() {
+        // Capacity four is four one-slot shards; one key per shard fills
+        // every shard, before the clear and after it.
         let lru: ShardedLru<u32, u32> = ShardedLru::with_capacity(4);
-        for i in 0..4 {
-            lru.insert(i, i);
+        assert_eq!(lru.shards.len(), 4);
+        let keys = keys_in_distinct_shards(&lru, 4);
+        for &k in &keys {
+            lru.insert(k, k);
         }
+        assert_eq!(lru.len(), 4);
         lru.clear();
         assert_eq!(lru.len(), 0);
-        for i in 0..10 {
-            lru.insert(i, i);
+        for &k in &keys {
+            assert!(!lru.insert(k, k), "a cleared shard has room again");
+        }
+        for k in 0..100 {
+            lru.insert(k, k);
         }
         assert_eq!(lru.len(), 4, "capacity survives clear");
     }

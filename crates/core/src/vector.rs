@@ -106,7 +106,7 @@ pub fn embed_tfidf(tfidf: &[(TermId, f64)], dim: usize) -> Vec<f64> {
 }
 
 /// A `(dot product, row)` pair with a strict deterministic order: higher
-/// dot first, ties to the lower row id. Drives every heap and every
+/// dot first, ties to the lower row id. Orders the beam and every
 /// neighbor selection in the graph, so search results are a pure
 /// function of the matrix.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -131,6 +131,193 @@ impl PartialOrd for Scored {
     }
 }
 
+/// `dense_dot(row, query)` for `L` rows at once. Each lane sums its
+/// products left to right from 0.0, exactly as `dense_dot` does, so every
+/// result keeps its bits; only the independent sums overlap. Rows of
+/// another width than the query fall back to `dense_dot` itself.
+fn dot_lanes<const L: usize>(rows: [&[f64]; L], query: &[f64]) -> [f64; L] {
+    let n = query.len();
+    if rows.iter().any(|r| r.len() != n) {
+        return rows.map(|r| dense_dot(r, query));
+    }
+    let mut sums = [0.0; L];
+    for (i, &q) in query.iter().enumerate() {
+        for (sum, row) in sums.iter_mut().zip(&rows) {
+            *sum += row[i] * q;
+        }
+    }
+    sums
+}
+
+/// A row-major `n × dim` matrix.
+#[derive(Debug, Clone, Copy)]
+struct Matrix<'a> {
+    values: &'a [f64],
+    dim: usize,
+}
+
+impl<'a> Matrix<'a> {
+    /// Row `i` (empty when out of range).
+    fn row(self, i: usize) -> &'a [f64] {
+        let start = i * self.dim;
+        let end = start.saturating_add(self.dim);
+        self.values.get(start..end).unwrap_or(&[])
+    }
+
+    /// Appends `dense_dot(row(id), query)` for each id, in order: eight or
+    /// four rows at a time through [`dot_lanes`] (a short chunk repeats
+    /// its last row in the spare lanes), one or two rows alone.
+    fn dots(self, ids: &[u32], query: &[f64], out: &mut Vec<f64>) {
+        for chunk in ids.chunks(8) {
+            match chunk.len() {
+                0..=2 => out.extend(
+                    chunk
+                        .iter()
+                        .map(|&id| dense_dot(self.row(id as usize), query)),
+                ),
+                3..=4 => self.dots_lanes::<4>(chunk, query, out),
+                _ => self.dots_lanes::<8>(chunk, query, out),
+            }
+        }
+    }
+
+    fn dots_lanes<const L: usize>(self, chunk: &[u32], query: &[f64], out: &mut Vec<f64>) {
+        let last = chunk.last().copied().unwrap_or(0);
+        let rows =
+            std::array::from_fn(|l| self.row(chunk.get(l).copied().unwrap_or(last) as usize));
+        out.extend(dot_lanes::<L>(rows, query).into_iter().take(chunk.len()));
+    }
+}
+
+/// One beam slot: a scored row and whether its neighbors were scored.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    scored: Scored,
+    expanded: bool,
+}
+
+/// Search state of the NSW graph, reusable across searches over one
+/// matrix: the beam, a visited stamp per row, and the unvisited
+/// neighbors of the node being expanded with their dots.
+#[derive(Debug)]
+struct Beam {
+    /// At most `ef` slots, best first.
+    slots: Vec<Slot>,
+    /// `visited[row] == stamp` marks a row seen by the current search.
+    /// One byte per row, as a `bool` would take: a query allocates it
+    /// afresh, and the build refills it once every 255 searches.
+    visited: Vec<u8>,
+    stamp: u8,
+    fresh: Vec<u32>,
+    fresh_dots: Vec<f64>,
+}
+
+impl Beam {
+    fn new(n: usize) -> Beam {
+        Beam {
+            slots: Vec::new(),
+            visited: vec![0; n],
+            stamp: 0,
+            fresh: Vec::new(),
+            fresh_dots: Vec::new(),
+        }
+    }
+
+    /// Best-first beam search: leaves the `ef` best rows reachable from
+    /// `entry` in [`Beam::slots`], by descending dot (ties to the lower
+    /// row). It expands the best unexpanded slot until none is left — the
+    /// HNSW layer-search loop on one sorted beam. A two-heap loop (a
+    /// frontier max-heap beside a results min-heap, stopping at the first
+    /// popped frontier entry below the worst result) expands the same
+    /// nodes in the same order: an entry the results evicted ranks below
+    /// the worst result, which only rises, so such an entry can only be
+    /// popped once no unexpanded result is left.
+    ///
+    /// An expansion marks the node's unvisited neighbors visited in
+    /// adjacency order, scores them together ([`Matrix::dots`]), then
+    /// admits them in adjacency order: into a beam that is not full, or
+    /// above its worst slot (which then drops out).
+    fn search(
+        &mut self,
+        neighbors: &[Vec<u32>],
+        matrix: Matrix<'_>,
+        query: &[f64],
+        ef: usize,
+        entry: u32,
+    ) {
+        self.slots.clear();
+        if (entry as usize) >= neighbors.len() {
+            return;
+        }
+        let ef = ef.max(1);
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.visited.fill(0);
+            self.stamp = 1;
+        }
+        let stamp = self.stamp;
+        if let Some(seen) = self.visited.get_mut(entry as usize) {
+            *seen = stamp;
+        }
+        self.slots.push(Slot {
+            scored: Scored {
+                dot: dense_dot(matrix.row(entry as usize), query),
+                row: entry,
+            },
+            expanded: false,
+        });
+        // Every slot before `open` is expanded.
+        let mut open = 0;
+        loop {
+            while self.slots.get(open).is_some_and(|s| s.expanded) {
+                open += 1;
+            }
+            let Some(slot) = self.slots.get_mut(open) else {
+                break;
+            };
+            slot.expanded = true;
+            let node = slot.scored.row as usize;
+
+            // Branch-free gather: every neighbor is written, and the
+            // length advances past the unvisited ones only.
+            let adjacency = neighbors.get(node).map(Vec::as_slice).unwrap_or(&[]);
+            self.fresh.resize(adjacency.len(), 0);
+            let mut fresh = 0;
+            for &nb in adjacency {
+                if let (Some(seen), Some(slot)) =
+                    (self.visited.get_mut(nb as usize), self.fresh.get_mut(fresh))
+                {
+                    fresh += usize::from(*seen != stamp);
+                    *seen = stamp;
+                    *slot = nb;
+                }
+            }
+            self.fresh.truncate(fresh);
+            self.fresh_dots.clear();
+            matrix.dots(&self.fresh, query, &mut self.fresh_dots);
+
+            for (&row, &dot) in self.fresh.iter().zip(&self.fresh_dots) {
+                let cand = Scored { dot, row };
+                let admit =
+                    self.slots.len() < ef || self.slots.last().is_some_and(|w| cand > w.scored);
+                if !admit {
+                    continue;
+                }
+                let at = self.slots.partition_point(|s| s.scored > cand);
+                self.slots.insert(
+                    at,
+                    Slot {
+                        scored: cand,
+                        expanded: false,
+                    },
+                );
+                self.slots.truncate(ef);
+                open = open.min(at);
+            }
+        }
+    }
+}
+
 /// NSW-lite proximity graph: one navigable small-world layer, searched
 /// with a bounded best-first beam. Nodes are store rows; edges connect
 /// each row to its (approximately) nearest neighbors by embedding dot
@@ -141,135 +328,65 @@ impl PartialOrd for Scored {
 struct NswGraph {
     /// Adjacency lists, row-aligned with the store matrix.
     neighbors: Vec<Vec<u32>>,
-    /// Fixed entry node (first row of the deterministic insertion order)
-    /// used while the graph is under construction.
-    entry: u32,
-}
-
-impl NswGraph {
-    /// Best-first beam search: returns the `ef` best rows reachable from
-    /// `entry`, ordered by descending dot (ties to the lower row). The
-    /// beam stops once the best unexpanded candidate scores below the
-    /// worst of `ef` results — the classic HNSW layer-search loop, here
-    /// on the single layer.
-    fn search(
-        &self,
-        rows: &[f64],
-        dim: usize,
-        query: &[f64],
-        ef: usize,
-        entry: u32,
-    ) -> Vec<Scored> {
-        let n = self.neighbors.len();
-        if n == 0 || (entry as usize) >= n {
-            return Vec::new();
-        }
-        let ef = ef.max(1);
-        let row_at = |i: usize| {
-            let start = i * dim;
-            let end = start.saturating_add(dim);
-            rows.get(start..end).unwrap_or(&[])
-        };
-        let mut visited = vec![false; n];
-        visited[entry as usize] = true;
-        let seed = Scored {
-            dot: dense_dot(row_at(entry as usize), query),
-            row: entry,
-        };
-        // Frontier: max-heap of unexpanded nodes. Results: min-heap of
-        // the best `ef` seen so far (worst on top, ready to evict).
-        let mut frontier = std::collections::BinaryHeap::from([seed]);
-        let mut results = std::collections::BinaryHeap::from([std::cmp::Reverse(seed)]);
-        while let Some(best) = frontier.pop() {
-            if results.len() >= ef {
-                if let Some(&std::cmp::Reverse(worst)) = results.peek() {
-                    if best < worst {
-                        break;
-                    }
-                }
-            }
-            for &nb in self
-                .neighbors
-                .get(best.row as usize)
-                .map(Vec::as_slice)
-                .unwrap_or(&[])
-            {
-                let i = nb as usize;
-                if visited.get(i).copied().unwrap_or(true) {
-                    continue;
-                }
-                visited[i] = true;
-                let cand = Scored {
-                    dot: dense_dot(row_at(i), query),
-                    row: nb,
-                };
-                let admit = results.len() < ef
-                    || results
-                        .peek()
-                        .is_some_and(|&std::cmp::Reverse(worst)| cand > worst);
-                if admit {
-                    frontier.push(cand);
-                    results.push(std::cmp::Reverse(cand));
-                    if results.len() > ef {
-                        results.pop();
-                    }
-                }
-            }
-        }
-        let mut out: Vec<Scored> = results.into_iter().map(|r| r.0).collect();
-        out.sort_by(|a, b| b.cmp(a));
-        out
-    }
 }
 
 /// Builds the proximity graph over the store matrix. Rows are inserted
 /// in a seeded shuffled order (taxonomy order would chain near-duplicate
 /// siblings and starve long-range links); each new row is connected
 /// bidirectionally to its `GRAPH_M` best already-inserted rows found by
-/// a construction-width beam search, and adjacency lists are pruned back
-/// to the `GRAPH_M_MAX` best edges when they overflow. Every choice ties
-/// to the lower row id, so the layout is a pure function of the matrix.
-fn build_nsw(rows: &[f64], dim: usize, n: usize) -> NswGraph {
+/// a construction-width beam search from the first inserted row, and
+/// adjacency lists are pruned back to the `GRAPH_M_MAX` best edges when
+/// they overflow. Every choice ties to the lower row id, so the layout
+/// is a pure function of the matrix. All searches share one [`Beam`].
+///
+/// Each edge keeps the dot the search that created it computed, for
+/// both of its ends: `dense_dot(a, b)` and `dense_dot(b, a)` are equal bit
+/// for bit (each product commutes, the sum runs in index order), so
+/// pruning sorts stored values instead of recomputing dots. The finished
+/// graph keeps the row ids only.
+fn build_nsw(matrix: Matrix<'_>, n: usize) -> NswGraph {
     let mut order: Vec<u32> = (0..n as u32).collect();
     let mut state = GRAPH_SEED;
     for i in (1..n).rev() {
         let j = (splitmix_next(&mut state) % (i as u64 + 1)) as usize;
         order.swap(i, j);
     }
-    let row_at = |i: usize| {
-        let start = i * dim;
-        let end = start.saturating_add(dim);
-        rows.get(start..end).unwrap_or(&[])
-    };
-    let mut graph = NswGraph {
-        neighbors: vec![Vec::new(); n],
-        entry: order.first().copied().unwrap_or(0),
-    };
-    let prune = |lists: &mut Vec<Vec<u32>>, node: u32| {
-        let list = &mut lists[node as usize];
-        if list.len() <= GRAPH_M_MAX {
-            return;
-        }
-        let base = row_at(node as usize);
-        // Best first; each edge's dot product is computed once, not once
-        // per comparison.
-        list.sort_by_cached_key(|&a| {
-            std::cmp::Reverse(Scored {
-                dot: dense_dot(row_at(a as usize), base),
-                row: a,
-            })
-        });
-        list.truncate(GRAPH_M_MAX);
-    };
+    let entry = order.first().copied().unwrap_or(0);
+    let mut neighbors: Vec<Vec<u32>> = vec![Vec::new(); n];
+    let mut edge_dots: Vec<Vec<f64>> = vec![Vec::new(); n];
+    let mut beam = Beam::new(n);
+    let mut edges: Vec<Scored> = Vec::new();
     for &v in order.iter().skip(1) {
-        let found = graph.search(rows, dim, row_at(v as usize), EF_CONSTRUCTION, graph.entry);
-        for link in found.iter().take(GRAPH_M) {
-            graph.neighbors[v as usize].push(link.row);
-            graph.neighbors[link.row as usize].push(v);
-            prune(&mut graph.neighbors, link.row);
+        let query = matrix.row(v as usize);
+        beam.search(&neighbors, matrix, query, EF_CONSTRUCTION, entry);
+        for link in beam.slots.iter().take(GRAPH_M).map(|s| s.scored) {
+            neighbors[v as usize].push(link.row);
+            edge_dots[v as usize].push(link.dot);
+            // Only the linked row can overflow: the new row gets at most
+            // `GRAPH_M` edges from its own insertion.
+            let (ids, dots) = (
+                &mut neighbors[link.row as usize],
+                &mut edge_dots[link.row as usize],
+            );
+            ids.push(v);
+            dots.push(link.dot);
+            if ids.len() > GRAPH_M_MAX {
+                edges.clear();
+                edges.extend(
+                    ids.iter()
+                        .zip(dots.iter())
+                        .map(|(&row, &dot)| Scored { dot, row }),
+                );
+                edges.sort_unstable_by(|a, b| b.cmp(a));
+                edges.truncate(GRAPH_M_MAX);
+                ids.clear();
+                dots.clear();
+                ids.extend(edges.iter().map(|e| e.row));
+                dots.extend(edges.iter().map(|e| e.dot));
+            }
         }
     }
-    graph
+    NswGraph { neighbors }
 }
 
 /// The per-concept embedding matrix with exact and approximate top-k
@@ -287,7 +404,7 @@ pub struct VectorStore {
     /// Per row: the embedding is the zero vector (no description).
     zero: Vec<bool>,
     positions: HashMap<GlobalConcept, usize>,
-    graph: Option<NswGraph>,
+    graph: NswGraph,
 }
 
 impl fmt::Debug for VectorStore {
@@ -319,11 +436,13 @@ impl VectorStore {
             concepts.push(gc);
             labels.push(label);
         }
-        let graph = if n > 0 {
-            Some(build_nsw(&vectors, dim, n))
-        } else {
-            None
-        };
+        let graph = build_nsw(
+            Matrix {
+                values: &vectors,
+                dim,
+            },
+            n,
+        );
         VectorStore {
             dim,
             concepts,
@@ -375,9 +494,14 @@ impl VectorStore {
 
     /// The embedding at `row` (empty slice when out of range).
     pub fn row(&self, row: usize) -> &[f64] {
-        let start = row * self.dim;
-        let end = start.saturating_add(self.dim);
-        self.vectors.get(start..end).unwrap_or(&[])
+        self.matrix().row(row)
+    }
+
+    fn matrix(&self) -> Matrix<'_> {
+        Matrix {
+            values: &self.vectors,
+            dim: self.dim,
+        }
     }
 
     /// Shifted-unit-cosine similarity of two rows, with the identity
@@ -385,13 +509,19 @@ impl VectorStore {
     /// matching the `dense_vector` runner's concept-identity guard, so
     /// store scores and measure scores agree bit-for-bit.
     pub fn similarity(&self, a: usize, b: usize) -> f64 {
+        self.score(a, b, || dense_dot(self.row(a), self.row(b)))
+    }
+
+    /// [`VectorStore::similarity`] of rows `a` and `b` given their dot
+    /// product, which is called only when the score depends on it.
+    fn score(&self, a: usize, b: usize, dot: impl FnOnce() -> f64) -> f64 {
         if a == b {
             return 1.0;
         }
         if self.zero.get(a).copied().unwrap_or(true) || self.zero.get(b).copied().unwrap_or(true) {
             return 0.0;
         }
-        (0.5 * (1.0 + dense_dot(self.row(a), self.row(b)))).clamp(0.0, 1.0)
+        (0.5 * (1.0 + dot())).clamp(0.0, 1.0)
     }
 
     /// Exact reference path: the query row scored against every row, in
@@ -410,7 +540,9 @@ impl VectorStore {
     /// candidates. Per-query cost scales with `probe`, not corpus size.
     /// Pass [`VectorStore::default_probe`] for the tuned default; larger
     /// values trade latency for recall, and `probe ≥ len` degenerates to
-    /// the exact scan (bit-identical scores).
+    /// the exact scan (bit-identical scores). Each candidate is scored
+    /// from the dot product the search computed for it, which is
+    /// `dense_dot` of the same two rows.
     pub fn approx_candidates(&self, query: usize, probe: usize) -> Vec<(usize, f64)> {
         if query >= self.len() {
             return Vec::new();
@@ -418,21 +550,20 @@ impl VectorStore {
         if probe >= self.len() {
             return self.scores_exact(query);
         }
-        let Some(graph) = self.graph.as_ref() else {
-            return Vec::new();
-        };
-        let found = graph.search(
-            &self.vectors,
-            self.dim,
+        let mut beam = Beam::new(self.len());
+        beam.search(
+            &self.graph.neighbors,
+            self.matrix(),
             self.row(query),
             probe,
             query as u32,
         );
-        let mut out: Vec<(usize, f64)> = found
-            .into_iter()
+        let mut out: Vec<(usize, f64)> = beam
+            .slots
+            .iter()
             .map(|s| {
-                let row = s.row as usize;
-                (row, self.similarity(query, row))
+                let row = s.scored.row as usize;
+                (row, self.score(query, row, || s.scored.dot))
             })
             .collect();
         if !out.iter().any(|&(row, _)| row == query) {
@@ -473,6 +604,11 @@ pub const FORMAT_MAGIC: &[u8; 8] = b"SSTVEC1\n";
 /// overflow the input-size check.
 const MAX_FORMAT_DIM: usize = 4096;
 
+/// How far a loaded row's squared norm may stray from 1: the store
+/// scores rows by their plain dot product, so it requires unit (or zero)
+/// rows.
+const UNIT_TOLERANCE: f64 = 1e-9;
+
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -493,6 +629,10 @@ pub enum VectorFormatError {
     BadDimension(usize),
     /// A row label is not valid UTF-8.
     BadLabel(usize),
+    /// A row holds a NaN or infinite component.
+    NonFinite { row: usize },
+    /// A row is neither all-zero nor of unit length.
+    NotUnit { row: usize, squared_norm: f64 },
     /// Trailing bytes after the checksum.
     TrailingBytes(usize),
     /// The stored checksum does not match the content.
@@ -514,6 +654,13 @@ impl fmt::Display for VectorFormatError {
             VectorFormatError::BadLabel(row) => {
                 write!(f, "row {row} label is not valid UTF-8")
             }
+            VectorFormatError::NonFinite { row } => {
+                write!(f, "row {row} has a non-finite component")
+            }
+            VectorFormatError::NotUnit { row, squared_norm } => write!(
+                f,
+                "row {row} is neither zero nor unit length (squared norm {squared_norm})"
+            ),
             VectorFormatError::TrailingBytes(n) => {
                 write!(f, "{n} trailing byte(s) after checksum")
             }
@@ -590,7 +737,9 @@ impl DenseVectorFile {
     /// Decodes and validates an embedding file under `limits`: the whole
     /// input is bounded by `max_input_bytes`, each label by
     /// `max_literal_bytes`, and the row count by `max_items`. The
-    /// checksum is verified before any row is returned.
+    /// checksum is verified before any row is returned, and every row
+    /// must be finite and either all-zero or of unit length
+    /// (`|Σv² − 1| ≤ 1e-9`), as [`VectorStore::from_rows`] requires.
     pub fn from_bytes(bytes: &[u8], limits: &Limits) -> Result<DenseVectorFile, VectorFormatError> {
         let mut budget = Budget::new(limits);
         budget.check_input(bytes.len(), "vector file")?;
@@ -636,6 +785,14 @@ impl DenseVectorFile {
             let mut v = Vec::with_capacity(dim);
             for _ in 0..dim {
                 v.push(cur.f64("vector component")?);
+            }
+            let row = i as usize;
+            if !v.iter().all(|c| c.is_finite()) {
+                return Err(VectorFormatError::NonFinite { row });
+            }
+            let squared_norm = dense_dot(&v, &v);
+            if !dense_is_zero(&v) && (squared_norm - 1.0).abs() > UNIT_TOLERANCE {
+                return Err(VectorFormatError::NotUnit { row, squared_norm });
             }
             rows.push((label, v));
         }
@@ -787,6 +944,34 @@ mod tests {
             DenseVectorFile::from_bytes(&wrong, &Limits::default()),
             Err(VectorFormatError::BadMagic)
         ));
+
+        // Row values with a recomputed checksum: a NaN component, then a
+        // row scaled by 2. Row 1 ("o:b") starts after the header, row 0's
+        // label and vector, and its own label.
+        let at = 8 + 4 + 8 + (4 + 3 + 4 * 8) + 4 + 3;
+        let reseal = |edit: &dyn Fn(&mut [u8])| {
+            let mut bytes = good[..good.len() - 8].to_vec();
+            edit(&mut bytes[at..at + 4 * 8]);
+            let sum = fnv1a(&bytes);
+            bytes.extend_from_slice(&sum.to_le_bytes());
+            DenseVectorFile::from_bytes(&bytes, &Limits::default())
+        };
+        assert_eq!(
+            reseal(&|row| row[..8].copy_from_slice(&f64::NAN.to_le_bytes())),
+            Err(VectorFormatError::NonFinite { row: 1 })
+        );
+        let doubled = reseal(&|row| {
+            for c in row.chunks_mut(8) {
+                let v = f64::from_le_bytes(c.try_into().unwrap());
+                c.copy_from_slice(&(2.0 * v).to_le_bytes());
+            }
+        });
+        assert!(
+            matches!(doubled, Err(VectorFormatError::NotUnit { row: 1, squared_norm }) if (squared_norm - 4.0).abs() < 1e-9),
+            "{doubled:?}"
+        );
+        // The zero row (row 3) stays acceptable.
+        assert!(reseal(&|_| {}).is_ok());
     }
 
     #[test]

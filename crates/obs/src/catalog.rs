@@ -62,6 +62,11 @@ pub fn find(name: &str) -> Option<&'static MetricDecl> {
 /// Every metric the workspace emits. Sorted by name.
 pub const CATALOG: &[MetricDecl] = &[
     MetricDecl {
+        name: "core.align.blocking.latency",
+        kind: MetricKind::Histogram,
+        help: "alignment candidate-generation wall time, inside core.align.latency (ns)",
+    },
+    MetricDecl {
         name: "core.align.calls",
         kind: MetricKind::Counter,
         help: "ontology alignment runs",

@@ -17,14 +17,24 @@
 //!    toolkit's `most_similar` under `measure_ids::DENSE_VECTOR_MEASURE`,
 //!    bit for bit.
 //! 4. **Format round-trip.** `export_vectors` → `import_vectors`
-//!    reproduces the store (and its rankings) exactly; corrupted bytes
-//!    are structured errors, never panics.
+//!    reproduces the store (and its rankings) exactly; corrupted bytes,
+//!    and rows that are non-finite or neither zero nor unit under a valid
+//!    checksum, are structured errors, never panics.
 //! 5. **Recall floor.** Default-probe recall@10 stays ≥ 0.95 on a
 //!    seeded corpus (the full self-audit lives in `ann_bench`).
+//! 6. **The graph algorithm is fixed.** `approx_candidates` equals the
+//!    reference NSW construction and two-heap search
+//!    (`sst_bench::oracle::NswOracle`) — rows, order and score bits —
+//!    for every row at probes {1, 12, 96, n−1}.
 
-use sst_bench::oracle::{self, oracle};
-use sst_bench::{generate_taxonomy, SplitMix64, TaxonomySpec};
-use sst_core::{measure_ids, ConceptAndSimilarity, ConceptSet, SstBuilder, SstError, SstToolkit};
+use sst_bench::oracle::{self, oracle, NswOracle};
+use sst_bench::{generate_taxonomy, load_corpus, SplitMix64, TaxonomySpec};
+use sst_core::{
+    embed_tfidf, measure_ids, ConceptAndSimilarity, ConceptSet, SstBuilder, SstError, SstToolkit,
+    TreeMode, VectorStore, EMBED_DIM,
+};
+use sst_index::TermId;
+use sst_soqa::{ConceptId, GlobalConcept};
 
 /// Two-ontology synthetic corpus: rankings cross ontology boundaries and
 /// the documentation strings give the TF-IDF embeddings real signal. The
@@ -238,6 +248,46 @@ fn vector_file_round_trips_and_rejects_corruption() {
         assert!(matches!(err, SstError::InvalidArgument(_)), "{err}");
     }
 
+    // A file whose checksum is valid but whose row values are not must be
+    // refused too, naming the row: a NaN component, then a row scaled by
+    // 2. Both would otherwise import and score (NaN ranked above the
+    // query itself).
+    let row = (0..store.len())
+        .find(|&r| store.row(r).iter().any(|&v| v != 0.0))
+        .expect("a described concept");
+    let dim = store.dim();
+    let start = 8
+        + 4
+        + 8
+        + (0..row)
+            .map(|r| 4 + store.label(r).expect("label").len() + 8 * dim)
+            .sum::<usize>()
+        + 4
+        + store.label(row).expect("label").len();
+    let reseal = |edit: &dyn Fn(&mut [u8])| {
+        let mut body = bytes[..bytes.len() - 8].to_vec();
+        edit(&mut body[start..start + 8 * dim]);
+        let sum = fnv1a(&body);
+        body.extend_from_slice(&sum.to_le_bytes());
+        body
+    };
+    assert!(sst.import_vectors(&reseal(&|_| {}), &limits).is_ok());
+    let nan = reseal(&|v| v[..8].copy_from_slice(&f64::NAN.to_le_bytes()));
+    let doubled = reseal(&|v| {
+        for c in v.chunks_mut(8) {
+            let x = f64::from_le_bytes(c.try_into().expect("8 bytes"));
+            c.copy_from_slice(&(2.0 * x).to_le_bytes());
+        }
+    });
+    for (what, file) in [("NaN component", nan), ("row scaled by 2", doubled)] {
+        let err = sst.import_vectors(&file, &limits).expect_err(what);
+        assert!(matches!(err, SstError::InvalidArgument(_)), "{what}: {err}");
+        assert!(
+            err.to_string().contains(&format!("row {row} ")),
+            "{what}: error does not name row {row}: {err}"
+        );
+    }
+
     // Imported stores score identically to the original.
     let mut rng = SplitMix64::seed_from_u64(0xD1CE);
     for _ in 0..6 {
@@ -275,4 +325,99 @@ fn default_probe_recall_stays_high() {
     }
     let recall = hits as f64 / total as f64;
     assert!(recall >= 0.95, "recall@10 {recall:.3} below the 0.95 floor");
+}
+
+/// FNV-1a over `bytes`: the checksum that closes an SSTVEC1 file.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `approx_candidates` of every row at probes {1, 12, 96, n−1} equals the
+/// reference graph's: same rows, same order, same score bits.
+fn assert_matches_nsw_oracle(what: &str, store: &VectorStore) {
+    let reference = NswOracle::build(store);
+    let n = store.len();
+    for probe in [1, 12, 96, n - 1] {
+        for query in 0..n {
+            let got = store.approx_candidates(query, probe);
+            let want = reference.approx_candidates(store, query, probe);
+            assert_eq!(
+                got.len(),
+                want.len(),
+                "{what}: query {query} probe {probe}: length"
+            );
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.0, w.0, "{what}: query {query} probe {probe}: row at {i}");
+                assert_eq!(
+                    g.1.to_bits(),
+                    w.1.to_bits(),
+                    "{what}: query {query} probe {probe}: score bits at {i}: {} vs {}",
+                    g.1,
+                    w.1
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn approx_candidates_match_the_nsw_oracle_on_the_paper_corpus() {
+    for mode in [TreeMode::SuperThing, TreeMode::MergedThing] {
+        let sst = load_corpus(mode, false);
+        assert_matches_nsw_oracle(&format!("paper corpus {mode:?}"), sst.vector_store());
+    }
+}
+
+#[test]
+fn approx_candidates_match_the_nsw_oracle_with_duplicate_and_zero_rows() {
+    // 1 100 seeded TF-IDF embeddings over a 300-term vocabulary. Every
+    // 9th row repeats an earlier row's terms (equal dots, so only the row
+    // tie-break orders them) and every 23rd row is empty (the zero
+    // vector, which dots to 0 against everything).
+    let mut rng = SplitMix64::seed_from_u64(0x0A11_6E0D);
+    let mut docs: Vec<Vec<(TermId, f64)>> = Vec::new();
+    for i in 0..1100usize {
+        let doc = if i % 23 == 22 {
+            Vec::new()
+        } else if i % 9 == 8 {
+            docs[rng.gen_range(0..i)].clone()
+        } else {
+            (0..1 + rng.gen_range(0..6))
+                .map(|_| {
+                    let term = TermId(rng.gen_range(0..300) as u32);
+                    (term, 0.25 + rng.gen_range(0..100) as f64 / 40.0)
+                })
+                .collect()
+        };
+        docs.push(doc);
+    }
+    let rows: Vec<(GlobalConcept, String, Vec<f64>)> = docs
+        .iter()
+        .enumerate()
+        .map(|(i, doc)| {
+            let gc = GlobalConcept {
+                ontology: 0,
+                concept: ConceptId(i as u32),
+            };
+            (gc, format!("o:c{i}"), embed_tfidf(doc, EMBED_DIM))
+        })
+        .collect();
+    let zeros = rows
+        .iter()
+        .filter(|r| r.2.iter().all(|&v| v == 0.0))
+        .count();
+    let distinct: std::collections::HashSet<Vec<u64>> = rows
+        .iter()
+        .map(|r| r.2.iter().map(|v| v.to_bits()).collect())
+        .collect();
+    assert!(zeros >= 40, "only {zeros} zero rows");
+    assert!(
+        distinct.len() + 100 <= rows.len(),
+        "only {} duplicate rows",
+        rows.len() - distinct.len()
+    );
+    let store = VectorStore::from_rows(rows, EMBED_DIM);
+    assert_matches_nsw_oracle("seeded store", &store);
 }

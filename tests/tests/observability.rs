@@ -4,8 +4,8 @@
 //! facade records end to end.
 
 use sst_core::{
-    measure_ids as m, CachedSimilarity, ConceptSet, MeasureRunner, RunnerInfo, SimilarityContext,
-    SstBuilder, SstToolkit,
+    align, measure_ids as m, AlignmentConfig, CachedSimilarity, ConceptSet, MeasureRunner,
+    RunnerInfo, SimilarityContext, SstBuilder, SstToolkit,
 };
 use sst_simpack::MeasureKind;
 use sst_soqa::{GlobalConcept, OntologyBuilder, OntologyMetadata};
@@ -289,4 +289,42 @@ fn soqa_ql_queries_are_timed_through_the_facade() {
     assert_eq!(snap.counter("soqa.ql.errors"), Some(1));
     assert_eq!(snap.histogram("soqa.ql.parse.latency").unwrap().count, 2);
     assert_eq!(snap.histogram("soqa.ql.eval.latency").unwrap().count, 1);
+}
+
+#[test]
+fn alignment_times_its_candidate_generation_inside_its_latency() {
+    let sst = SstBuilder::new()
+        .register_ontology(tiny_ontology("uni"))
+        .unwrap()
+        .register_ontology(tiny_ontology("lib"))
+        .unwrap()
+        .build();
+    // (count, nanoseconds) of a histogram; the registry keeps whole
+    // nanoseconds, so rounding the seconds back recovers them exactly.
+    let read = |name: &str| {
+        sst.metrics()
+            .snapshot()
+            .histogram(name)
+            .map_or((0, 0), |h| (h.count, (h.sum_seconds * 1e9).round() as u64))
+    };
+    for _ in 0..3 {
+        let (blocking_n, blocking_ns) = read("core.align.blocking.latency");
+        let (align_n, align_ns) = read("core.align.latency");
+        let result = align(&sst, "uni", "lib", &AlignmentConfig::default()).unwrap();
+        assert!(!result.is_empty());
+        let (blocking_n2, blocking_ns2) = read("core.align.blocking.latency");
+        let (align_n2, align_ns2) = read("core.align.latency");
+        assert_eq!(
+            blocking_n2 - blocking_n,
+            1,
+            "one blocking observation per alignment"
+        );
+        assert_eq!(align_n2 - align_n, 1);
+        assert!(
+            blocking_ns2 - blocking_ns <= align_ns2 - align_ns,
+            "candidate generation ({} ns) outlasted its alignment ({} ns)",
+            blocking_ns2 - blocking_ns,
+            align_ns2 - align_ns
+        );
+    }
 }
