@@ -1,6 +1,7 @@
 #!/bin/sh
 # Repo CI gate: fmt-check, static-analysis lint, clippy -D warnings,
-# release build, tests. Thin wrapper over `cargo xtask ci` so local runs
+# warning-free docs (cargo doc with rustdoc -D warnings), release build,
+# tests. Thin wrapper over `cargo xtask ci` so local runs
 # and automation share one definition of "green", plus the batch-engine
 # smoke gate (every built-in measure's concept-table matrices, serial and
 # parallel, must stay bit-identical to its per-pair oracle runner from

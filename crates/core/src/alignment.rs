@@ -265,8 +265,8 @@ pub fn align_with_limits(
 
     // ---- Preference-list scoring from the concept table ------------------
     // Only candidate pairs are scored, fanned out over the work-stealing
-    // scheduler in chunks of the flat candidate list. Per-chunk results are
-    // assembled by chunk index, so scores are deterministic for any worker
+    // scheduler in chunks of the flat candidate list. The chunks' results
+    // come back in chunk order, so scores are deterministic for any worker
     // count.
     let scorers: Vec<PairScorer<'_>> = config
         .measures
@@ -280,7 +280,7 @@ pub fn align_with_limits(
     let scorers = &scorers;
     let pairs = &pair_list;
     let (src_rows, tgt_rows) = (&src_rows, &tgt_rows);
-    let (results, sched_stats) = crate::sched::run_tiles(&tiles, workers, |_, tile| {
+    let results = sst.fan_out(&tiles, workers, |tile| {
         let mut vals = Vec::with_capacity(tile.len());
         let mut scores = vec![0.0; measures.len()];
         tile.for_each(|_, k| {
@@ -293,25 +293,13 @@ pub fn align_with_limits(
             }
         });
         vals
-    });
-    if sched_stats.panicked > 0 {
-        return Err(SstError::Internal("alignment worker thread died".into()));
-    }
-    sst.record_sched_stats(&sched_stats);
-    let mut results = results;
-    results.sort_unstable_by_key(|&(idx, _)| idx);
+    })?;
     let mut admitted: Vec<(usize, usize, f64)> = Vec::new();
-    let mut flat = pair_list.iter();
-    for (_, vals) in results {
-        for combined in vals {
-            if let Some(&(si, tj)) = flat.next() {
-                // `NaN >= t` is false, so NaN combined scores (now
-                // propagated uniformly by every amalgamation strategy)
-                // are dropped here.
-                if combined >= config.threshold {
-                    admitted.push((si, tj, combined));
-                }
-            }
+    for (&(si, tj), combined) in pair_list.iter().zip(results.into_iter().flatten()) {
+        // `NaN >= t` is false, so NaN combined scores (now propagated
+        // uniformly by every amalgamation strategy) are dropped here.
+        if combined >= config.threshold {
+            admitted.push((si, tj, combined));
         }
     }
     stats.admitted_pairs = admitted.len();

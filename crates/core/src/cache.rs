@@ -25,9 +25,8 @@
 //! [`CachedSimilarity::DEFAULT_CAPACITY`] entries; when full, each shard
 //! evicts its least-recently-used pair (counted in
 //! [`CachedSimilarity::evictions`] and the `core.cache.evictions`
-//! counter). [`CachedSimilarity::with_capacity`] picks a custom bound and
-//! [`CachedSimilarity::unbounded`] opts out for offline batch jobs that
-//! prefer the pre-eviction behavior. Evicted pairs are simply recomputed
+//! counter). [`CachedSimilarity::with_capacity`] picks a custom bound
+//! (`usize::MAX` never evicts). Evicted pairs are simply recomputed
 //! on the next query — scores are deterministic, so a bounded cache is
 //! always bit-identical to an unbounded one (only hit/miss/eviction
 //! traffic differs).
@@ -127,13 +126,6 @@ impl<T: Borrow<SstToolkit>> CachedSimilarity<T> {
             misses_metric,
             evictions_metric,
         }
-    }
-
-    /// The explicit opt-out: a cache that never evicts. For offline batch
-    /// jobs (alignment, clustering over a fixed set) where the working set
-    /// is known to fit; long-running services should prefer a bound.
-    pub fn unbounded(toolkit: T) -> Self {
-        Self::with_capacity(toolkit, usize::MAX)
     }
 
     /// The wrapped toolkit.
@@ -279,27 +271,26 @@ impl<T: Borrow<SstToolkit>> CachedSimilarity<T> {
             }
         }
 
-        // Sorted by row, repeats of a missed member are adjacent: score
-        // each distinct row once, then store the fresh scores.
+        // Sorted by row, repeats of a missed member are adjacent: the rank
+        // scan scores each distinct row once, then the fresh scores fill
+        // their members' positions and are stored.
         missed.sort_unstable();
-        let mut fresh: Vec<(usize, f64)> = Vec::new();
-        if !missed.is_empty() {
-            let scorer = toolkit.scorer(measure)?;
+        let mut distinct: Vec<usize> = missed.iter().map(|&(row, _)| row).collect();
+        distinct.dedup();
+        if !distinct.is_empty() {
+            let fresh = toolkit.scan_rows(qrow, &distinct, measure)?;
+            let mut fresh_rows = distinct.iter().zip(&fresh);
+            let mut current = fresh_rows.next();
             for &(row, position) in &missed {
-                let value = match fresh.last() {
-                    Some(&(last, value)) if last == row => value,
-                    _ => {
-                        let value = toolkit.timed_score(measure, || scorer.score(qrow, row));
-                        fresh.push((row, value));
-                        value
-                    }
-                };
-                if let Some(score) = scores.get_mut(position) {
+                if current.is_some_and(|(&r, _)| r != row) {
+                    current = fresh_rows.next();
+                }
+                if let (Some((_, &value)), Some(score)) = (current, scores.get_mut(position)) {
                     *score = value;
                 }
             }
             let mut evicted: u64 = 0;
-            for &(row, value) in &fresh {
+            for (&row, &value) in distinct.iter().zip(&fresh) {
                 if self.memo.insert(self.key(measure, qrow, row)?, value) {
                     evicted += 1;
                 }
@@ -308,7 +299,7 @@ impl<T: Borrow<SstToolkit>> CachedSimilarity<T> {
         }
 
         // Every pair is scored: account for the completed work.
-        let misses = fresh.len() as u64;
+        let misses = distinct.len() as u64;
         let hits = rows.len() as u64 - misses;
         self.hits.fetch_add(hits, Ordering::Relaxed);
         self.hits_metric.add(hits);
@@ -692,7 +683,7 @@ mod tests {
     #[test]
     fn unbounded_opt_out_never_evicts() {
         let sst = toolkit();
-        let cache = CachedSimilarity::unbounded(&sst);
+        let cache = CachedSimilarity::with_capacity(&sst, usize::MAX);
         assert_eq!(cache.capacity(), usize::MAX);
         let concepts = ["Thing", "Person", "Student", "Professor", "Course"];
         for a in concepts {

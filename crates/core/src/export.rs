@@ -17,8 +17,9 @@ fn csv_field(s: &str) -> String {
     }
 }
 
-/// JSON string escaping.
-fn json_string(s: &str) -> String {
+/// `s` as a quoted JSON string: `"` and `\` escaped, `\n`, `\r` and `\t`
+/// by name, every other control character as `\u00XX`.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -36,7 +37,9 @@ fn json_string(s: &str) -> String {
     out
 }
 
-fn json_number(v: f64) -> String {
+/// `v` as a JSON number in Rust's shortest round-trip form; JSON has no
+/// NaN or infinity, so a non-finite `v` is `null`.
+pub fn json_number(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
@@ -162,6 +165,12 @@ mod tests {
         assert!(json.contains("\"o\\n2\""));
         // Sanity: both rows present.
         assert_eq!(json.matches("\"similarity\"").count(), 2);
+        // The writers the server's response bodies use.
+        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_string("\u{1}\t"), "\"\\u0001\\t\"");
+        assert_eq!(json_number(0.5), "0.5");
+        assert_eq!(json_number(f64::NAN), "null");
+        assert_eq!(json_number(f64::INFINITY), "null");
     }
 
     #[test]

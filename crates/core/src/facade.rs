@@ -96,10 +96,6 @@ pub struct ConceptAndSimilarity {
     pub similarity: f64,
 }
 
-/// Member-set size from which the rank scan ([`SstToolkit::similarity_to_set`])
-/// fans out over the work-stealing scheduler instead of scoring serially.
-const RANK_PARALLEL_THRESHOLD: usize = 256;
-
 /// Which end of the score order a k-best service keeps.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum RankOrder {
@@ -644,54 +640,32 @@ impl SstToolkit {
         Ok((query, self.concept_set(set)?))
     }
 
-    /// The rank scan: `query` scored against every member under one
-    /// measure, in member order, from the resident concept table.
+    /// The rank scan over concepts: [`SstToolkit::scan_rows`] on the
+    /// table rows of `query` and `members`.
     fn scan(
         &self,
         query: GlobalConcept,
         members: &[GlobalConcept],
         measure: usize,
     ) -> Result<Vec<f64>> {
+        self.scan_rows(self.row(query)?, &self.rows(members)?, measure)
+    }
+
+    /// The one loop that scores a query row against member rows: every
+    /// ranking service (direct, combined, cached) scores through it, on
+    /// the calling thread, with one [`SstToolkit::timed_score`] per pair.
+    /// Returns the scores in member order.
+    pub(crate) fn scan_rows(
+        &self,
+        qrow: usize,
+        rows: &[usize],
+        measure: usize,
+    ) -> Result<Vec<f64>> {
         let scorer = self.scorer(measure)?;
-        let qrow = self.row(query)?;
-        let rows = self.rows(members)?;
-        let n = rows.len();
-        // Large rank scans reuse the work-stealing chunk scheduler: the
-        // member axis is cut into chunks and scored concurrently, then
-        // assembled positionally (same scores, same order, any worker
-        // count). Small sets stay serial — spawn overhead would dominate.
-        if n < RANK_PARALLEL_THRESHOLD {
-            return Ok(rows
-                .iter()
-                .map(|&r| self.timed_score(measure, || scorer.score(qrow, r)))
-                .collect());
-        }
-        let tiles = sched::rect_tiles(1, n, 64);
-        let workers = sched::default_workers().min(tiles.len());
-        let (scorer, rows) = (&scorer, &rows);
-        let (results, stats) = sched::run_tiles(&tiles, workers, |_, tile| {
-            let mut vals = Vec::with_capacity(tile.len());
-            tile.for_each(|_, i| {
-                vals.push(self.timed_score(measure, || scorer.score(qrow, rows[i])));
-            });
-            vals
-        });
-        if stats.panicked > 0 {
-            return Err(SstError::Internal("rank worker thread died".into()));
-        }
-        self.record_sched_stats(&stats);
-        let mut scores = vec![0.0; n];
-        for (idx, vals) in results {
-            if let Some(tile) = tiles.get(idx) {
-                let mut it = vals.into_iter();
-                tile.for_each(|_, i| {
-                    if let Some(v) = it.next() {
-                        scores[i] = v;
-                    }
-                });
-            }
-        }
-        Ok(scores)
+        Ok(rows
+            .iter()
+            .map(|&r| self.timed_score(measure, || scorer.score(qrow, r)))
+            .collect())
     }
 
     /// Similarity of `concept` to every member of `set` under one measure,
@@ -908,17 +882,35 @@ impl SstToolkit {
         self.similarity_matrix_parallel(set, measure, 1)
     }
 
-    /// Records one work-stealing scheduler run: tiles executed, successful
-    /// steals, and the busy-time imbalance (max worker busy time over mean,
-    /// stored in permille so the integer gauge keeps three decimals).
-    pub(crate) fn record_sched_stats(&self, stats: &sched::SchedStats) {
+    /// The one fan-out over the work-stealing scheduler, shared by the
+    /// parallel matrix and alignment scoring: the results of `run` on
+    /// every tile, in tile order. A dead worker fails the call with
+    /// [`SstError::Internal`], never a partial answer. A completed run is
+    /// recorded in `core.sched.{tiles,steals,imbalance}` (the busy-time
+    /// imbalance in permille, so the integer gauge keeps three decimals)
+    /// and [`SstToolkit::last_sched_stats`].
+    pub(crate) fn fan_out<T: Send>(
+        &self,
+        tiles: &[sched::Tile],
+        workers: usize,
+        run: impl Fn(&sched::Tile) -> T + Sync,
+    ) -> Result<Vec<T>> {
+        let (results, stats) = sched::run_tiles(tiles, workers, run);
+        if stats.panicked > 0 {
+            return Err(SstError::Internal(format!(
+                "{} of {} scheduler worker threads died",
+                stats.panicked,
+                stats.workers.len()
+            )));
+        }
         self.metrics.add("core.sched.tiles", stats.tiles());
         self.metrics.add("core.sched.steals", stats.steals());
         let permille = (stats.imbalance() * 1000.0) as i64;
         self.metrics.gauge("core.sched.imbalance").set(permille);
         if let Ok(mut last) = self.last_sched.lock() {
-            *last = Some(stats.clone());
+            *last = Some(stats);
         }
+        Ok(results)
     }
 
     /// Per-worker stats of the most recent work-stealing scheduler run on
@@ -941,14 +933,14 @@ impl SstToolkit {
 
     /// Like [`SstToolkit::similarity_matrix`] but computed with `threads`
     /// worker threads over cache-blocked triangle tiles distributed by the
-    /// work-stealing scheduler ([`crate::sched`]); one table scorer is
-    /// shared read-only by all workers. With one thread the tiles run
-    /// inline, in order.
+    /// work-stealing scheduler; one table scorer is shared read-only by
+    /// all workers. With one thread the tiles run inline, in order. A
+    /// worker thread that dies fails the call with [`SstError::Internal`].
     ///
     /// Only upper-triangle pairs (`j ≥ i`) are scored; the lower triangle
-    /// is mirrored during assembly. Assembly is by tile index, so the
-    /// matrix is bit-identical for every worker count and steal
-    /// interleaving.
+    /// is mirrored during assembly. The tiles' results come back in tile
+    /// order, so the matrix is bit-identical for every worker count and
+    /// steal interleaving.
     pub fn similarity_matrix_parallel(
         &self,
         set: &ConceptSet,
@@ -968,28 +960,20 @@ impl SstToolkit {
         let mut matrix = vec![vec![0.0; n]; n];
         let tiles = sched::triangle_tiles(n, sched::tile_size(n, threads));
         let (scorer, rows) = (&scorer, &rows);
-        let (results, stats) = sched::run_tiles(&tiles, threads, |_, tile| {
+        let results = self.fan_out(&tiles, threads, |tile| {
             let mut vals = Vec::with_capacity(tile.upper_len());
             tile.for_each_upper(|i, j| vals.push(scorer.score(rows[i], rows[j])));
             vals
-        });
-        if stats.panicked > 0 {
-            return Err(SstError::Internal(
-                "similarity-matrix worker thread died".into(),
-            ));
+        })?;
+        for (tile, vals) in tiles.iter().zip(results) {
+            let mut it = vals.into_iter();
+            tile.for_each_upper(|i, j| {
+                if let Some(v) = it.next() {
+                    matrix[i][j] = v;
+                    matrix[j][i] = v;
+                }
+            });
         }
-        for (idx, vals) in results {
-            if let Some(tile) = tiles.get(idx) {
-                let mut it = vals.into_iter();
-                tile.for_each_upper(|i, j| {
-                    if let Some(v) = it.next() {
-                        matrix[i][j] = v;
-                        matrix[j][i] = v;
-                    }
-                });
-            }
-        }
-        self.record_sched_stats(&stats);
         self.record_matrix_pairs(measure, n);
         Ok((labels, matrix))
     }
@@ -1064,8 +1048,9 @@ impl SstToolkit {
         Ok(())
     }
 
-    /// k most similar concepts under a combined measure: one table scorer
-    /// per component measure, shared across all members.
+    /// k most similar concepts under a combined measure: one rank scan
+    /// per component measure, then each member's component scores folded
+    /// by `combiner`.
     pub fn most_similar_combined(
         &self,
         concept: &str,
@@ -1077,18 +1062,13 @@ impl SstToolkit {
     ) -> Result<Vec<ConceptAndSimilarity>> {
         self.check_combination(measures, combiner)?;
         let (query, members) = self.set_arguments(concept, ontology, set, measures)?;
-        let scorers: Vec<PairScorer<'_>> = measures
+        let (qrow, rows) = (self.row(query)?, self.rows(&members)?);
+        let columns: Vec<Vec<f64>> = measures
             .iter()
-            .map(|&m| self.scorer(m))
+            .map(|&m| self.scan_rows(qrow, &rows, m))
             .collect::<Result<_>>()?;
-        let qrow = self.row(query)?;
-        let rows = self.rows(&members)?;
-        let combined = members.iter().zip(&rows).map(|(&gc, &r)| {
-            let scores: Vec<f64> = measures
-                .iter()
-                .zip(&scorers)
-                .map(|(&m, scorer)| self.timed_score(m, || scorer.score(qrow, r)))
-                .collect();
+        let combined = members.iter().enumerate().map(|(i, &gc)| {
+            let scores: Vec<f64> = columns.iter().filter_map(|c| c.get(i).copied()).collect();
             (gc, combiner.combine(&scores))
         });
         Ok(self.select_k_best(combined, k, RankOrder::Descending))

@@ -46,7 +46,8 @@ pub mod facade;
 pub mod heatmap;
 mod lru;
 pub mod runner;
-pub mod sched;
+mod sched;
+mod sealed;
 pub mod snapshot;
 pub mod tree;
 pub mod vector;
@@ -68,10 +69,7 @@ pub use facade::{
 };
 pub use heatmap::Heatmap;
 pub use runner::{MeasureRunner, RunnerInfo, SimilarityContext};
-pub use sched::{
-    default_workers, rect_tiles, run_tiles, tile_size, triangle_tiles, SchedStats, Tile,
-    WorkerStats,
-};
+pub use sched::{default_workers, SchedStats, WorkerStats};
 pub use snapshot::{SnapshotFile, SnapshotFormatError, SNAPSHOT_MAGIC};
 pub use sst_obs::{Metrics, MetricsSnapshot};
 pub use sst_simpack::Amalgamation;

@@ -2,7 +2,7 @@
 //!
 //! The paper couples SOQA and SimPack through one coupling module per
 //! measure. Here the built-in measures score from the toolkit's resident
-//! [`ConceptTable`], which holds every per-concept artifact they read,
+//! concept table, which holds every per-concept artifact they read,
 //! built once with the toolkit: each built-in is one table scorer on one
 //! `sst-simpack` kernel, and its metadata is the `sst_simpack::CATALOG`
 //! entry at its measure id.

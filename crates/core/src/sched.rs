@@ -37,10 +37,10 @@
 //! never coverage. Workers start with contiguous chunks of the tile list,
 //! sized so each worker begins with locality-friendly neighbouring tiles.
 //!
-//! Results are collected per worker as `(tile index, value)` pairs and
-//! assembled in tile order by the caller, so the output is deterministic
-//! regardless of worker count or steal interleaving — the scheduler
-//! determinism test pins this.
+//! Each worker collects `(tile index, value)` pairs; [`run_tiles`] merges
+//! them back into tile order, so its output is the same for every worker
+//! count and steal interleaving — the scheduler determinism test pins
+//! this. Inside the crate only `SstToolkit::fan_out` calls it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -50,18 +50,18 @@ use std::time::Instant;
 /// start is additionally clamped to the diagonal (see
 /// [`Tile::for_each_upper`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Tile {
-    pub row0: usize,
-    pub row1: usize,
-    pub col0: usize,
-    pub col1: usize,
+pub(crate) struct Tile {
+    row0: usize,
+    row1: usize,
+    col0: usize,
+    col1: usize,
 }
 
 impl Tile {
     /// Visits the tile's pairs restricted to the upper triangle
     /// (`j ≥ i`), rows outer, columns inner — the same pair order the
     /// untiled row loop uses within this block.
-    pub fn for_each_upper(&self, mut f: impl FnMut(usize, usize)) {
+    pub(crate) fn for_each_upper(&self, mut f: impl FnMut(usize, usize)) {
         for i in self.row0..self.row1 {
             let start = self.col0.max(i);
             for j in start..self.col1 {
@@ -72,7 +72,7 @@ impl Tile {
 
     /// Visits every pair of the tile (rectangular traversals such as
     /// source × target alignment grids).
-    pub fn for_each(&self, mut f: impl FnMut(usize, usize)) {
+    pub(crate) fn for_each(&self, mut f: impl FnMut(usize, usize)) {
         for i in self.row0..self.row1 {
             for j in self.col0..self.col1 {
                 f(i, j);
@@ -81,7 +81,7 @@ impl Tile {
     }
 
     /// Number of pairs [`Tile::for_each_upper`] visits.
-    pub fn upper_len(&self) -> usize {
+    pub(crate) fn upper_len(&self) -> usize {
         let mut pairs = 0;
         for i in self.row0..self.row1 {
             let start = self.col0.max(i);
@@ -91,15 +91,10 @@ impl Tile {
     }
 
     /// Number of pairs [`Tile::for_each`] visits.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         let rows = self.row1.saturating_sub(self.row0);
         let cols = self.col1.saturating_sub(self.col0);
         rows * cols
-    }
-
-    /// Whether the tile covers no pairs at all.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -107,7 +102,7 @@ impl Tile {
 /// into `tile × tile` blocks, row-major over block coordinates. Diagonal
 /// blocks are triangular under [`Tile::for_each_upper`]; off-diagonal
 /// blocks are full rectangles.
-pub fn triangle_tiles(n: usize, tile: usize) -> Vec<Tile> {
+pub(crate) fn triangle_tiles(n: usize, tile: usize) -> Vec<Tile> {
     let t = tile.max(1);
     let mut tiles = Vec::new();
     let mut row0 = 0;
@@ -130,7 +125,7 @@ pub fn triangle_tiles(n: usize, tile: usize) -> Vec<Tile> {
 }
 
 /// Tiles a full `rows × cols` grid into `tile × tile` blocks, row-major.
-pub fn rect_tiles(rows: usize, cols: usize, tile: usize) -> Vec<Tile> {
+pub(crate) fn rect_tiles(rows: usize, cols: usize, tile: usize) -> Vec<Tile> {
     let t = tile.max(1);
     let mut tiles = Vec::new();
     let mut row0 = 0;
@@ -156,7 +151,7 @@ pub fn rect_tiles(rows: usize, cols: usize, tile: usize) -> Vec<Tile> {
 /// the largest cache-friendly size (≤ 64) that still yields at least
 /// eight tiles per worker, so steal-half always has work to move; floors
 /// at 8 so tiny tiles never dominate with per-tile overhead.
-pub fn tile_size(n: usize, workers: usize) -> usize {
+pub(crate) fn tile_size(n: usize, workers: usize) -> usize {
     let workers = workers.max(1);
     let mut t = 64usize;
     while t > 8 {
@@ -178,7 +173,7 @@ pub fn default_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// Per-worker execution statistics of one [`run_tiles`] call.
+/// Per-worker execution statistics of one work-stealing scheduler run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerStats {
     /// Tiles this worker executed.
@@ -189,7 +184,7 @@ pub struct WorkerStats {
     pub busy_ns: u64,
 }
 
-/// Aggregate statistics of one [`run_tiles`] call.
+/// Aggregate statistics of one work-stealing scheduler run.
 #[derive(Debug, Clone, Default)]
 pub struct SchedStats {
     /// One entry per worker, in worker order.
@@ -305,27 +300,25 @@ impl IntervalDeque {
 }
 
 /// Runs `run` over every tile with `workers` work-stealing workers and
-/// returns the per-tile results as `(tile index, value)` pairs (in
-/// arbitrary order — callers assemble by index) plus scheduling stats.
+/// returns the per-tile results in tile order plus scheduling stats.
 ///
 /// Tiles are distributed as contiguous per-worker chunks; an idle worker
 /// steals the back half of the richest sibling deque. Each tile executes
 /// exactly once. If `workers <= 1` or there is at most one tile, the
-/// tiles run inline on the calling thread (no spawn overhead).
-pub fn run_tiles<T, F>(tiles: &[Tile], workers: usize, run: F) -> (Vec<(usize, T)>, SchedStats)
+/// tiles run inline on the calling thread (no spawn overhead). A worker
+/// that panicked is counted in [`SchedStats::panicked`] and its tiles'
+/// results are missing, so the results are complete only when that
+/// count is zero.
+pub(crate) fn run_tiles<T, F>(tiles: &[Tile], workers: usize, run: F) -> (Vec<T>, SchedStats)
 where
     T: Send,
-    F: Fn(usize, &Tile) -> T + Sync,
+    F: Fn(&Tile) -> T + Sync,
 {
     let workers = workers.clamp(1, tiles.len().max(1));
     if workers <= 1 {
         let mut stats = WorkerStats::default();
         let start = Instant::now();
-        let results: Vec<(usize, T)> = tiles
-            .iter()
-            .enumerate()
-            .map(|(idx, tile)| (idx, run(idx, tile)))
-            .collect();
+        let results: Vec<T> = tiles.iter().map(&run).collect();
         stats.tiles = tiles.len() as u64;
         stats.busy_ns = start.elapsed().as_nanos() as u64;
         return (
@@ -370,7 +363,7 @@ where
                     if let Some(idx) = my.pop_front() {
                         if let Some(tile) = tiles.get(idx) {
                             let start = Instant::now();
-                            out.push((idx, run(idx, tile)));
+                            out.push((idx, run(tile)));
                             ws.busy_ns =
                                 ws.busy_ns.saturating_add(start.elapsed().as_nanos() as u64);
                             ws.tiles += 1;
@@ -412,7 +405,8 @@ where
             }
         }
     });
-    (merged, stats)
+    merged.sort_unstable_by_key(|&(idx, _)| idx);
+    (merged.into_iter().map(|(_, value)| value).collect(), stats)
 }
 
 #[cfg(test)]
@@ -463,16 +457,11 @@ mod tests {
     fn run_tiles_executes_each_tile_exactly_once_any_worker_count() {
         let tiles = triangle_tiles(50, 8);
         for workers in [1usize, 2, 3, 4, 8, 16] {
-            let (results, stats) = run_tiles(&tiles, workers, |idx, _| idx);
+            let (results, stats) = run_tiles(&tiles, workers, |tile| *tile);
             assert_eq!(stats.panicked, 0);
             assert_eq!(stats.tiles(), tiles.len() as u64);
-            let mut indices: Vec<usize> = results.iter().map(|&(idx, _)| idx).collect();
-            indices.sort_unstable();
-            let expected: Vec<usize> = (0..tiles.len()).collect();
-            assert_eq!(indices, expected, "workers={workers}");
-            for (idx, value) in results {
-                assert_eq!(idx, value);
-            }
+            // Every tile once, and in tile order whatever the steals.
+            assert_eq!(results, tiles, "workers={workers}");
         }
     }
 
@@ -483,14 +472,14 @@ mod tests {
         let score = |i: usize, j: usize| ((i * 31 + j * 17) % 101) as f64 / 101.0;
         let mut reference: Option<Vec<f64>> = None;
         for workers in [1usize, 2, 5, 8] {
-            let (results, _) = run_tiles(&tiles, workers, |_, tile| {
+            let (results, _) = run_tiles(&tiles, workers, |tile| {
                 let mut vals = Vec::with_capacity(tile.upper_len());
                 tile.for_each_upper(|i, j| vals.push(score(i, j)));
                 vals
             });
+            assert_eq!(results.len(), tiles.len());
             let mut matrix = vec![0.0f64; n * n];
-            for (idx, vals) in results {
-                let tile = tiles[idx];
+            for (tile, vals) in tiles.iter().zip(results) {
                 let mut it = vals.into_iter();
                 tile.for_each_upper(|i, j| {
                     if let Some(v) = it.next() {
@@ -540,7 +529,7 @@ mod tests {
 
     #[test]
     fn stats_report_imbalance_of_one_for_empty_runs() {
-        let (results, stats) = run_tiles::<(), _>(&[], 4, |_, _| ());
+        let (results, stats) = run_tiles::<(), _>(&[], 4, |_| ());
         assert!(results.is_empty());
         assert_eq!(stats.tiles(), 0);
         assert!((stats.imbalance() - 1.0).abs() < 1e-12);

@@ -1,8 +1,8 @@
 //! `SSTSNAP1` — versioned binary snapshots of a built toolkit.
 //!
 //! A snapshot captures everything a replica needs to reconstruct an
-//! [`SstToolkit`](crate::SstToolkit) without re-parsing ontology source
-//! documents: the build configuration, the exact component arenas of every
+//! [`SstToolkit`] without re-parsing ontology source documents: the
+//! build configuration, the exact component arenas of every
 //! registered ontology, and the prepared dense-vector tables (an embedded
 //! `SSTVEC1` section). Because `SstBuilder::build` is a pure function of
 //! the registered ontologies and the configuration, serializing the arenas
@@ -29,8 +29,8 @@
 //! [`Ontology::from_arenas`] before an ontology is handed to the builder.
 
 use crate::facade::{ProbabilityModeConfig, SstConfig, SstToolkit};
+use crate::sealed::{fnv1a, unseal, Cursor, Framing};
 use crate::tree::TreeMode;
-use crate::vector::fnv1a;
 use sst_limits::{Budget, LimitViolation, Limits};
 use sst_soqa::{
     Attribute, AttributeId, Concept, ConceptId, Instance, InstanceId, Method, MethodId, Ontology,
@@ -104,6 +104,18 @@ impl std::error::Error for SnapshotFormatError {
 impl From<LimitViolation> for SnapshotFormatError {
     fn from(v: LimitViolation) -> Self {
         SnapshotFormatError::Limit(v)
+    }
+}
+
+impl From<Framing> for SnapshotFormatError {
+    fn from(f: Framing) -> Self {
+        match f {
+            Framing::Truncated(what) => SnapshotFormatError::Truncated(what),
+            Framing::Checksum { expected, actual } => {
+                SnapshotFormatError::Checksum { expected, actual }
+            }
+            Framing::TrailingBytes(n) => SnapshotFormatError::TrailingBytes(n),
+        }
     }
 }
 
@@ -280,41 +292,9 @@ pub fn encode_snapshot(toolkit: &SstToolkit) -> Vec<u8> {
 
 // ---- decoding ---------------------------------------------------------
 
-/// Byte-slice cursor for the loader; every read is bounds-checked.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], SnapshotFormatError> {
-        let end = self.pos.saturating_add(n);
-        let slice = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or(SnapshotFormatError::Truncated(what))?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self, what: &'static str) -> Result<u8, SnapshotFormatError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &'static str) -> Result<u32, SnapshotFormatError> {
-        let b = self.take(4, what)?;
-        let mut le = [0u8; 4];
-        le.copy_from_slice(b);
-        Ok(u32::from_le_bytes(le))
-    }
-
-    fn u64(&mut self, what: &'static str) -> Result<u64, SnapshotFormatError> {
-        let b = self.take(8, what)?;
-        let mut le = [0u8; 8];
-        le.copy_from_slice(b);
-        Ok(u64::from_le_bytes(le))
-    }
-
+/// The snapshot's composite fields, read as length-prefixed UTF-8
+/// strings, optional strings and id lists under the load's budget.
+impl Cursor<'_> {
     fn string(
         &mut self,
         budget: &mut Budget,
@@ -377,10 +357,7 @@ fn decode_metadata(
 }
 
 fn decode_ontology(section: &[u8], budget: &mut Budget) -> Result<Ontology, SnapshotFormatError> {
-    let mut cur = Cursor {
-        bytes: section,
-        pos: 0,
-    };
+    let mut cur = Cursor::new(section);
     let metadata = decode_metadata(&mut cur, budget)?;
 
     let concept_count = cur.u32("concept count")?;
@@ -498,9 +475,7 @@ fn decode_ontology(section: &[u8], budget: &mut Budget) -> Result<Ontology, Snap
         });
     }
 
-    if cur.pos != section.len() {
-        return Err(SnapshotFormatError::TrailingBytes(section.len() - cur.pos));
-    }
+    cur.finish()?;
 
     Ontology::from_arenas(
         metadata,
@@ -523,26 +498,7 @@ impl SnapshotFile {
         let mut budget = Budget::new(limits);
         budget.check_input(bytes.len(), "snapshot")?;
 
-        let body_len = bytes
-            .len()
-            .checked_sub(8)
-            .ok_or(SnapshotFormatError::Truncated("checksum"))?;
-        let body = bytes.get(..body_len).unwrap_or(&[]);
-        let stored = bytes.get(body_len..).unwrap_or(&[]);
-        let mut le = [0u8; 8];
-        if stored.len() == 8 {
-            le.copy_from_slice(stored);
-        }
-        let expected = u64::from_le_bytes(le);
-        let actual = fnv1a(body);
-        if expected != actual {
-            return Err(SnapshotFormatError::Checksum { expected, actual });
-        }
-
-        let mut cur = Cursor {
-            bytes: body,
-            pos: 0,
-        };
+        let mut cur = unseal(bytes)?;
         if cur.take(SNAPSHOT_MAGIC.len(), "magic")? != SNAPSHOT_MAGIC {
             return Err(SnapshotFormatError::BadMagic);
         }
@@ -588,9 +544,7 @@ impl SnapshotFile {
             })?;
         let vectors = cur.take(vectors_len, "vectors section")?.to_vec();
 
-        if cur.pos != body.len() {
-            return Err(SnapshotFormatError::TrailingBytes(body.len() - cur.pos));
-        }
+        cur.finish()?;
 
         Ok(SnapshotFile {
             config: SstConfig {

@@ -36,6 +36,8 @@ use sst_limits::{Budget, LimitViolation, Limits};
 use sst_simpack::{dense_dot, dense_is_zero, dense_normalize};
 use sst_soqa::GlobalConcept;
 
+use crate::sealed::{fnv1a, unseal, Framing};
+
 /// Embedding width of the toolkit-built store. 64 dimensions keep a
 /// million-concept matrix at half a gigabyte while a signed random
 /// projection still preserves TF-IDF cosine order well enough for
@@ -609,15 +611,6 @@ const MAX_FORMAT_DIM: usize = 4096;
 /// rows.
 const UNIT_TOLERANCE: f64 = 1e-9;
 
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// A parse failure of the embedding binary format.
 #[derive(Debug, Clone, PartialEq)]
 pub enum VectorFormatError {
@@ -688,6 +681,18 @@ impl From<LimitViolation> for VectorFormatError {
     }
 }
 
+impl From<Framing> for VectorFormatError {
+    fn from(f: Framing) -> Self {
+        match f {
+            Framing::Truncated(what) => VectorFormatError::Truncated(what),
+            Framing::Checksum { expected, actual } => {
+                VectorFormatError::Checksum { expected, actual }
+            }
+            Framing::TrailingBytes(n) => VectorFormatError::TrailingBytes(n),
+        }
+    }
+}
+
 /// A decoded embedding file: rows of `(qualified name, vector)`. The
 /// facade re-resolves labels against its registered concepts when
 /// importing into a [`VectorStore`].
@@ -695,42 +700,6 @@ impl From<LimitViolation> for VectorFormatError {
 pub struct DenseVectorFile {
     pub dim: usize,
     pub rows: Vec<(String, Vec<f64>)>,
-}
-
-/// Byte-slice cursor for the loader; every read is bounds-checked.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], VectorFormatError> {
-        let end = self.pos.saturating_add(n);
-        let slice = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or(VectorFormatError::Truncated(what))?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u32(&mut self, what: &'static str) -> Result<u32, VectorFormatError> {
-        let b = self.take(4, what)?;
-        let mut le = [0u8; 4];
-        le.copy_from_slice(b);
-        Ok(u32::from_le_bytes(le))
-    }
-
-    fn u64(&mut self, what: &'static str) -> Result<u64, VectorFormatError> {
-        let b = self.take(8, what)?;
-        let mut le = [0u8; 8];
-        le.copy_from_slice(b);
-        Ok(u64::from_le_bytes(le))
-    }
-
-    fn f64(&mut self, what: &'static str) -> Result<f64, VectorFormatError> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
 }
 
 impl DenseVectorFile {
@@ -744,28 +713,7 @@ impl DenseVectorFile {
         let mut budget = Budget::new(limits);
         budget.check_input(bytes.len(), "vector file")?;
 
-        // Verify the checksum first: a flipped byte anywhere must be a
-        // checksum error, not an arbitrary downstream parse error.
-        let body_len = bytes
-            .len()
-            .checked_sub(8)
-            .ok_or(VectorFormatError::Truncated("checksum"))?;
-        let body = bytes.get(..body_len).unwrap_or(&[]);
-        let stored = bytes.get(body_len..).unwrap_or(&[]);
-        let mut le = [0u8; 8];
-        if stored.len() == 8 {
-            le.copy_from_slice(stored);
-        }
-        let expected = u64::from_le_bytes(le);
-        let actual = fnv1a(body);
-        if expected != actual {
-            return Err(VectorFormatError::Checksum { expected, actual });
-        }
-
-        let mut cur = Cursor {
-            bytes: body,
-            pos: 0,
-        };
+        let mut cur = unseal(bytes)?;
         if cur.take(FORMAT_MAGIC.len(), "magic")? != FORMAT_MAGIC {
             return Err(VectorFormatError::BadMagic);
         }
@@ -796,9 +744,7 @@ impl DenseVectorFile {
             }
             rows.push((label, v));
         }
-        if cur.pos != body.len() {
-            return Err(VectorFormatError::TrailingBytes(body.len() - cur.pos));
-        }
+        cur.finish()?;
         Ok(DenseVectorFile { dim, rows })
     }
 }

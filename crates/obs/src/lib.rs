@@ -12,9 +12,9 @@
 //! ## Design
 //!
 //! * **Global-free.** There is no `static` registry. A [`Metrics`] handle
-//!   is a cheap [`Arc`] clone; every subsystem is handed one explicitly
-//!   (the [`SstToolkit`-style facade] owns the root handle and threads it
-//!   down). Tests get isolated registries for free.
+//!   is a cheap [`Arc`](std::sync::Arc) clone; every subsystem is handed
+//!   one explicitly (the [`SstToolkit`-style facade] owns the root handle
+//!   and threads it down). Tests get isolated registries for free.
 //! * **Lock-free on the hot path.** Registration (name → handle lookup)
 //!   takes a read lock once; recording is pure `AtomicU64` traffic on the
 //!   returned handle. Callers on per-pair hot loops resolve their handles

@@ -2,7 +2,9 @@
 //!
 //! Only what the service needs: request-line + header parsing with hard
 //! size caps, `Content-Length` bodies, query-string decoding, and
-//! `Connection: close` responses with explicit `Content-Length`. Every
+//! `Connection: close` responses with explicit `Content-Length`. No
+//! transfer coding is implemented, so a request framed by
+//! `Transfer-Encoding` is refused, never read as bodiless. Every
 //! connection carries exactly one request — keep-alive is deliberately
 //! not offered so the per-request read/write timeouts double as a whole
 //! connection deadline and a slow client can never pin a worker across
@@ -58,6 +60,12 @@ pub enum ReadOutcome {
     /// The query string repeated the named key (HTTP 400); accepting
     /// either occurrence would make routing ambiguous.
     DuplicateParam(String),
+    /// The request carries `Transfer-Encoding` (HTTP 501, RFC 9112 §6.1:
+    /// the service implements no transfer coding). Its body is unread.
+    TransferEncoding,
+    /// The request repeats `Content-Length` with differing values
+    /// (HTTP 400, RFC 9112 §6.3: invalid framing). Its body is unread.
+    ConflictingLength,
 }
 
 /// Reads one request from `stream`, honoring its configured read timeout
@@ -100,18 +108,24 @@ pub fn read_request(stream: &mut TcpStream, max_body_bytes: usize) -> ReadOutcom
         return ReadOutcome::Malformed;
     }
 
-    let mut content_length: usize = 0;
+    let mut content_length: Option<usize> = None;
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
             continue;
         };
-        if name.trim().eq_ignore_ascii_case("content-length") {
-            match value.trim().parse::<usize>() {
-                Ok(n) => content_length = n,
-                Err(_) => return ReadOutcome::Malformed,
+        let name = name.trim();
+        if name.eq_ignore_ascii_case("transfer-encoding") {
+            return ReadOutcome::TransferEncoding;
+        }
+        if name.eq_ignore_ascii_case("content-length") {
+            match (value.trim().parse::<usize>(), content_length) {
+                (Err(_), _) => return ReadOutcome::Malformed,
+                (Ok(n), Some(seen)) if n != seen => return ReadOutcome::ConflictingLength,
+                (Ok(n), _) => content_length = Some(n),
             }
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body_bytes {
         return ReadOutcome::TooLarge;
     }
@@ -238,6 +252,7 @@ pub const PAYLOAD_TOO_LARGE: Status = Status(413, "Payload Too Large");
 pub const UNPROCESSABLE: Status = Status(422, "Unprocessable Content");
 pub const TOO_MANY_REQUESTS: Status = Status(429, "Too Many Requests");
 pub const INTERNAL_ERROR: Status = Status(500, "Internal Server Error");
+pub const NOT_IMPLEMENTED: Status = Status(501, "Not Implemented");
 pub const SERVICE_UNAVAILABLE: Status = Status(503, "Service Unavailable");
 
 /// Writes a complete `Connection: close` response. Write errors are
@@ -266,32 +281,6 @@ pub fn write_response(
     stream.write_all(head.as_bytes())?;
     stream.write_all(body)?;
     stream.flush()
-}
-
-/// Escapes a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len().saturating_add(2));
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders an `f64` as JSON (JSON has no NaN/Infinity; encode as null).
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
 }
 
 #[cfg(test)]
@@ -346,11 +335,13 @@ mod tests {
         assert_eq!(percent_decode("a+b%20c"), "a b c");
     }
 
+    /// Response bodies are written through the core export writers.
     #[test]
     fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_f64(0.5), "0.5");
-        assert_eq!(json_f64(f64::NAN), "null");
+        use sst_core::export::{json_number, json_string};
+        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_number(0.5), "0.5");
+        assert_eq!(json_number(f64::NAN), "null");
     }
 
     #[test]

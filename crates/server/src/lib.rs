@@ -48,13 +48,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use sst_core::export::json_string;
 use sst_limits::Limits;
 
 pub use tenancy::{Corpora, Tenant};
 
 use http::{
-    read_request, write_response, ReadOutcome, BAD_REQUEST, PAYLOAD_TOO_LARGE, REQUEST_TIMEOUT,
-    TOO_MANY_REQUESTS,
+    read_request, write_response, ReadOutcome, Status, BAD_REQUEST, NOT_IMPLEMENTED,
+    PAYLOAD_TOO_LARGE, REQUEST_TIMEOUT, TOO_MANY_REQUESTS,
 };
 use queue::BoundedQueue;
 use router::Router;
@@ -260,7 +261,13 @@ impl Server {
                 }
                 if let Err(mut rejected) = work.try_push(stream) {
                     shed.inc();
-                    if shed_connection(&mut rejected, &retry_after).is_err() {
+                    let answered = respond_and_drain(
+                        &mut rejected,
+                        TOO_MANY_REQUESTS,
+                        b"{\"error\":\"server overloaded, retry later\"}",
+                        &[("retry-after", retry_after.clone())],
+                    );
+                    if answered.is_err() {
                         write_failures.inc();
                     }
                 }
@@ -282,30 +289,30 @@ impl Server {
     }
 }
 
-/// Time the accept loop spends draining a shed connection's request.
-const SHED_DRAIN_TIME: Duration = Duration::from_millis(100);
-/// Request bytes the accept loop drains from a shed connection.
-const SHED_DRAIN_BYTES: usize = 16 * 1024;
+/// Time spent draining an unread request before its socket drops.
+const DRAIN_TIME: Duration = Duration::from_millis(100);
+/// Request bytes drained from a socket before it drops.
+const DRAIN_BYTES: usize = 16 * 1024;
 
-/// Answers a shed connection with `429` and `Retry-After`, half-closes it,
-/// and drains the unread request before the socket drops. Closing a socket
-/// with unread input makes the kernel send RST, which can destroy the 429
-/// before the client reads it. The drain stops at the client's EOF, after
-/// [`SHED_DRAIN_BYTES`], or after [`SHED_DRAIN_TIME`], so a silent client
-/// cannot hold the accept thread.
-fn shed_connection(stream: &mut TcpStream, retry_after: &str) -> io::Result<()> {
-    write_response(
-        stream,
-        TOO_MANY_REQUESTS,
-        "application/json",
-        b"{\"error\":\"server overloaded, retry later\"}",
-        &[("retry-after", retry_after.to_owned())],
-    )?;
+/// Answers a connection whose request is still unread (a shed connection,
+/// or a request whose framing was refused), half-closes it, and drains
+/// the request before the socket drops. Closing a socket with unread
+/// input makes the kernel send RST, which can destroy the answer before
+/// the client reads it. The drain stops at the client's EOF, after
+/// [`DRAIN_BYTES`], or after [`DRAIN_TIME`], so a silent client cannot
+/// hold the thread.
+fn respond_and_drain(
+    stream: &mut TcpStream,
+    status: Status,
+    body: &[u8],
+    extra_headers: &[(&str, String)],
+) -> io::Result<()> {
+    write_response(stream, status, "application/json", body, extra_headers)?;
     stream.shutdown(Shutdown::Write)?;
-    let deadline = Instant::now() + SHED_DRAIN_TIME;
+    let deadline = Instant::now() + DRAIN_TIME;
     let mut buf = [0u8; 4096];
     let mut drained = 0;
-    while drained < SHED_DRAIN_BYTES {
+    while drained < DRAIN_BYTES {
         let left = deadline.saturating_duration_since(Instant::now());
         if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
             break;
@@ -314,7 +321,7 @@ fn shed_connection(stream: &mut TcpStream, retry_after: &str) -> io::Result<()> 
             Ok(0) => break,
             Ok(n) => drained += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            // Timed out or reset: the 429 is already out.
+            // Timed out or reset: the answer is already out.
             Err(_) => break,
         }
     }
@@ -372,10 +379,22 @@ fn serve_connection(
             BAD_REQUEST,
             "application/json",
             format!(
-                "{{\"error\":\"duplicate query parameter `{}`\"}}",
-                http::json_escape(&key)
+                "{{\"error\":{}}}",
+                json_string(&format!("duplicate query parameter `{key}`"))
             )
             .as_bytes(),
+            &[],
+        ),
+        ReadOutcome::TransferEncoding => respond_and_drain(
+            stream,
+            NOT_IMPLEMENTED,
+            b"{\"error\":\"transfer codings are not implemented\"}",
+            &[],
+        ),
+        ReadOutcome::ConflictingLength => respond_and_drain(
+            stream,
+            BAD_REQUEST,
+            b"{\"error\":\"conflicting content-length headers\"}",
             &[],
         ),
     };

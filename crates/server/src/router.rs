@@ -33,6 +33,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use sst_core::export::{json_number, json_string};
 use sst_core::{
     align_with_limits, measure_ids, AlignmentConfig, Amalgamation, CandidateGen,
     ConceptAndSimilarity, ConceptSet, MatchMode, SstError, SstToolkit,
@@ -43,8 +44,8 @@ use sst_soqa::ql::Cell;
 use sst_soqa::SoqaError;
 
 use crate::http::{
-    json_escape, json_f64, Request, Status, BAD_REQUEST, INTERNAL_ERROR, METHOD_NOT_ALLOWED,
-    NOT_FOUND, OK, SERVICE_UNAVAILABLE, UNPROCESSABLE,
+    Request, Status, BAD_REQUEST, INTERNAL_ERROR, METHOD_NOT_ALLOWED, NOT_FOUND, OK,
+    SERVICE_UNAVAILABLE, UNPROCESSABLE,
 };
 use crate::json::{self, Json};
 use crate::tenancy::{Corpora, Tenant};
@@ -121,10 +122,7 @@ impl Answer {
     }
 
     fn error(status: Status, message: &str) -> Answer {
-        Answer::json(
-            status,
-            format!("{{\"error\":\"{}\"}}", json_escape(message)),
-        )
+        Answer::json(status, format!("{{\"error\":{}}}", json_string(message)))
     }
 }
 
@@ -238,11 +236,7 @@ impl<'a> Router<'a> {
         }
         match tenant.toolkit().query_with_limits(&query, &self.ql_limits) {
             Ok(table) => {
-                let columns: Vec<String> = table
-                    .columns
-                    .iter()
-                    .map(|c| format!("\"{}\"", json_escape(c)))
-                    .collect();
+                let columns: Vec<String> = table.columns.iter().map(|c| json_string(c)).collect();
                 let rows: Vec<String> = table
                     .rows
                     .iter()
@@ -297,7 +291,7 @@ impl<'a> Router<'a> {
                 OK,
                 format!(
                     "{{\"similarity\":{},\"measure\":{}}}",
-                    json_f64(value),
+                    json_number(value),
                     measure
                 ),
             ),
@@ -481,10 +475,10 @@ impl<'a> Router<'a> {
                     .iter()
                     .map(|c| {
                         format!(
-                            "{{\"source\":\"{}\",\"target\":\"{}\",\"similarity\":{}}}",
-                            json_escape(&c.source_concept),
-                            json_escape(&c.target_concept),
-                            json_f64(c.similarity)
+                            "{{\"source\":{},\"target\":{},\"similarity\":{}}}",
+                            json_string(&c.source_concept),
+                            json_string(&c.target_concept),
+                            json_number(c.similarity)
                         )
                     })
                     .collect();
@@ -543,10 +537,10 @@ fn ranked_json(ranked: &[ConceptAndSimilarity]) -> Answer {
         .iter()
         .map(|r| {
             format!(
-                "{{\"concept\":\"{}\",\"ontology\":\"{}\",\"similarity\":{}}}",
-                json_escape(&r.concept),
-                json_escape(&r.ontology),
-                json_f64(r.similarity)
+                "{{\"concept\":{},\"ontology\":{},\"similarity\":{}}}",
+                json_string(&r.concept),
+                json_string(&r.ontology),
+                json_number(r.similarity)
             )
         })
         .collect();
@@ -555,8 +549,8 @@ fn ranked_json(ranked: &[ConceptAndSimilarity]) -> Answer {
 
 fn cell_to_json(cell: &Cell) -> String {
     match cell {
-        Cell::Str(s) => format!("\"{}\"", json_escape(s)),
-        Cell::Num(n) => json_f64(*n),
+        Cell::Str(s) => json_string(s),
+        Cell::Num(n) => json_number(*n),
         Cell::Null => "null".to_owned(),
     }
 }

@@ -1,6 +1,6 @@
-//! The `cargo xtask ci` pipeline: fmt-check → lint → clippy → build →
-//! test, stopping at the first failing stage. One command, the whole
-//! gate — `ci.sh` at the repo root is a thin wrapper around this.
+//! The `cargo xtask ci` pipeline: fmt-check → lint → clippy → doc →
+//! build → test, stopping at the first failing stage. One command, the
+//! whole gate — `ci.sh` at the repo root is a thin wrapper around this.
 
 use std::path::Path;
 use std::process::Command;
@@ -18,6 +18,18 @@ const STAGES: &[(&str, &[&str])] = &[
             "--",
             "-D",
             "warnings",
+        ],
+    ),
+    // Warning-free documentation: a public doc that links a private
+    // item, or a link that no longer resolves, fails the gate.
+    (
+        "doc",
+        &[
+            "doc",
+            "--workspace",
+            "--no-deps",
+            "--config",
+            "build.rustdocflags=[\"-D\", \"warnings\"]",
         ],
     ),
     ("build", &["build", "--release", "--workspace"]),

@@ -6,8 +6,9 @@
 //!   machine-readable findings document on stdout (archived by `ci.sh`
 //!   as `results/LINT.json`); `--explain <rule>` prints a rule's
 //!   rationale and fix.
-//! - `ci` — fmt-check → lint → clippy (-D warnings) → release build →
-//!   tests, stopping at the first failure.
+//! - `ci` — fmt-check → lint → clippy (-D warnings) → docs (rustdoc
+//!   -D warnings) → release build → tests, stopping at the first
+//!   failure.
 //! - `snapshot build|load [PATH]` — persist the paper corpus as an
 //!   `SSTSNAP1` snapshot file, or load one back and verify it scores
 //!   bit-identically to a cold build (delegates to the `snapshot_bench`
@@ -28,8 +29,8 @@ commands:
                         member DIR; member lint skips the workspace-wide
                         lock-graph and metrics-catalog rules)
   lint --explain RULE   print a rule's rationale and the fix it demands
-  ci                    fmt-check, lint, clippy -D warnings, release
-                        build, tests
+  ci                    fmt-check, lint, clippy -D warnings, docs
+                        (rustdoc -D warnings), release build, tests
   snapshot build [PATH] write the paper corpus as an SSTSNAP1 snapshot
                         (default results/corpus.sstsnap)
   snapshot load [PATH]  load a snapshot back and verify bit-identity

@@ -5,6 +5,7 @@
 
 use sst_core::{
     measure_ids as m, ConceptSet, MeasureRunner, RunnerInfo, SimilarityContext, SstBuilder,
+    SstError,
 };
 use sst_simpack::MeasureKind;
 use sst_soqa::{GlobalConcept, OntologyBuilder, OntologyMetadata};
@@ -270,4 +271,82 @@ fn new_language_via_meta_model_only() {
         )
         .unwrap();
     assert!(v > 0.0);
+}
+
+/// A user measure that panics on one pair, `{C3, C17}`, and scores 0.5
+/// everywhere else.
+#[derive(Debug)]
+struct PanicsOnOnePair;
+
+impl MeasureRunner for PanicsOnOnePair {
+    fn info(&self) -> RunnerInfo {
+        RunnerInfo {
+            name: "panics_on_one_pair".into(),
+            display: "Panics on one pair".into(),
+            kind: MeasureKind::String,
+            normalized: true,
+        }
+    }
+
+    fn similarity(&self, ctx: &SimilarityContext<'_>, a: GlobalConcept, b: GlobalConcept) -> f64 {
+        let mut pair = [ctx.name(a), ctx.name(b)];
+        pair.sort_unstable();
+        assert_ne!(pair, ["C17", "C3"], "the one pair this runner fails on");
+        0.5
+    }
+}
+
+/// The scheduler fan-out's dead-worker contract: a worker thread that
+/// dies fails the parallel matrix with `SstError::Internal`, never a
+/// partial matrix, and records no scheduler run; the same toolkit then
+/// answers a built-in parallel matrix and a ranking normally.
+#[test]
+fn a_dead_scheduler_worker_fails_the_call_and_spares_the_toolkit() {
+    let mut b = OntologyBuilder::new(OntologyMetadata {
+        name: "wide".into(),
+        language: "Test".into(),
+        ..OntologyMetadata::default()
+    });
+    let root = b.concept("C0");
+    for i in 1..20 {
+        let c = b.concept(&format!("C{i}"));
+        b.add_subclass(c, root);
+    }
+    let sst = SstBuilder::new()
+        .register_ontology(b.build())
+        .unwrap()
+        .register_runner(Box::new(PanicsOnOnePair))
+        .build();
+    let panics = sst.measure_id("panics_on_one_pair").unwrap();
+
+    // 20 concepts on 2 workers: 6 triangle tiles of edge 8, so both
+    // workers are spawned threads and one of them meets the pair.
+    let result = sst.similarity_matrix_parallel(&ConceptSet::All, panics, 2);
+    assert!(
+        matches!(result, Err(SstError::Internal(_))),
+        "got {result:?}"
+    );
+    assert!(
+        sst.last_sched_stats().is_none(),
+        "a failed run must not be recorded"
+    );
+
+    let (labels, matrix) = sst
+        .similarity_matrix_parallel(&ConceptSet::All, m::LEVENSHTEIN_MEASURE, 2)
+        .unwrap();
+    let stats = sst
+        .last_sched_stats()
+        .expect("the completed run is recorded");
+    assert_eq!((stats.workers.len(), stats.tiles()), (2, 6));
+    let (_, serial) = sst
+        .similarity_matrix(&ConceptSet::All, m::LEVENSHTEIN_MEASURE)
+        .unwrap();
+    assert_eq!(labels.len(), 20);
+    assert_eq!(matrix, serial);
+
+    let top = sst
+        .most_similar("C3", "wide", &ConceptSet::All, 3, m::LEVENSHTEIN_MEASURE)
+        .unwrap();
+    assert_eq!(top.len(), 3);
+    assert_eq!((top[0].concept.as_str(), top[0].similarity), ("C3", 1.0));
 }

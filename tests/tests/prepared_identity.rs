@@ -300,10 +300,9 @@ fn cached_most_similar_matches_direct_for_every_measure() {
     assert!(hits > 0 && misses > 0, "hits={hits} misses={misses}");
 }
 
-/// From `RANK_PARALLEL_THRESHOLD` (256) members up, the rank scan fans out
-/// over the work-stealing scheduler: every `/rank` over the whole corpus
-/// takes that path. For every built-in measure, under both tree modes and
-/// at every k from 1 past the corpus size, the rankings over
+/// Every rank path over the whole corpus, the set every `/rank` without
+/// a subtree scores. For every built-in measure, under both tree modes
+/// and at every k from 1 past the corpus size, the rankings over
 /// `ConceptSet::All` — `most_similar`, `most_dissimilar`, the cached rank
 /// cold and warm, and for `dense_vector` the full-probe approximate rank —
 /// equal the rankings built from one oracle pairwise call per member.
@@ -321,7 +320,7 @@ fn whole_corpus_rankings_match_the_oracle_for_every_measure() {
             .collect();
         assert!(
             members.len() >= 256,
-            "the parallel rank path needs 256 members"
+            "the whole-corpus rank paths are checked at corpus scale"
         );
         let n = members.len();
         assert_eq!(

@@ -25,10 +25,16 @@ fn corpus() -> Arc<SstToolkit> {
 /// Sends raw bytes, reads until the server closes, returns (status, body).
 fn send_raw(addr: SocketAddr, raw: &[u8]) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(raw).expect("write request");
+    read_response(stream)
+}
+
+/// Reads a whole response up to the server's EOF; returns (status, body).
+/// A reset instead of EOF fails the read.
+fn read_response(mut stream: TcpStream) -> (u16, String) {
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .expect("set timeout");
-    stream.write_all(raw).expect("write request");
     let mut response = String::new();
     stream.read_to_string(&mut response).expect("read response");
     let status: u16 = response
@@ -488,6 +494,68 @@ fn shed_clients_read_a_complete_429_then_eof() {
 /// Under `TreeMode::MergedThing` an ontology root shares the root node and
 /// has no vector-store row: the approximate ranking of it is a client
 /// error (400), never a 500, while the exact ranking still serves it.
+/// Body framing the service cannot trust is refused, never misread: a
+/// `Transfer-Encoding` request gets 501 instead of being read as bodiless,
+/// and `Content-Length` values that differ get 400 in either order,
+/// instead of the last header cutting or stretching the body. Each answer
+/// arrives whole and then EOF although the request body is unread; one
+/// length repeated at an equal value is still valid framing.
+#[test]
+fn untrusted_body_framing_is_refused_with_a_complete_answer() {
+    let sst = corpus();
+    let corpora = Corpora::new("default", Arc::clone(&sst));
+    let server = Server::bind(ServerConfig::default()).expect("bind");
+    let addr = server.local_addr();
+    let handle = server.shutdown_handle();
+    let body = format!(
+        "{{\"source\":\"{}\",\"target\":\"{}\"}}",
+        names::COURSES,
+        names::UNIV_BENCH
+    );
+    let framed = |lengths: [usize; 2]| {
+        format!(
+            "POST /align HTTP/1.1\r\nhost: test\r\ncontent-length: {}\r\n\
+             content-length: {}\r\n\r\n{body}",
+            lengths[0], lengths[1]
+        )
+    };
+
+    std::thread::scope(|scope| {
+        let running = scope.spawn(|| server.run(&corpora));
+        let _stop = StopOnDrop(handle.clone());
+
+        // Chunked, in two writes: the head, then (once the whole answer
+        // and EOF have arrived) the body, which the server then drains.
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .write_all(b"POST /align HTTP/1.1\r\nhost: test\r\ntransfer-encoding: chunked\r\n\r\n")
+            .expect("write head");
+        let chunked = format!("{:x}\r\n{body}\r\n0\r\n\r\n", body.len());
+        let unread = stream.try_clone().expect("clone stream");
+        let (status, answer) = read_response(stream);
+        assert_eq!(
+            (status, answer.as_str()),
+            (501, "{\"error\":\"transfer codings are not implemented\"}")
+        );
+        // The server may already have stopped draining; the answer is in.
+        let _ = (&unread).write_all(chunked.as_bytes());
+
+        for lengths in [[body.len(), 5], [5, body.len()]] {
+            let (status, answer) = send_raw(addr, framed(lengths).as_bytes());
+            assert_eq!(
+                (status, answer.as_str()),
+                (400, "{\"error\":\"conflicting content-length headers\"}"),
+                "content-length {lengths:?}"
+            );
+        }
+        let (status, answer) = send_raw(addr, framed([body.len(), body.len()]).as_bytes());
+        assert_eq!(status, 200, "{answer}");
+
+        handle.shutdown();
+        assert!(running.join().expect("run thread").is_ok());
+    });
+}
+
 #[test]
 fn approx_rank_of_a_merged_root_is_a_bad_request() {
     let sst = Arc::new(load_corpus(TreeMode::MergedThing, false));
