@@ -447,73 +447,121 @@ fn blocked_candidates(
             feature_postings.entry(feat).or_default().push(tj);
         }
     }
-    // Shared name tokens, then shared features, each ranked by overlap
-    // count.
-    let channel = |postings: &HashMap<TokenId, Vec<usize>>, ids: &[TokenId]| {
-        let mut overlap: HashMap<usize, u32> = HashMap::new();
-        for id in ids {
-            match postings.get(id) {
-                Some(list) if list.len() <= cap => {
-                    for &tj in list {
-                        *overlap.entry(tj).or_insert(0) += 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-        top_by_count(overlap, width)
+    let mut overlap = Overlap {
+        counts: vec![0; targets.len()],
+        touched: Vec::new(),
+        cap,
+        width,
     };
 
     let vectors = sst.vector_store();
     // A beam a few times wider than the per-channel width keeps ANN recall
-    // high after filtering out same-ontology rows.
+    // high after filtering out same-ontology rows. Up to width 24 that is
+    // the default probe, whose results the store keeps per row, so each
+    // source concept is searched once for every target ontology.
     let probe = width.saturating_mul(4).max(vectors.default_probe());
-    let target_rows: HashMap<usize, usize> = targets
-        .iter()
-        .enumerate()
-        .filter_map(|(tj, &row)| {
-            vectors
-                .position(table.view(row).concept)
-                .map(|vrow| (vrow, tj))
-        })
-        .collect();
+    // Store row -> target index.
+    let mut target_of: Vec<Option<usize>> = vec![None; vectors.len()];
+    for (tj, &row) in targets.iter().enumerate() {
+        if let Some(slot) = vectors
+            .position(table.view(row).concept)
+            .and_then(|vrow| target_of.get_mut(vrow))
+        {
+            *slot = Some(tj);
+        }
+    }
 
+    let mut searches = 0u64;
     let mut out = Vec::with_capacity(sources.len());
     for &row in sources {
         let view = table.view(row);
-        let mut merged = channel(&token_postings, &view.name_tokens);
-        merged.extend(channel(&feature_postings, view.features.ids()));
+        // Shared name tokens, then shared features, each ranked by overlap
+        // count.
+        let mut merged = Vec::new();
+        overlap.top(&token_postings, &view.name_tokens, &mut merged);
+        overlap.top(&feature_postings, view.features.ids(), &mut merged);
 
         // Dense-vector neighborhood via the NSW graph, filtered to the
         // target ontology. Catches documentation-level similarity that
         // shares no surface tokens or features.
         if let Some(vrow) = vectors.position(view.concept) {
-            let mut taken = 0usize;
-            for (r, _) in vectors.approx_candidates(vrow, probe) {
-                if let Some(&tj) = target_rows.get(&r) {
-                    merged.push(tj);
-                    taken += 1;
-                    if taken >= width {
-                        break;
-                    }
-                }
-            }
+            let wide: Vec<u32>;
+            let rows = if probe == vectors.default_probe() {
+                let (rows, searched) = vectors.default_neighborhood(vrow);
+                searches += u64::from(searched);
+                rows
+            } else {
+                searches += 1;
+                wide = vectors
+                    .approx_candidates(vrow, probe)
+                    .into_iter()
+                    .map(|(r, _)| r as u32)
+                    .collect();
+                &wide
+            };
+            merged.extend(
+                rows.iter()
+                    .filter_map(|&r| target_of.get(r as usize).copied().flatten())
+                    .take(width),
+            );
         }
 
         merged.sort_unstable();
         merged.dedup();
         out.push(merged);
     }
+    sst.metrics().add("core.align.searches", searches);
     out
 }
 
-/// The `width` keys with the highest counts (count descending, key
-/// ascending — deterministic despite hash-map iteration order).
-fn top_by_count(overlap: HashMap<usize, u32>, width: usize) -> Vec<usize> {
-    let mut ranked: Vec<(usize, u32)> = overlap.into_iter().collect();
-    ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    ranked.truncate(width);
-    ranked.into_iter().map(|(tj, _)| tj).collect()
+/// One source concept's overlap counts over the target ontology, dense
+/// by target index. Only the entries a source touched are nonzero, and
+/// [`Overlap::top`] zeroes them again.
+struct Overlap {
+    counts: Vec<u32>,
+    touched: Vec<usize>,
+    /// Posting lists longer than this are skipped.
+    cap: usize,
+    /// Targets kept per channel.
+    width: usize,
+}
+
+impl Overlap {
+    /// Appends to `out` the `width` targets that share the most of `ids`
+    /// through `postings` (count descending, then target index
+    /// ascending).
+    fn top(
+        &mut self,
+        postings: &HashMap<TokenId, Vec<usize>>,
+        ids: &[TokenId],
+        out: &mut Vec<usize>,
+    ) {
+        for id in ids {
+            let Some(list) = postings.get(id).filter(|list| list.len() <= self.cap) else {
+                continue;
+            };
+            for &tj in list {
+                if let Some(count) = self.counts.get_mut(tj) {
+                    if *count == 0 {
+                        self.touched.push(tj);
+                    }
+                    *count += 1;
+                }
+            }
+        }
+        let counts = &mut self.counts;
+        self.touched.sort_unstable_by(|&a, &b| {
+            let (ca, cb) = (counts.get(a), counts.get(b));
+            cb.cmp(&ca).then_with(|| a.cmp(&b))
+        });
+        out.extend(self.touched.iter().take(self.width));
+        for &tj in &self.touched {
+            if let Some(count) = counts.get_mut(tj) {
+                *count = 0;
+            }
+        }
+        self.touched.clear();
+    }
 }
 
 #[cfg(test)]
@@ -784,5 +832,203 @@ mod tests {
         let err = align_with_limits(&sst, "left", "right", &AlignmentConfig::default(), &tiny)
             .unwrap_err();
         assert!(matches!(err, SstError::Limit(_)), "got {err:?}");
+    }
+
+    /// The candidate generator before the store kept each row's default
+    /// neighborhood: per-source hash-map overlap counts, a hash-map target
+    /// filter and one NSW search per source concept and call. The
+    /// reference [`blocked_candidates`] must reproduce list for list.
+    fn reference_blocked_candidates(
+        sst: &SstToolkit,
+        sources: &[usize],
+        targets: &[usize],
+        width: usize,
+    ) -> Vec<Vec<usize>> {
+        let table = sst.concept_table();
+        let cap = (targets.len() / 2).max(width.saturating_mul(8));
+        let mut token_postings: HashMap<TokenId, Vec<usize>> = HashMap::new();
+        let mut feature_postings: HashMap<TokenId, Vec<usize>> = HashMap::new();
+        for (tj, &row) in targets.iter().enumerate() {
+            let view = table.view(row);
+            for &tok in &view.name_tokens {
+                token_postings.entry(tok).or_default().push(tj);
+            }
+            for &feat in view.features.ids() {
+                feature_postings.entry(feat).or_default().push(tj);
+            }
+        }
+        let channel = |postings: &HashMap<TokenId, Vec<usize>>, ids: &[TokenId]| {
+            let mut overlap: HashMap<usize, u32> = HashMap::new();
+            for id in ids {
+                match postings.get(id) {
+                    Some(list) if list.len() <= cap => {
+                        for &tj in list {
+                            *overlap.entry(tj).or_insert(0) += 1;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            let mut ranked: Vec<(usize, u32)> = overlap.into_iter().collect();
+            ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            ranked.truncate(width);
+            ranked.into_iter().map(|(tj, _)| tj).collect::<Vec<usize>>()
+        };
+        let vectors = sst.vector_store();
+        let probe = width.saturating_mul(4).max(vectors.default_probe());
+        let target_rows: HashMap<usize, usize> = targets
+            .iter()
+            .enumerate()
+            .filter_map(|(tj, &row)| {
+                vectors
+                    .position(table.view(row).concept)
+                    .map(|vrow| (vrow, tj))
+            })
+            .collect();
+        let mut out = Vec::with_capacity(sources.len());
+        for &row in sources {
+            let view = table.view(row);
+            let mut merged = channel(&token_postings, &view.name_tokens);
+            merged.extend(channel(&feature_postings, view.features.ids()));
+            if let Some(vrow) = vectors.position(view.concept) {
+                let mut taken = 0usize;
+                for (r, _) in vectors.approx_candidates(vrow, probe) {
+                    if let Some(&tj) = target_rows.get(&r) {
+                        merged.push(tj);
+                        taken += 1;
+                        if taken >= width {
+                            break;
+                        }
+                    }
+                }
+            }
+            merged.sort_unstable();
+            merged.dedup();
+            out.push(merged);
+        }
+        out
+    }
+
+    /// A seeded corpus of `ontologies` × `concepts` concepts drawn from
+    /// shared vocabularies: two- or three-word names, inherited
+    /// attributes and six-word documentation, so every recall channel
+    /// finds cross-ontology overlap, and random parents.
+    fn synthetic_toolkit(ontologies: usize, concepts: usize, seed: u64) -> SstToolkit {
+        const WORDS: [&str; 24] = [
+            "Course", "Student", "Person", "Event", "Place", "Unit", "Work", "Group", "Agent",
+            "Process", "Object", "Time", "Module", "Teacher", "Paper", "Project", "Service",
+            "Device", "Region", "Member", "Topic", "Record", "Method", "Role",
+        ];
+        const DOC: [&str; 32] = [
+            "teaching",
+            "research",
+            "university",
+            "lecture",
+            "human",
+            "organization",
+            "journal",
+            "software",
+            "measurement",
+            "location",
+            "building",
+            "vehicle",
+            "energy",
+            "market",
+            "contract",
+            "language",
+            "planet",
+            "river",
+            "protein",
+            "music",
+            "painting",
+            "law",
+            "election",
+            "weather",
+            "kitchen",
+            "garden",
+            "bridge",
+            "harbor",
+            "library",
+            "theater",
+            "hospital",
+            "factory",
+        ];
+        let mut state = seed;
+        let mut next = |bound: usize| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        let mut builder = SstBuilder::new();
+        for o in 0..ontologies {
+            let mut b = OntologyBuilder::new(OntologyMetadata {
+                name: format!("synthetic{o}"),
+                language: "Test".into(),
+                ..OntologyMetadata::default()
+            });
+            let mut ids = Vec::with_capacity(concepts);
+            while ids.len() < concepts {
+                let words = 2 + next(2);
+                let name: String = (0..words).map(|_| WORDS[next(WORDS.len())]).collect();
+                if b.has_concept(&name) {
+                    continue;
+                }
+                let id = b.concept(&name);
+                let doc: Vec<&str> = (0..6).map(|_| DOC[next(DOC.len())]).collect();
+                b.concept_mut(id).documentation = Some(doc.join(" "));
+                if let Some(&parent) = ids.get(next(ids.len().max(1))) {
+                    b.add_subclass(id, parent);
+                }
+                for _ in 0..next(4) {
+                    b.add_attribute(sst_soqa::Attribute {
+                        name: format!("has{}", WORDS[next(WORDS.len())]),
+                        documentation: None,
+                        data_type: None,
+                        definition: None,
+                        concept: id,
+                    });
+                }
+                ids.push(id);
+            }
+            builder = builder.register_ontology(b.build()).unwrap();
+        }
+        builder.build()
+    }
+
+    fn table_rows(sst: &SstToolkit, ontology: usize) -> Vec<usize> {
+        let concepts: Vec<GlobalConcept> = sst
+            .soqa()
+            .ontology_at(ontology)
+            .concept_ids()
+            .map(|concept| GlobalConcept { ontology, concept })
+            .collect();
+        sst.rows(&concepts).unwrap()
+    }
+
+    #[test]
+    fn blocked_candidates_equal_the_hash_map_reference() {
+        let sst = synthetic_toolkit(3, 160, 0x5eed);
+        assert!(sst.vector_store().len() > sst.vector_store().default_probe());
+        let onto: Vec<Vec<usize>> = (0..3).map(|o| table_rows(&sst, o)).collect();
+        // Widths below, at and above the default probe's cut-off (24);
+        // each source is asked for once per target, so the second target
+        // of a source reads the stored neighborhood.
+        for width in [1, 4, 16, 24, 25, 32] {
+            let mut pairs = 0;
+            for (a, sources) in onto.iter().enumerate() {
+                for (b, targets) in onto.iter().enumerate() {
+                    if a == b {
+                        continue;
+                    }
+                    let got = blocked_candidates(&sst, sources, targets, width);
+                    let want = reference_blocked_candidates(&sst, sources, targets, width);
+                    assert_eq!(got, want, "{a} -> {b} at width {width}");
+                    pairs += got.iter().map(Vec::len).sum::<usize>();
+                }
+            }
+            assert!(pairs > 0, "width {width}: no candidates at all");
+        }
     }
 }

@@ -30,6 +30,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use sst_index::TermId;
 use sst_limits::{Budget, LimitViolation, Limits};
@@ -407,6 +408,10 @@ pub struct VectorStore {
     zero: Vec<bool>,
     positions: HashMap<GlobalConcept, usize>,
     graph: NswGraph,
+    /// Per row, once first asked for: the row ids
+    /// [`VectorStore::approx_candidates`] returns at the default probe,
+    /// in its order (see [`VectorStore::default_neighborhood`]).
+    neighborhoods: Vec<OnceLock<Box<[u32]>>>,
 }
 
 impl fmt::Debug for VectorStore {
@@ -453,6 +458,7 @@ impl VectorStore {
             zero,
             positions,
             graph,
+            neighborhoods: std::iter::repeat_with(OnceLock::new).take(n).collect(),
         }
     }
 
@@ -572,6 +578,29 @@ impl VectorStore {
             out.push((query, 1.0));
         }
         out
+    }
+
+    /// The row ids of `approx_candidates(row, default_probe())`, in its
+    /// order, and whether this call ran that search. A row is searched
+    /// on its first call only and its ids are kept, since the store never
+    /// changes: at most `default_probe() + 1` ids per row that was asked
+    /// for. Alignment asks for every source concept of every alignment,
+    /// so one search serves all the targets of a source. Rankings keep
+    /// calling [`VectorStore::approx_candidates`]: one ranking runs one
+    /// search. An out-of-range row has no ids.
+    pub(crate) fn default_neighborhood(&self, row: usize) -> (&[u32], bool) {
+        let Some(cell) = self.neighborhoods.get(row) else {
+            return (&[], false);
+        };
+        let mut searched = false;
+        let ids = cell.get_or_init(|| {
+            searched = true;
+            self.approx_candidates(row, self.default_probe())
+                .into_iter()
+                .map(|(r, _)| r as u32)
+                .collect()
+        });
+        (ids, searched)
     }
 
     // ---- checksummed binary format ------------------------------------
@@ -936,14 +965,31 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn graph_layout_is_deterministic() {
-        let rows: Vec<(GlobalConcept, String, Vec<f64>)> = (0..64)
+    /// 64 rows of two seeded terms each, 8 dimensions.
+    fn seeded_rows() -> Vec<(GlobalConcept, String, Vec<f64>)> {
+        (0..64)
             .map(|i| {
                 let tfidf = vec![(TermId(i), 1.0), (TermId(i / 4), 0.5)];
                 (gc(i), format!("o:c{i}"), embed_tfidf(&tfidf, 8))
             })
+            .collect()
+    }
+
+    /// 20 clusters of 16 near-duplicate rows each, 16 dimensions.
+    fn structured_store() -> VectorStore {
+        let rows: Vec<(GlobalConcept, String, Vec<f64>)> = (0..320u32)
+            .map(|i| {
+                let cluster = i / 16;
+                let tfidf = vec![(TermId(cluster), 4.0), (TermId(1000 + i), 0.5)];
+                (gc(i), format!("o:c{i}"), embed_tfidf(&tfidf, 16))
+            })
             .collect();
+        VectorStore::from_rows(rows, 16)
+    }
+
+    #[test]
+    fn graph_layout_is_deterministic() {
+        let rows = seeded_rows();
         let a = VectorStore::from_rows(rows.clone(), 8);
         let b = VectorStore::from_rows(rows, 8);
         assert_eq!(a.default_probe(), b.default_probe());
@@ -954,16 +1000,9 @@ mod tests {
 
     #[test]
     fn beam_search_finds_true_neighbors_on_a_structured_corpus() {
-        // 20 clusters of 16 near-duplicate rows each: a beam of 32 must
-        // recover the query's own cluster as its top candidates.
-        let rows: Vec<(GlobalConcept, String, Vec<f64>)> = (0..320u32)
-            .map(|i| {
-                let cluster = i / 16;
-                let tfidf = vec![(TermId(cluster), 4.0), (TermId(1000 + i), 0.5)];
-                (gc(i), format!("o:c{i}"), embed_tfidf(&tfidf, 16))
-            })
-            .collect();
-        let s = VectorStore::from_rows(rows, 16);
+        // A beam of 32 must recover the query's own cluster as its top
+        // candidates.
+        let s = structured_store();
         for q in [0usize, 17, 155, 319] {
             let cands = s.approx_candidates(q, 32);
             let cluster = (q as u32) / 16;
@@ -978,6 +1017,27 @@ mod tests {
                 in_cluster >= 14,
                 "query {q}: only {in_cluster}/16 of the top candidates are in its cluster"
             );
+        }
+    }
+
+    #[test]
+    fn default_neighborhood_is_the_default_probe_search_once() {
+        let seeded = VectorStore::from_rows(seeded_rows(), 8);
+        for s in [structured_store(), seeded, tiny_store()] {
+            for row in 0..s.len() {
+                let want: Vec<u32> = s
+                    .approx_candidates(row, s.default_probe())
+                    .into_iter()
+                    .map(|(r, _)| r as u32)
+                    .collect();
+                let (first, searched) = s.default_neighborhood(row);
+                assert!(searched, "row {row}: first call did not search");
+                assert_eq!(first, &want[..], "row {row}");
+                let (again, searched) = s.default_neighborhood(row);
+                assert!(!searched, "row {row}: searched twice");
+                assert_eq!(again, &want[..], "row {row}");
+            }
+            assert_eq!(s.default_neighborhood(s.len()), (&[][..], false));
         }
     }
 }

@@ -92,6 +92,11 @@ pub const CATALOG: &[MetricDecl] = &[
         help: "alignment matching-phase pair inspections",
     },
     MetricDecl {
+        name: "core.align.searches",
+        kind: MetricKind::Counter,
+        help: "alignment source concepts whose NSW neighborhood was searched (not read from the store)",
+    },
+    MetricDecl {
         name: "core.build.latency",
         kind: MetricKind::Histogram,
         help: "ontology build/ingest wall time (ns)",

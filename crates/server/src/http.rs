@@ -53,8 +53,10 @@ pub enum ReadOutcome {
     Closed,
     /// The read timed out — the per-request deadline fired (HTTP 408).
     Deadline,
-    /// The head or body exceeded its size cap (HTTP 431 / 413).
-    TooLarge,
+    /// The head or body exceeded its size cap (HTTP 413). `body_left` is
+    /// the declared body's unread length when `Content-Length` exceeded
+    /// the cap; `None` when the head did, and the framing is unknown.
+    TooLarge { body_left: Option<usize> },
     /// The bytes did not parse as HTTP (HTTP 400).
     Malformed,
     /// The query string repeated the named key (HTTP 400); accepting
@@ -79,7 +81,7 @@ pub fn read_request(stream: &mut TcpStream, max_body_bytes: usize) -> ReadOutcom
             break pos;
         }
         if buf.len() > MAX_HEAD_BYTES {
-            return ReadOutcome::TooLarge;
+            return ReadOutcome::TooLarge { body_left: None };
         }
         match stream.read(&mut chunk) {
             Ok(0) => {
@@ -126,13 +128,15 @@ pub fn read_request(stream: &mut TcpStream, max_body_bytes: usize) -> ReadOutcom
         }
     }
     let content_length = content_length.unwrap_or(0);
-    if content_length > max_body_bytes {
-        return ReadOutcome::TooLarge;
-    }
-
     // Body: whatever followed the head in the buffer, then the rest.
     let body_start = head_end.saturating_add(4); // past "\r\n\r\n"
-    let mut body: Vec<u8> = buf.get(body_start..).unwrap_or(&[]).to_vec();
+    let buffered = buf.get(body_start..).unwrap_or(&[]);
+    if content_length > max_body_bytes {
+        return ReadOutcome::TooLarge {
+            body_left: Some(content_length.saturating_sub(buffered.len())),
+        };
+    }
+    let mut body: Vec<u8> = buffered.to_vec();
     while body.len() < content_length {
         match stream.read(&mut chunk) {
             Ok(0) => return ReadOutcome::Malformed,

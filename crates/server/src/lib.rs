@@ -13,7 +13,9 @@
 //!   hint immediately — the server never queues unboundedly and never
 //!   makes a client wait to be told "later". It then drains the unread
 //!   request, bounded in bytes and time, so the client reads the whole
-//!   429 instead of a connection reset.
+//!   429 instead of a connection reset. A request over
+//!   `max_request_bytes` is answered `413` and drained the same way, up
+//!   to its declared length.
 //! - **Per-request deadline.** Each connection gets OS read/write
 //!   timeouts (`request_deadline`); a slow or stalled client gets `408`
 //!   and the worker moves on. CPU-bound work is governed separately: the
@@ -266,6 +268,7 @@ impl Server {
                         TOO_MANY_REQUESTS,
                         b"{\"error\":\"server overloaded, retry later\"}",
                         &[("retry-after", retry_after.clone())],
+                        DRAIN_BYTES,
                     );
                     if answered.is_err() {
                         write_failures.inc();
@@ -291,28 +294,30 @@ impl Server {
 
 /// Time spent draining an unread request before its socket drops.
 const DRAIN_TIME: Duration = Duration::from_millis(100);
-/// Request bytes drained from a socket before it drops.
+/// Request bytes drained from a socket before it drops, unless the
+/// unread body's declared length is known (an oversized body).
 const DRAIN_BYTES: usize = 16 * 1024;
 
 /// Answers a connection whose request is still unread (a shed connection,
-/// or a request whose framing was refused), half-closes it, and drains
-/// the request before the socket drops. Closing a socket with unread
-/// input makes the kernel send RST, which can destroy the answer before
-/// the client reads it. The drain stops at the client's EOF, after
-/// [`DRAIN_BYTES`], or after [`DRAIN_TIME`], so a silent client cannot
-/// hold the thread.
+/// a request whose framing was refused, or one over the size cap),
+/// half-closes it, and drains the request before the socket drops.
+/// Closing a socket with unread input makes the kernel send RST, which
+/// can destroy the answer before the client reads it. The drain stops at
+/// the client's EOF, after `budget` bytes, or after [`DRAIN_TIME`], so a
+/// silent or endless client cannot hold the thread.
 fn respond_and_drain(
     stream: &mut TcpStream,
     status: Status,
     body: &[u8],
     extra_headers: &[(&str, String)],
+    budget: usize,
 ) -> io::Result<()> {
     write_response(stream, status, "application/json", body, extra_headers)?;
     stream.shutdown(Shutdown::Write)?;
     let deadline = Instant::now() + DRAIN_TIME;
     let mut buf = [0u8; 4096];
     let mut drained = 0;
-    while drained < DRAIN_BYTES {
+    while drained < budget {
         let left = deadline.saturating_duration_since(Instant::now());
         if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
             break;
@@ -360,12 +365,14 @@ fn serve_connection(
                 &[],
             )
         }
-        ReadOutcome::TooLarge => write_response(
+        // The unread body is drained up to its declared length (a head
+        // over its cap declares none), so the client reads the whole 413.
+        ReadOutcome::TooLarge { body_left } => respond_and_drain(
             stream,
             PAYLOAD_TOO_LARGE,
-            "application/json",
             b"{\"error\":\"request too large\"}",
             &[],
+            body_left.unwrap_or(DRAIN_BYTES),
         ),
         ReadOutcome::Malformed => write_response(
             stream,
@@ -390,12 +397,14 @@ fn serve_connection(
             NOT_IMPLEMENTED,
             b"{\"error\":\"transfer codings are not implemented\"}",
             &[],
+            DRAIN_BYTES,
         ),
         ReadOutcome::ConflictingLength => respond_and_drain(
             stream,
             BAD_REQUEST,
             b"{\"error\":\"conflicting content-length headers\"}",
             &[],
+            DRAIN_BYTES,
         ),
     };
     if wrote.is_err() {

@@ -1,19 +1,22 @@
 //! Integration tests for the alignment engine: the stability property of
 //! the deferred-acceptance matcher, the greedy-vs-stable quality
-//! differential on seeded ground truth, and the `POST /align` endpoint.
+//! differential on seeded ground truth, the `POST /align` endpoint, and
+//! alignments that stay bit-identical whether or not the vector store
+//! already holds their sources' NSW neighborhoods.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use sst_bench::{generate_taxonomy, perturb, Perturbation, TaxonomySpec};
+use sst_bench::{generate_taxonomy, load_corpus, names, perturb, Perturbation, TaxonomySpec};
 use sst_core::{
     align_with_limits, measure_ids, Alignment, AlignmentConfig, Amalgamation, CandidateGen,
-    MatchMode, SstBuilder, SstToolkit,
+    MatchMode, SstBuilder, SstToolkit, TreeMode,
 };
 use sst_limits::Limits;
 use sst_server::{Server, ServerConfig};
 use sst_simpack::Combiner;
+use sst_soqa::GlobalConcept;
 
 fn perturbed_pair(
     concepts: usize,
@@ -268,4 +271,224 @@ fn align_endpoint_answers_and_maps_errors() {
             assert_eq!(status, 422, "{reply}");
         },
     );
+}
+
+/// The five paper ontologies, in registration order.
+const PAPER: [&str; 5] = [
+    names::DAML_UNIV,
+    names::UNIV_BENCH,
+    names::COURSES,
+    names::SWRC,
+    names::SUMO,
+];
+
+fn blocked(width: usize) -> AlignmentConfig {
+    AlignmentConfig {
+        candidates: CandidateGen::Blocked { width },
+        ..AlignmentConfig::default()
+    }
+}
+
+fn paper_align(
+    sst: &SstToolkit,
+    source: &str,
+    target: &str,
+    config: &AlignmentConfig,
+) -> Alignment {
+    align_with_limits(sst, source, target, config, &Limits::default())
+        .unwrap_or_else(|e| panic!("align {source} -> {target}: {e}"))
+}
+
+/// Equal correspondences (identities, names and similarity bits) and
+/// equal counters.
+fn assert_same_alignment(got: &Alignment, want: &Alignment, what: &str) {
+    assert_eq!(got.stats, want.stats, "{what}: stats");
+    assert_eq!(
+        got.correspondences.len(),
+        want.correspondences.len(),
+        "{what}: correspondence count"
+    );
+    for (g, w) in got.correspondences.iter().zip(&want.correspondences) {
+        assert_eq!(
+            (
+                g.source,
+                g.target,
+                &g.source_concept,
+                &g.target_concept,
+                g.similarity.to_bits()
+            ),
+            (
+                w.source,
+                w.target,
+                &w.source_concept,
+                &w.target_concept,
+                w.similarity.to_bits()
+            ),
+            "{what}"
+        );
+    }
+}
+
+fn searches(sst: &SstToolkit) -> u64 {
+    sst.metrics()
+        .snapshot()
+        .counter("core.align.searches")
+        .unwrap_or(0)
+}
+
+/// Every alignment among the paper ontologies at blocking widths 8 and 16
+/// (which read each source's stored default-probe neighborhood), 32
+/// (which searches per call) and exhaustive generation: a toolkit whose
+/// store already holds every source's neighborhood must answer exactly
+/// as a freshly loaded one. Each fresh answer comes from a toolkit whose
+/// store held none of its source's neighborhoods, so a width-8 or -16
+/// alignment ran the searches itself (checked through
+/// `core.align.searches`).
+fn warm_alignments_equal_fresh_ones(mode: TreeMode) {
+    let targets_of = |s: &str| -> Vec<&str> { PAPER.into_iter().filter(|&t| t != s).collect() };
+    let warm = load_corpus(mode, false);
+    for width in [8, 16] {
+        for s in PAPER {
+            for t in targets_of(s) {
+                paper_align(&warm, s, t, &blocked(width));
+            }
+        }
+    }
+    let before = searches(&warm);
+    let mut warm_stored = Vec::new();
+    for width in [8, 16] {
+        for s in PAPER {
+            for t in targets_of(s) {
+                warm_stored.push(((width, s, t), paper_align(&warm, s, t, &blocked(width))));
+            }
+        }
+    }
+    assert_eq!(
+        searches(&warm),
+        before,
+        "{mode:?}: a warm alignment searched"
+    );
+
+    // Round r aligns every source to its r-th target, one fresh toolkit
+    // per round and cached width; the per-call configurations run first
+    // on the width-16 toolkits, before anything reads their store.
+    for round in 0..4 {
+        for width in [8, 16] {
+            let fresh = load_corpus(mode, false);
+            for s in PAPER {
+                let t = targets_of(s)[round];
+                if width == 16 {
+                    for config in [
+                        blocked(32),
+                        AlignmentConfig {
+                            candidates: CandidateGen::Exhaustive,
+                            ..AlignmentConfig::default()
+                        },
+                    ] {
+                        let want = paper_align(&fresh, s, t, &config);
+                        let got = paper_align(&warm, s, t, &config);
+                        let what = format!("{mode:?} {s} -> {t} {:?}", config.candidates);
+                        assert_same_alignment(&got, &want, &what);
+                    }
+                }
+                let cold = searches(&fresh);
+                let want = paper_align(&fresh, s, t, &blocked(width));
+                assert!(searches(&fresh) > cold, "{mode:?} {s} -> {t}: no search");
+                let (_, got) = warm_stored
+                    .iter()
+                    .find(|(key, _)| *key == (width, s, t))
+                    .expect("warm alignment recorded");
+                let what = format!("{mode:?} {s} -> {t} width {width}");
+                assert_same_alignment(got, &want, &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn warm_alignments_equal_fresh_ones_super_thing() {
+    warm_alignments_equal_fresh_ones(TreeMode::SuperThing);
+}
+
+#[test]
+fn warm_alignments_equal_fresh_ones_merged_thing() {
+    warm_alignments_equal_fresh_ones(TreeMode::MergedThing);
+}
+
+/// Four threads align SUMO to the four other ontologies at once on a
+/// fresh toolkit, racing to store SUMO's neighborhoods; each result
+/// equals the one a serial run on another fresh toolkit gives.
+#[test]
+fn concurrent_alignments_from_one_source_equal_serial_ones() {
+    let targets: Vec<&str> = PAPER.into_iter().filter(|&t| t != names::SUMO).collect();
+    let serial_sst = load_corpus(TreeMode::SuperThing, false);
+    let serial: Vec<Alignment> = targets
+        .iter()
+        .map(|t| paper_align(&serial_sst, names::SUMO, t, &AlignmentConfig::default()))
+        .collect();
+    let sst = load_corpus(TreeMode::SuperThing, false);
+    let concurrent: Vec<Alignment> = std::thread::scope(|scope| {
+        let running: Vec<_> = targets
+            .iter()
+            .map(|t| {
+                let sst = &sst;
+                scope.spawn(move || paper_align(sst, names::SUMO, t, &AlignmentConfig::default()))
+            })
+            .collect();
+        running
+            .into_iter()
+            .map(|h| h.join().expect("alignment thread"))
+            .collect()
+    });
+    for ((t, got), want) in targets.iter().zip(&concurrent).zip(&serial) {
+        assert_same_alignment(got, want, &format!("SUMO -> {t}"));
+    }
+    // However the threads interleaved, each source row was searched once.
+    assert_eq!(searches(&sst), searches(&serial_sst));
+}
+
+/// `core.align.searches` counts the source concepts whose neighborhood an
+/// alignment searched: every vector row of a source the first time it is
+/// aligned at a width up to 24, none after that, and every row on each
+/// call at a wider width, which does not use the stored neighborhoods.
+#[test]
+fn align_searches_count_only_the_searches_that_ran() {
+    let sst = load_corpus(TreeMode::SuperThing, false);
+    let vector_rows = |ontology: &str| -> u64 {
+        let idx = sst.soqa().ontology_index(ontology).expect("ontology");
+        sst.soqa()
+            .ontology_at(idx)
+            .concept_ids()
+            .filter(|&concept| {
+                sst.vector_store()
+                    .position(GlobalConcept {
+                        ontology: idx,
+                        concept,
+                    })
+                    .is_some()
+            })
+            .count() as u64
+    };
+    let added = |source: &str, target: &str, config: &AlignmentConfig| {
+        let before = searches(&sst);
+        paper_align(&sst, source, target, config);
+        searches(&sst) - before
+    };
+    let default = AlignmentConfig::default();
+    assert!(vector_rows(names::SUMO) > 0);
+    assert_eq!(
+        added(names::SUMO, names::DAML_UNIV, &default),
+        vector_rows(names::SUMO)
+    );
+    assert_eq!(added(names::SUMO, names::COURSES, &default), 0);
+    assert_eq!(
+        added(names::DAML_UNIV, names::SUMO, &default),
+        vector_rows(names::DAML_UNIV)
+    );
+    for _ in 0..2 {
+        assert_eq!(
+            added(names::SUMO, names::DAML_UNIV, &blocked(32)),
+            vector_rows(names::SUMO)
+        );
+    }
 }

@@ -491,9 +491,6 @@ fn shed_clients_read_a_complete_429_then_eof() {
     });
 }
 
-/// Under `TreeMode::MergedThing` an ontology root shares the root node and
-/// has no vector-store row: the approximate ranking of it is a client
-/// error (400), never a 500, while the exact ranking still serves it.
 /// Body framing the service cannot trust is refused, never misread: a
 /// `Transfer-Encoding` request gets 501 instead of being read as bodiless,
 /// and `Content-Length` values that differ get 400 in either order,
@@ -556,6 +553,89 @@ fn untrusted_body_framing_is_refused_with_a_complete_answer() {
     });
 }
 
+/// A request body over `max_request_bytes` is answered `413`, and the
+/// body is drained up to its declared length before the socket drops, so
+/// every client reads the whole answer and then EOF. Closing with the
+/// body unread makes the kernel reset the connection, which can destroy
+/// the 413 before the client reads it. A client that declares far more
+/// than it sends and then stalls is let go after the bounded drain: the
+/// server's only worker answers the next request within a second.
+#[test]
+fn oversized_bodies_read_a_complete_413_then_eof() {
+    let corpora = Corpora::new("default", small_toolkit("tiny", "Other"));
+    let server = Server::bind(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr();
+    let handle = server.shutdown_handle();
+    let oversized = 100 * 1000;
+    assert!(oversized > ServerConfig::default().max_request_bytes);
+
+    std::thread::scope(|scope| {
+        let running = scope.spawn(|| server.run(&corpora));
+        let _stop = StopOnDrop(handle.clone());
+
+        let clients: Vec<_> = (0..20)
+            .map(|i| {
+                scope.spawn(move || {
+                    let mut request = format!(
+                        "POST /ql HTTP/1.1\r\nhost: test\r\ncontent-length: {oversized}\r\n\r\n"
+                    )
+                    .into_bytes();
+                    request.resize(request.len() + oversized, b'x');
+                    let mut stream = TcpStream::connect(addr).expect("connect");
+                    stream
+                        .write_all(&request)
+                        .unwrap_or_else(|e| panic!("client {i}: write: {e}"));
+                    read_response(stream)
+                })
+            })
+            .collect();
+        for (i, client) in clients.into_iter().enumerate() {
+            let (status, body) = client.join().expect("client thread");
+            assert_eq!(
+                (status, body.as_str()),
+                (413, "{\"error\":\"request too large\"}"),
+                "client {i}"
+            );
+        }
+
+        // Declares 1 GB, sends 1 MB, then stalls with the socket open.
+        let mut staller = TcpStream::connect(addr).expect("connect staller");
+        let mut request =
+            b"POST /ql HTTP/1.1\r\nhost: test\r\ncontent-length: 1000000000\r\n\r\n".to_vec();
+        request.resize(request.len() + 1_000_000, b'x');
+        // The drain may stop before the last bytes arrive; the server then
+        // resets a connection it has already answered.
+        let _ = staller.write_all(&request);
+        let start = std::time::Instant::now();
+        let (status, body) = get(addr, "/healthz");
+        assert_eq!(status, 200, "{body}");
+        let waited = start.elapsed();
+        assert!(
+            waited < Duration::from_secs(1),
+            "the stalled upload held the only worker for {waited:?}"
+        );
+        // The server hung up on the staller: its read ends (EOF, or a
+        // reset) instead of timing out.
+        staller
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("set timeout");
+        let mut answer = Vec::new();
+        if let Err(e) = staller.read_to_end(&mut answer) {
+            assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}");
+        }
+
+        handle.shutdown();
+        assert!(running.join().expect("run thread").is_ok());
+    });
+}
+
+/// Under `TreeMode::MergedThing` an ontology root shares the root node and
+/// has no vector-store row: the approximate ranking of it is a client
+/// error (400), never a 500, while the exact ranking still serves it.
 #[test]
 fn approx_rank_of_a_merged_root_is_a_bad_request() {
     let sst = Arc::new(load_corpus(TreeMode::MergedThing, false));
