@@ -7,7 +7,9 @@
 # parallel, must stay bit-identical to its per-pair oracle runner from
 # `sst_bench::oracle`), the fault-injection smoke gate (no
 # corrupted or hostile input may panic, overflow the stack, or blow past
-# the resource limits in any parser), the server smoke gate (the
+# the resource limits in any parser, nor may a resealed mutant of an
+# SSTSNAP2 snapshot or SSTVEC1 vector file panic its loader), the server
+# smoke gate (the
 # query service answers every concurrent request 200/429, sheds instead
 # of queueing unboundedly, and drains cleanly on shutdown), and the ANN
 # smoke gate (exact vector-store rankings bit-identical to the naive
@@ -17,7 +19,7 @@
 # without candidates, stable-matching F1 at least greedy F1 at every
 # blocking width and strictly better on average, stable precision above
 # its floor; the full run writes results/BENCH_align.json), and the
-# snapshot smoke gate (SSTSNAP1 round trip bit-identical on every
+# snapshot smoke gate (SSTSNAP2 round trip bit-identical on every
 # measure and faster than a cold parse; the full run writes
 # results/BENCH_snapshot.json),
 # and the benchmark gate (perfbench, a workspace of its own, must build

@@ -1,5 +1,5 @@
 //! Snapshot persistence self-audit: times a cold corpus build (OWL/RDF
-//! parse + toolkit preparation) against an `SSTSNAP1` snapshot load,
+//! parse + toolkit preparation) against an `SSTSNAP2` snapshot load,
 //! verifies that the loaded toolkit scores *bit-identically* to the cold
 //! one on every registered measure, and writes
 //! `results/BENCH_snapshot.json` with an honest `identity` flag.
@@ -136,7 +136,8 @@ fn main() {
         let sst = cold_build();
         cold_samples.push(started.elapsed().as_secs_f64());
         cold = Some(sst);
-        // Snapshot path: decode + rebuild from the persisted arenas.
+        // Snapshot path: decode, then assemble from the stored arenas,
+        // index and graph.
         let started = Instant::now();
         let sst = SstToolkit::import_snapshot(&bytes, &limits).expect("import snapshot");
         load_samples.push(started.elapsed().as_secs_f64());

@@ -12,13 +12,20 @@
 //! prevent. Limit violations are counted into `sst-obs` under
 //! `<area>.limit.<kind>` and summarized in the [`FaultReport`].
 //!
+//! The two sealed binary formats (`SSTSNAP2` snapshots and `SSTVEC1`
+//! vector files) get their own mutators ([`binary_mutants`]), which
+//! reseal every mutant with a valid checksum so it reaches the field
+//! decoders, under the same contract ([`run_binary_suite`]).
+//!
 //! All randomness is seeded, so a failing case can be reproduced from its
 //! label alone.
 
+use sst_core::SstToolkit;
 use sst_limits::Limits;
 use sst_obs::Metrics;
 
 use crate::rng::SplitMix64;
+use crate::sealed::{seal, Field};
 
 /// The parser a fault case targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -239,6 +246,118 @@ pub fn run_fault_suite(cases: &[FaultCase], limits: &Limits, metrics: &Metrics) 
         .filter(|(name, _)| name.contains(".limit."))
         .cloned()
         .collect();
+    report
+}
+
+/// The sealed binary format a [`BinaryCase`] targets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BinaryFormat {
+    /// An `SSTSNAP2` snapshot, loaded by `SstToolkit::import_snapshot`.
+    Snapshot,
+    /// An `SSTVEC1` vector file, loaded by `SstToolkit::import_vectors`.
+    Vectors,
+}
+
+impl BinaryFormat {
+    pub fn name(self) -> &'static str {
+        match self {
+            BinaryFormat::Snapshot => "SSTSNAP2",
+            BinaryFormat::Vectors => "SSTVEC1",
+        }
+    }
+}
+
+/// One hostile binary input: a labelled, validly sealed mutant.
+#[derive(Debug, Clone)]
+pub struct BinaryCase {
+    pub label: String,
+    pub format: BinaryFormat,
+    pub input: Vec<u8>,
+}
+
+/// Derives `count` mutants of the sealed file `sealed`, whose body has
+/// the fields `fields` and whose store holds `rows` rows, cycling through
+/// four mutators: flip one byte, truncate at a field (at its start or
+/// inside it), splice a chunk over another position, and overwrite a
+/// `u32` field with 0, 1, `u32::MAX` or `rows + 1`. Every mutant is
+/// sealed with a valid trailer, so it reaches the field decoders instead
+/// of failing at the checksum.
+pub fn binary_mutants(
+    rng: &mut SplitMix64,
+    format: BinaryFormat,
+    sealed: &[u8],
+    fields: &[Field],
+    rows: usize,
+    count: usize,
+) -> Vec<BinaryCase> {
+    let body = &sealed[..sealed.len().saturating_sub(8)];
+    let words: Vec<&Field> = fields.iter().filter(|f| f.width == 4).collect();
+    let values = [0, 1, u32::MAX, rows as u32 + 1];
+    let mut cases = Vec::new();
+    for round in 0..count {
+        let mut bytes = body.to_vec();
+        let label = match round % 4 {
+            0 => {
+                let at = rng.gen_range(0..bytes.len());
+                bytes[at] ^= 1 + (rng.next_u64() % 255) as u8;
+                format!("flip@{at}")
+            }
+            1 => {
+                let field = fields[rng.gen_range(0..fields.len())];
+                let cut = field.offset + rng.gen_range(0..field.width.max(1));
+                bytes.truncate(cut);
+                format!("truncate@{cut}")
+            }
+            2 => {
+                let from = rng.gen_range(0..bytes.len());
+                let len = rng
+                    .gen_range(1..(bytes.len() - from).max(2))
+                    .min(bytes.len() - from);
+                let to = rng.gen_range(0..bytes.len());
+                let chunk = bytes[from..from + len].to_vec();
+                let end = (to + len).min(bytes.len());
+                bytes.splice(to..end, chunk);
+                format!("splice{from}+{len}@{to}")
+            }
+            _ => {
+                let field = words[rng.gen_range(0..words.len())];
+                let value = values[rng.gen_range(0..values.len())];
+                bytes[field.offset..field.offset + 4].copy_from_slice(&value.to_le_bytes());
+                format!("u32@{}={value}", field.offset)
+            }
+        };
+        cases.push(BinaryCase {
+            label: format!("{}/{label}#{round}", format.name()),
+            format,
+            input: seal(bytes),
+        });
+    }
+    cases
+}
+
+/// Loads every case under `limits` — a snapshot through
+/// [`SstToolkit::import_snapshot`], a vector file through `toolkit`'s
+/// [`SstToolkit::import_vectors`] — and tallies the outcomes. Both
+/// loaders return `Ok` or a structured `SstError`; a panic propagates
+/// and fails the whole suite by design.
+pub fn run_binary_suite(
+    toolkit: &SstToolkit,
+    cases: &[BinaryCase],
+    limits: &Limits,
+) -> FaultReport {
+    let mut report = FaultReport::default();
+    for case in cases {
+        report.cases += 1;
+        let accepted = match case.format {
+            BinaryFormat::Snapshot => SstToolkit::import_snapshot(&case.input, limits).is_ok(),
+            BinaryFormat::Vectors => toolkit.import_vectors(&case.input, limits).is_ok(),
+        };
+        if accepted {
+            report.accepted += 1;
+        } else {
+            report.rejected += 1;
+        }
+    }
     report
 }
 

@@ -16,10 +16,14 @@ pub mod faults;
 pub mod harness;
 pub mod oracle;
 pub mod rng;
+pub mod sealed;
 pub mod workload;
 
 pub use corpus::{corpus_builder, data_dir, load_corpus, names, PAPER_CONCEPT_COUNT};
 pub use eval::{evaluate_measures, perturb, render_results, EvalResult, Perturbation};
-pub use faults::{build_corpus, run_fault_suite, FaultCase, FaultReport, Format};
+pub use faults::{
+    binary_mutants, build_corpus, run_binary_suite, run_fault_suite, BinaryCase, BinaryFormat,
+    FaultCase, FaultReport, Format,
+};
 pub use rng::SplitMix64;
 pub use workload::{generate_sumo_owl, generate_taxonomy, TaxonomySpec};

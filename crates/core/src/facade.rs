@@ -11,6 +11,7 @@
 //!   [`SstToolkit::similarity_plot`]
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -173,6 +174,44 @@ impl SstBuilder {
     /// content, the full-text index, the vector store, and the resident
     /// concept table every built-in measure scores from.
     pub fn build(self) -> SstToolkit {
+        // Full-text index: one document per concept (paper §2.2: "we
+        // exported a full-text description of all concepts … and built an
+        // index over the descriptions").
+        let built = self.assemble(
+            |soqa, concepts, keys, metrics| {
+                let mut builder = IndexBuilder::with_metrics(metrics.clone());
+                for (&gc, key) in concepts.iter().zip(keys) {
+                    builder.add_document(key, &soqa.concept_description(gc));
+                }
+                Ok::<_, Infallible>(builder.build())
+            },
+            |rows| Ok(VectorStore::from_rows(rows, EMBED_DIM)),
+        );
+        match built {
+            Ok(toolkit) => toolkit,
+            Err(never) => match never {},
+        }
+    }
+
+    /// The one assembly path of [`SstBuilder::build`] and
+    /// [`SstToolkit::import_snapshot`], which differ only in where the
+    /// full-text index and the vector store's proximity graph come from:
+    /// `index` gets the concepts of the tree in document order with their
+    /// document keys, `store` gets the store rows. Everything else is
+    /// derived here: the tree, the IC, the TF-IDF vectors and embeddings
+    /// (read from whichever index `index` returns), and the concept table.
+    pub(crate) fn assemble<E>(
+        self,
+        index: impl FnOnce(
+            &Soqa,
+            &[GlobalConcept],
+            Vec<String>,
+            &Metrics,
+        ) -> std::result::Result<InvertedIndex, E>,
+        store: impl FnOnce(
+            Vec<(GlobalConcept, String, Vec<f64>)>,
+        ) -> std::result::Result<VectorStore, E>,
+    ) -> std::result::Result<SstToolkit, E> {
         let metrics = Metrics::new();
         let _build_span = metrics.span("core.build.latency");
         let tree = UnifiedTree::build(&self.soqa, self.config.tree_mode);
@@ -188,21 +227,22 @@ impl SstBuilder {
         };
         let ic = InformationContent::for_mode(tree.taxonomy(), mode, &instance_counts);
 
-        // Full-text index: one document per concept (paper §2.2: "we
-        // exported a full-text description of all concepts … and built an
-        // index over the descriptions"). The key carries the unified tree
-        // node id: display names are not unique within an ontology, and
-        // the builder would hand back the first document's id for a
-        // colliding key, silently aliasing distinct concepts onto one
-        // TF-IDF vector.
-        let mut index_builder = IndexBuilder::with_metrics(metrics.clone());
+        // The i-th concept of the tree is document i. Its key carries
+        // its unified tree node id: display names are not unique within
+        // an ontology, and the index builder would hand back the first
+        // document's id for a colliding key, silently aliasing distinct
+        // concepts onto one TF-IDF vector. A tree node holds at most one
+        // concept, so the keys are distinct.
+        let documents = tree.all_concepts();
+        let keys = documents
+            .iter()
+            .map(|&gc| format!("{}#{}", self.soqa.qualified_name(gc), tree.node(gc)))
+            .collect();
+        let index = index(&self.soqa, &documents, keys, &metrics)?;
         let mut doc_ids: Vec<Option<DocId>> = vec![None; tree.node_count()];
-        for gc in tree.all_concepts() {
-            let key = format!("{}#{}", self.soqa.qualified_name(gc), tree.node(gc));
-            let text = self.soqa.concept_description(gc);
-            doc_ids[tree.node(gc) as usize] = Some(index_builder.add_document(key, &text));
+        for (doc, &gc) in documents.iter().enumerate() {
+            doc_ids[tree.node(gc) as usize] = Some(DocId(doc as u32));
         }
-        let index = index_builder.build();
 
         // Dense retrieval: embed every registered concept's TF-IDF vector
         // and build the vector store (plus its proximity graph) over the
@@ -228,7 +268,7 @@ impl SstBuilder {
                 .filter(|(&gc, _)| tree.concept(tree.node(gc)) == Some(gc))
                 .map(|(&gc, (_, e))| (gc, self.soqa.qualified_name(gc), e.clone()))
                 .collect();
-            (VectorStore::from_rows(rows, EMBED_DIM), dense)
+            (store(rows)?, dense)
         };
         metrics.add("core.vector.concepts", vectors.len() as u64);
 
@@ -259,7 +299,7 @@ impl SstBuilder {
             .collect();
         let measure_names = names.into_iter().enumerate().map(|(i, n)| (n, i)).collect();
 
-        SstToolkit {
+        Ok(SstToolkit {
             soqa: self.soqa,
             config: self.config,
             tree,
@@ -273,7 +313,7 @@ impl SstBuilder {
             measure_metrics,
             metrics,
             last_sched: std::sync::Mutex::new(None),
-        }
+        })
     }
 }
 
@@ -741,6 +781,13 @@ impl SstToolkit {
         &self.vectors
     }
 
+    /// The full-text index over the concept descriptions (one document
+    /// per concept of the unified tree) that the `tfidf` measure and the
+    /// embeddings read.
+    pub fn index(&self) -> &InvertedIndex {
+        &self.index
+    }
+
     /// Maps `(store row, score)` candidates to ranked results through the
     /// shared selector, so full-probe rankings are bit-identical to
     /// [`SstToolkit::most_similar`] under the dense measure and
@@ -830,22 +877,29 @@ impl SstToolkit {
         Ok(VectorStore::from_rows(rows, file.dim))
     }
 
-    /// Serializes the toolkit into an `SSTSNAP1` snapshot: the build
-    /// configuration, the exact ontology arenas, and the prepared vector
-    /// tables (see `crate::snapshot` for the layout). A replica that
-    /// loads the snapshot reconstructs a toolkit whose scores are
-    /// bit-identical on every registered measure.
+    /// Serializes the toolkit into an `SSTSNAP2` snapshot: the build
+    /// configuration, the exact ontology arenas, the full-text index's
+    /// vocabulary and per-document term lists, the prepared vector
+    /// tables, and the vector store's proximity graph (see
+    /// `crate::snapshot` for the layout). A replica that loads the
+    /// snapshot reconstructs a toolkit whose scores, rankings, ANN
+    /// candidates and alignments are bit-identical.
     pub fn export_snapshot(&self) -> Vec<u8> {
         crate::snapshot::encode_snapshot(self)
     }
 
-    /// Decodes an `SSTSNAP1` snapshot under `limits` and rebuilds the
-    /// toolkit from it. The checksum is verified before parsing; every
-    /// arena id is validated; and the prepared vector tables rebuilt
-    /// from the decoded ontologies must match the stored ones byte for
-    /// byte — a mismatch means version skew between writer and reader
-    /// (or silent corruption) and is an error, never a quietly different
-    /// toolkit.
+    /// Decodes an `SSTSNAP2` snapshot under `limits` and assembles the
+    /// toolkit from it, through the assembly path of
+    /// [`SstBuilder::build`] with the full-text index and the proximity
+    /// graph taken from their sections instead of analysing every
+    /// description and inserting every vector row. The checksum is
+    /// verified before parsing; every arena id, index term list and
+    /// graph row is validated; and the embeddings re-derived from the
+    /// loaded index must match the stored vector tables byte for byte —
+    /// a mismatch means version skew between writer and reader (or
+    /// silent corruption) and is an error, never a quietly different
+    /// toolkit. An `SSTSNAP1` file is refused with an error that asks
+    /// for a re-export.
     pub fn import_snapshot(bytes: &[u8], limits: &sst_limits::Limits) -> Result<SstToolkit> {
         let snapshot = crate::snapshot::SnapshotFile::from_bytes(bytes, limits)
             .map_err(|e| SstError::InvalidArgument(format!("snapshot: {e}")))?;
@@ -855,15 +909,24 @@ impl SstToolkit {
         for ontology in snapshot.ontologies {
             builder = builder.register_ontology(ontology)?;
         }
-        let toolkit = builder.build();
-        if toolkit.export_vectors() != snapshot.vectors {
-            return Err(SstError::InvalidArgument(
-                "snapshot: stored prepared tables do not match the rebuilt store \
-                 (writer/reader version skew)"
-                    .to_owned(),
-            ));
-        }
-        Ok(toolkit)
+        builder.assemble(
+            |_, _, keys, metrics| {
+                InvertedIndex::from_parts(keys, snapshot.terms, snapshot.doc_terms, metrics.clone())
+                    .map_err(|e| SstError::InvalidArgument(format!("snapshot index: {e}")))
+            },
+            |rows| {
+                let store = VectorStore::with_graph(rows, EMBED_DIM, snapshot.graph)
+                    .map_err(|e| SstError::InvalidArgument(format!("snapshot graph: {e}")))?;
+                if store.to_bytes() != snapshot.vectors {
+                    return Err(SstError::InvalidArgument(
+                        "snapshot: stored prepared tables do not match the embeddings of the \
+                         loaded index (writer/reader version skew)"
+                            .to_owned(),
+                    ));
+                }
+                Ok(store)
+            },
+        )
     }
 
     /// Full pairwise similarity matrix of a concept set under one measure.

@@ -1,5 +1,5 @@
 //! The framing both binary formats share, `SSTVEC1` ([`crate::vector`])
-//! and `SSTSNAP1` ([`crate::snapshot`]): a little-endian body sealed by
+//! and `SSTSNAP2` ([`crate::snapshot`]): a little-endian body sealed by
 //! an 8-byte FNV-1a checksum trailer.
 //!
 //! [`unseal`] verifies the trailer before a single field is parsed, so a

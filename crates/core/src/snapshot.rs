@@ -1,36 +1,62 @@
-//! `SSTSNAP1` — versioned binary snapshots of a built toolkit.
+//! `SSTSNAP2` — versioned binary snapshots of a built toolkit.
 //!
 //! A snapshot captures everything a replica needs to reconstruct an
-//! [`SstToolkit`] without re-parsing ontology source documents: the
-//! build configuration, the exact component arenas of every
-//! registered ontology, and the prepared dense-vector tables (an embedded
-//! `SSTVEC1` section). Because `SstBuilder::build` is a pure function of
-//! the registered ontologies and the configuration, serializing the arenas
-//! verbatim is sufficient for *bit-identical* round trips — all 20
-//! measures score exactly the same on an imported toolkit.
+//! [`SstToolkit`] without re-parsing ontology source documents,
+//! re-analysing concept descriptions or re-inserting vector rows: the
+//! build configuration, the exact component arenas of every registered
+//! ontology, the full-text index's vocabulary and per-document term
+//! lists, the prepared dense-vector tables (an embedded `SSTVEC1`
+//! section), and the vector store's NSW proximity graph. The loader
+//! assembles the toolkit through the same function as
+//! `SstBuilder::build`, taking the index and the graph from their
+//! sections and deriving the rest (tree, IC, TF-IDF vectors,
+//! embeddings, concept table), so all 20 measures, every ANN candidate
+//! list and every alignment come out *bit-identical*.
 //!
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! magic            8 bytes   b"SSTSNAP1"
+//! magic            8 bytes   b"SSTSNAP2"
 //! tree mode        u8        0 = SuperThing, 1 = MergedThing
 //! probability mode u8        0 = InstanceCorpusWithFallback, 1 = SubclassCount
 //! ontology count   u32
 //! per ontology     u64 len + payload (metadata, then the five arenas)
+//! index section    u64 len + payload:
+//!   term count     u32, then per term in term-id order: u32 len + UTF-8
+//!   document count u32, then per document in doc-id order:
+//!                  u32 pair count + (u32 term id, u32 tf) pairs
 //! vectors section  u64 len + SSTVEC1 bytes (prepared tables)
+//! graph section    u64 len + payload:
+//!   row count      u32, then per store row: u32 degree + u32 row ids
 //! checksum         u64       FNV-1a over everything before it
 //! ```
+//!
+//! Not stored, because the loader derives them: the document keys (one
+//! per concept of the unified tree, in tree order), the document lengths
+//! (the summed term frequencies) and the postings (pushed document by
+//! document, as the index builder pushes them).
 //!
 //! Like the `SSTVEC1` loader, the checksum is verified **before** any
 //! field is parsed — a flipped byte anywhere is a checksum error, never an
 //! arbitrary downstream parse error — and the whole load is governed by
-//! [`sst_limits::Limits`] (input size, per-component item budget, string
-//! literal lengths). Every cross-arena id is validated by
-//! [`Ontology::from_arenas`] before an ontology is handed to the builder.
+//! [`sst_limits::Limits`] (input size, one item per component, term,
+//! document and graph row, string and list lengths), with no capacity
+//! taken from a declared count. Every cross-arena id is validated by
+//! [`Ontology::from_arenas`], every term list by
+//! `InvertedIndex::from_parts` and every graph row against the store
+//! before the toolkit is assembled; and the embeddings derived from the
+//! loaded index must equal the stored `SSTVEC1` bytes.
+//!
+//! The version names the derivation, not only the layout: a change to
+//! the analyzer, to `embed_tfidf` or to the graph construction changes
+//! what a section means, so it bumps the magic. A file of a retired
+//! version (`SSTSNAP1`, which held no index or graph) is refused with
+//! [`SnapshotFormatError::Retired`]: there is one load path.
 
 use crate::facade::{ProbabilityModeConfig, SstConfig, SstToolkit};
 use crate::sealed::{fnv1a, unseal, Cursor, Framing};
 use crate::tree::TreeMode;
+use sst_index::{DocId, InvertedIndex, TermId};
 use sst_limits::{Budget, LimitViolation, Limits};
 use sst_soqa::{
     Attribute, AttributeId, Concept, ConceptId, Instance, InstanceId, Method, MethodId, Ontology,
@@ -39,7 +65,10 @@ use sst_soqa::{
 use std::fmt;
 
 /// Magic + version prefix of the snapshot format.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SSTSNAP1";
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SSTSNAP2";
+
+/// Magic of the retired first version, which stored no index or graph.
+const RETIRED_MAGIC: &[u8; 8] = b"SSTSNAP1";
 
 /// A parse failure of the snapshot binary format.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,6 +77,10 @@ pub enum SnapshotFormatError {
     Truncated(&'static str),
     /// The magic/version prefix does not match [`SNAPSHOT_MAGIC`].
     BadMagic,
+    /// The input is a snapshot of the named retired version, which this
+    /// reader no longer reads: build the toolkit from its ontology
+    /// sources and export it again.
+    Retired(&'static str),
     /// A field holds a value outside its legal range.
     BadValue { field: &'static str, value: u64 },
     /// A string field is not valid UTF-8.
@@ -70,7 +103,12 @@ impl fmt::Display for SnapshotFormatError {
             SnapshotFormatError::Truncated(what) => {
                 write!(f, "snapshot truncated at {what}")
             }
-            SnapshotFormatError::BadMagic => write!(f, "not an SSTSNAP1 snapshot"),
+            SnapshotFormatError::BadMagic => write!(f, "not an SSTSNAP2 snapshot"),
+            SnapshotFormatError::Retired(version) => write!(
+                f,
+                "{version} is a retired snapshot version: build the toolkit from its \
+                 ontology sources and re-export it as SSTSNAP2"
+            ),
             SnapshotFormatError::BadValue { field, value } => {
                 write!(f, "snapshot field {field} holds invalid value {value}")
             }
@@ -120,16 +158,23 @@ impl From<Framing> for SnapshotFormatError {
 }
 
 /// A decoded snapshot: the build configuration, the reconstructed
-/// ontologies (in registration order), and the raw embedded `SSTVEC1`
-/// prepared-table section. [`SstToolkit::import_snapshot`] rebuilds the
-/// toolkit from these and verifies the rebuilt prepared tables against
-/// the stored ones.
+/// ontologies (in registration order), the full-text index's parts, the
+/// raw embedded `SSTVEC1` prepared-table section and the proximity
+/// graph. [`SstToolkit::import_snapshot`] assembles the toolkit from
+/// these and verifies the embeddings it derives against the stored
+/// tables.
 #[derive(Debug)]
 pub struct SnapshotFile {
     pub config: SstConfig,
     pub ontologies: Vec<Ontology>,
     /// The embedded `SSTVEC1` bytes, exactly as stored.
     pub vectors: Vec<u8>,
+    /// The index vocabulary, in term-id order.
+    pub(crate) terms: Vec<String>,
+    /// Per document, in doc-id order: its `(term id, tf)` pairs.
+    pub(crate) doc_terms: Vec<Vec<(TermId, u32)>>,
+    /// Per vector-store row: its neighbors' row ids.
+    pub(crate) graph: Vec<Vec<u32>>,
 }
 
 // ---- encoding ---------------------------------------------------------
@@ -263,7 +308,39 @@ fn encode_ontology(ontology: &Ontology) -> Vec<u8> {
     out
 }
 
-/// Serializes a built toolkit into an `SSTSNAP1` snapshot.
+fn encode_index(index: &InvertedIndex) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_u32(&mut out, index.term_count() as u32);
+    for term in index.vocabulary() {
+        put_str(&mut out, term);
+    }
+    put_u32(&mut out, index.doc_count() as u32);
+    for doc in 0..index.doc_count() {
+        let pairs = index.doc_terms(DocId(doc as u32));
+        put_u32(&mut out, pairs.len() as u32);
+        for &(term, tf) in pairs {
+            put_u32(&mut out, term.0);
+            put_u32(&mut out, tf);
+        }
+    }
+    out
+}
+
+fn encode_graph(adjacency: &[Vec<u32>]) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_u32(&mut out, adjacency.len() as u32);
+    for ids in adjacency {
+        put_ids(&mut out, ids);
+    }
+    out
+}
+
+fn put_section(out: &mut Vec<u8>, section: &[u8]) {
+    put_u64(out, section.len() as u64);
+    out.extend_from_slice(section);
+}
+
+/// Serializes a built toolkit into an `SSTSNAP2` snapshot.
 pub fn encode_snapshot(toolkit: &SstToolkit) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(SNAPSHOT_MAGIC);
@@ -278,13 +355,11 @@ pub fn encode_snapshot(toolkit: &SstToolkit) -> Vec<u8> {
     let soqa = toolkit.soqa();
     put_u32(&mut out, soqa.ontology_count() as u32);
     for idx in 0..soqa.ontology_count() {
-        let section = encode_ontology(soqa.ontology_at(idx));
-        put_u64(&mut out, section.len() as u64);
-        out.extend_from_slice(&section);
+        put_section(&mut out, &encode_ontology(soqa.ontology_at(idx)));
     }
-    let vectors = toolkit.export_vectors();
-    put_u64(&mut out, vectors.len() as u64);
-    out.extend_from_slice(&vectors);
+    put_section(&mut out, &encode_index(toolkit.index()));
+    put_section(&mut out, &toolkit.export_vectors());
+    put_section(&mut out, &encode_graph(toolkit.vector_store().adjacency()));
     let checksum = fnv1a(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
     out
@@ -293,8 +368,9 @@ pub fn encode_snapshot(toolkit: &SstToolkit) -> Vec<u8> {
 // ---- decoding ---------------------------------------------------------
 
 /// The snapshot's composite fields, read as length-prefixed UTF-8
-/// strings, optional strings and id lists under the load's budget.
-impl Cursor<'_> {
+/// strings, optional strings, id lists and sections under the load's
+/// budget.
+impl<'a> Cursor<'a> {
     fn string(
         &mut self,
         budget: &mut Budget,
@@ -338,6 +414,59 @@ impl Cursor<'_> {
         }
         Ok(out)
     }
+
+    /// A `u64`-length-prefixed section.
+    fn section(&mut self, what: &'static str) -> Result<&'a [u8], SnapshotFormatError> {
+        let len = self.u64(what)?;
+        let len = usize::try_from(len).map_err(|_| SnapshotFormatError::BadValue {
+            field: what,
+            value: len,
+        })?;
+        Ok(self.take(len, what)?)
+    }
+}
+
+/// The index section: the vocabulary and the per-document term lists.
+/// Their consistency is checked by `InvertedIndex::from_parts`.
+type IndexParts = (Vec<String>, Vec<Vec<(TermId, u32)>>);
+
+fn decode_index(section: &[u8], budget: &mut Budget) -> Result<IndexParts, SnapshotFormatError> {
+    let mut cur = Cursor::new(section);
+    let term_count = cur.u32("index term count")?;
+    let mut terms = Vec::new();
+    for _ in 0..term_count {
+        budget.item("snapshot index term")?;
+        terms.push(cur.string(budget, "index term")?);
+    }
+    let doc_count = cur.u32("index document count")?;
+    let mut doc_terms = Vec::new();
+    for _ in 0..doc_count {
+        budget.item("snapshot index document")?;
+        let pair_count = cur.u32("document term count")? as usize;
+        budget.check_literal(pair_count.saturating_mul(8), "document term list")?;
+        let mut pairs = Vec::new();
+        for _ in 0..pair_count {
+            let term = TermId(cur.u32("document term id")?);
+            pairs.push((term, cur.u32("document term frequency")?));
+        }
+        doc_terms.push(pairs);
+    }
+    cur.finish()?;
+    Ok((terms, doc_terms))
+}
+
+/// The graph section: one adjacency list per store row. The store
+/// checks the lists against its rows (`VectorStore::with_graph`).
+fn decode_graph(section: &[u8], budget: &mut Budget) -> Result<Vec<Vec<u32>>, SnapshotFormatError> {
+    let mut cur = Cursor::new(section);
+    let row_count = cur.u32("graph row count")?;
+    let mut graph = Vec::new();
+    for _ in 0..row_count {
+        budget.item("snapshot graph row")?;
+        graph.push(cur.ids(budget, "graph adjacency", |id| id)?);
+    }
+    cur.finish()?;
+    Ok(graph)
 }
 
 fn decode_metadata(
@@ -490,17 +619,23 @@ fn decode_ontology(section: &[u8], budget: &mut Budget) -> Result<Ontology, Snap
 
 impl SnapshotFile {
     /// Decodes and validates a snapshot under `limits`: the whole input
-    /// is bounded by `max_input_bytes`, every component by `max_items`,
-    /// and every string by `max_literal_bytes`. The checksum is verified
-    /// before any field is parsed, so a flipped byte anywhere surfaces
-    /// as [`SnapshotFormatError::Checksum`].
+    /// is bounded by `max_input_bytes`, every component, index term,
+    /// index document and graph row by `max_items`, and every string and
+    /// per-document or per-row list by `max_literal_bytes`. The checksum
+    /// is verified before any field is parsed, so a flipped byte anywhere
+    /// surfaces as [`SnapshotFormatError::Checksum`]; an intact `SSTSNAP1`
+    /// file as [`SnapshotFormatError::Retired`].
     pub fn from_bytes(bytes: &[u8], limits: &Limits) -> Result<SnapshotFile, SnapshotFormatError> {
         let mut budget = Budget::new(limits);
         budget.check_input(bytes.len(), "snapshot")?;
 
         let mut cur = unseal(bytes)?;
-        if cur.take(SNAPSHOT_MAGIC.len(), "magic")? != SNAPSHOT_MAGIC {
-            return Err(SnapshotFormatError::BadMagic);
+        match cur.take(SNAPSHOT_MAGIC.len(), "magic")? {
+            magic if magic == SNAPSHOT_MAGIC => {}
+            magic if magic == RETIRED_MAGIC => {
+                return Err(SnapshotFormatError::Retired("SSTSNAP1"))
+            }
+            _ => return Err(SnapshotFormatError::BadMagic),
         }
         let tree_mode = match cur.u8("tree mode")? {
             0 => TreeMode::SuperThing,
@@ -527,23 +662,12 @@ impl SnapshotFile {
         let mut ontologies = Vec::new();
         for _ in 0..ontology_count {
             budget.item("snapshot ontology")?;
-            let len = cur.u64("ontology section length")?;
-            let len = usize::try_from(len).map_err(|_| SnapshotFormatError::BadValue {
-                field: "ontology section length",
-                value: len,
-            })?;
-            let section = cur.take(len, "ontology section")?;
+            let section = cur.section("ontology section")?;
             ontologies.push(decode_ontology(section, &mut budget)?);
         }
-
-        let vectors_len = cur.u64("vectors section length")?;
-        let vectors_len =
-            usize::try_from(vectors_len).map_err(|_| SnapshotFormatError::BadValue {
-                field: "vectors section length",
-                value: vectors_len,
-            })?;
-        let vectors = cur.take(vectors_len, "vectors section")?.to_vec();
-
+        let (terms, doc_terms) = decode_index(cur.section("index section")?, &mut budget)?;
+        let vectors = cur.section("vectors section")?.to_vec();
+        let graph = decode_graph(cur.section("graph section")?, &mut budget)?;
         cur.finish()?;
 
         Ok(SnapshotFile {
@@ -553,6 +677,9 @@ impl SnapshotFile {
             },
             ontologies,
             vectors,
+            terms,
+            doc_terms,
+            graph,
         })
     }
 }

@@ -429,6 +429,52 @@ impl VectorStore {
     /// Embeddings must be unit or zero vectors of width `dim` (shorter
     /// rows are zero-padded); [`embed_tfidf`] produces exactly that.
     pub fn from_rows(rows: Vec<(GlobalConcept, String, Vec<f64>)>, dim: usize) -> VectorStore {
+        let mut store = VectorStore::without_graph(rows, dim);
+        store.graph = build_nsw(store.matrix(), store.len());
+        store
+    }
+
+    /// [`VectorStore::from_rows`] with the proximity graph given instead
+    /// of built: `adjacency` holds, per row, its neighbors' row ids, as
+    /// [`VectorStore::adjacency`] returns them. It must hold one list per
+    /// row, of at most `GRAPH_M_MAX` ids each, every id a row of the
+    /// store; anything else is refused with a message naming the row. Within
+    /// those bounds a search cannot leave the store, and the graph is
+    /// searched as given.
+    pub(crate) fn with_graph(
+        rows: Vec<(GlobalConcept, String, Vec<f64>)>,
+        dim: usize,
+        adjacency: Vec<Vec<u32>>,
+    ) -> Result<VectorStore, String> {
+        let n = rows.len();
+        if adjacency.len() != n {
+            return Err(format!(
+                "{} adjacency lists for {n} store rows",
+                adjacency.len()
+            ));
+        }
+        for (row, ids) in adjacency.iter().enumerate() {
+            if ids.len() > GRAPH_M_MAX {
+                return Err(format!(
+                    "row {row} has degree {}, above the bound {GRAPH_M_MAX}",
+                    ids.len()
+                ));
+            }
+            if let Some(id) = ids.iter().find(|&&id| id as usize >= n) {
+                return Err(format!(
+                    "row {row} links to row {id}, past the {n} store rows"
+                ));
+            }
+        }
+        let mut store = VectorStore::without_graph(rows, dim);
+        store.graph = NswGraph {
+            neighbors: adjacency,
+        };
+        Ok(store)
+    }
+
+    /// The store over `rows`, with an empty proximity graph.
+    fn without_graph(rows: Vec<(GlobalConcept, String, Vec<f64>)>, dim: usize) -> VectorStore {
         let n = rows.len();
         let mut concepts = Vec::with_capacity(n);
         let mut labels = Vec::with_capacity(n);
@@ -443,13 +489,6 @@ impl VectorStore {
             concepts.push(gc);
             labels.push(label);
         }
-        let graph = build_nsw(
-            Matrix {
-                values: &vectors,
-                dim,
-            },
-            n,
-        );
         VectorStore {
             dim,
             concepts,
@@ -457,7 +496,9 @@ impl VectorStore {
             vectors,
             zero,
             positions,
-            graph,
+            graph: NswGraph {
+                neighbors: Vec::new(),
+            },
             neighborhoods: std::iter::repeat_with(OnceLock::new).take(n).collect(),
         }
     }
@@ -580,6 +621,11 @@ impl VectorStore {
         out
     }
 
+    /// The proximity graph: per row, its neighbors' row ids.
+    pub(crate) fn adjacency(&self) -> &[Vec<u32>] {
+        &self.graph.neighbors
+    }
+
     /// The row ids of `approx_candidates(row, default_probe())`, in its
     /// order, and whether this call ran that search. A row is searched
     /// on its first call only and its ids are kept, since the store never
@@ -605,8 +651,9 @@ impl VectorStore {
 
     // ---- checksummed binary format ------------------------------------
 
-    /// Serializes the embedding matrix (not the proximity graph — that is
-    /// deterministically rebuilt on load): a magic/version header, the
+    /// Serializes the embedding matrix (not the proximity graph: an
+    /// import of this file rebuilds it, and a snapshot stores it in a
+    /// section of its own): a magic/version header, the
     /// dimension and row count, label + vector per row, and a trailing
     /// FNV-1a checksum over everything before it.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -1018,6 +1065,69 @@ mod tests {
                 "query {q}: only {in_cluster}/16 of the top candidates are in its cluster"
             );
         }
+    }
+
+    #[test]
+    fn a_store_given_its_graph_searches_as_the_built_one() {
+        for built in [structured_store(), tiny_store()] {
+            let rows: Vec<_> = (0..built.len())
+                .map(|r| {
+                    let gc = built.concept(r).unwrap();
+                    (
+                        gc,
+                        built.label(r).unwrap().to_owned(),
+                        built.row(r).to_vec(),
+                    )
+                })
+                .collect();
+            let given =
+                VectorStore::with_graph(rows, built.dim(), built.adjacency().to_vec()).unwrap();
+            assert_eq!(given.adjacency(), built.adjacency());
+            for probe in [1, 8, built.len()] {
+                for q in 0..built.len() {
+                    let (a, b) = (
+                        built.approx_candidates(q, probe),
+                        given.approx_candidates(q, probe),
+                    );
+                    assert_eq!(a.len(), b.len());
+                    for ((ra, sa), (rb, sb)) in a.iter().zip(&b) {
+                        assert_eq!(
+                            (ra, sa.to_bits()),
+                            (rb, sb.to_bits()),
+                            "q {q} probe {probe}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_given_graph_is_validated() {
+        let built = structured_store();
+        let n = built.len();
+        let rows = || -> Vec<_> {
+            (0..n)
+                .map(|r| (gc(r as u32), format!("o:c{r}"), built.row(r).to_vec()))
+                .collect()
+        };
+        let refused = |adjacency: Vec<Vec<u32>>| {
+            VectorStore::with_graph(rows(), built.dim(), adjacency)
+                .map(|_| ())
+                .unwrap_err()
+        };
+        let mut short = built.adjacency().to_vec();
+        short.pop();
+        assert!(refused(short).contains("adjacency lists"));
+        let mut wide = built.adjacency().to_vec();
+        wide[7] = (0..=GRAPH_M_MAX as u32).collect();
+        assert!(refused(wide).contains("degree 33"));
+        let mut dangling = built.adjacency().to_vec();
+        dangling[5][0] = n as u32;
+        assert!(refused(dangling).contains(&format!("row {n}")));
+        let mut full = built.adjacency().to_vec();
+        full[3] = (0..GRAPH_M_MAX as u32).collect();
+        assert!(VectorStore::with_graph(rows(), built.dim(), full).is_ok());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The inverted index: the Lucene stand-in behind the TFIDF measure.
 
 use std::collections::HashMap;
+use std::fmt;
 
 use sst_limits::{Budget, LimitViolation, Limits};
 use sst_obs::Metrics;
@@ -70,6 +71,117 @@ impl InvertedIndex {
     /// Looks up a document by key.
     pub fn doc_by_key(&self, key: &str) -> Option<DocId> {
         self.keys.get(key).copied()
+    }
+
+    /// The vocabulary, in term-id order.
+    pub fn vocabulary(&self) -> &[String] {
+        &self.terms
+    }
+
+    /// The document's `(term id, tf)` pairs, sorted by term id (empty for
+    /// an unknown document).
+    pub fn doc_terms(&self, doc: DocId) -> &[(TermId, u32)] {
+        self.doc_terms
+            .get(doc.0 as usize)
+            .map(Vec::as_slice)
+            .unwrap_or(&[])
+    }
+
+    /// Reassembles an index from the parts [`InvertedIndex::vocabulary`]
+    /// and [`InvertedIndex::doc_terms`] expose, plus the document keys
+    /// in doc-id order, without analysing any text. Lengths are the sums
+    /// of the term frequencies and postings are pushed document by
+    /// document, as [`IndexBuilder`] pushes them, so an index rebuilt
+    /// from a built index's parts equals it.
+    ///
+    /// The parts are validated first: one term list per key, distinct
+    /// keys, a duplicate-free vocabulary, term ids below the vocabulary
+    /// size and strictly ascending within a document, every frequency at
+    /// least 1, and term ids numbered in order of first occurrence with
+    /// every vocabulary entry used, as the builder numbers them.
+    ///
+    /// The index records into `metrics` like a builder made by
+    /// [`IndexBuilder::with_metrics`]: `index.docs`, `index.terms` and
+    /// `index.tokens` grow by the document count, the vocabulary size
+    /// and the summed lengths, and searches record `index.search.*`.
+    pub fn from_parts(
+        keys: Vec<String>,
+        terms: Vec<String>,
+        doc_terms: Vec<Vec<(TermId, u32)>>,
+        metrics: Metrics,
+    ) -> Result<InvertedIndex, IndexPartsError> {
+        if keys.len() != doc_terms.len() {
+            return Err(IndexPartsError::DocCount {
+                keys: keys.len(),
+                docs: doc_terms.len(),
+            });
+        }
+        let mut term_ids = HashMap::with_capacity(terms.len());
+        for (i, term) in terms.iter().enumerate() {
+            let id = TermId(i as u32);
+            if term_ids.insert(term.clone(), id).is_some() {
+                return Err(IndexPartsError::DuplicateTerm { term: id.0 });
+            }
+        }
+        let mut postings: Vec<Vec<Posting>> = vec![Vec::new(); terms.len()];
+        let mut docs = Vec::with_capacity(keys.len());
+        let mut by_key = HashMap::with_capacity(keys.len());
+        // The id the next term seen for the first time must carry.
+        let mut next_new = 0u32;
+        let mut tokens = 0u64;
+        for (i, (key, pairs)) in keys.into_iter().zip(&doc_terms).enumerate() {
+            let doc = DocId(i as u32);
+            let mut length = 0u32;
+            let mut previous: Option<TermId> = None;
+            for &(term, tf) in pairs {
+                let Some(list) = postings.get_mut(term.0 as usize) else {
+                    return Err(IndexPartsError::TermOutOfRange {
+                        doc: doc.0,
+                        term: term.0,
+                    });
+                };
+                if previous.is_some_and(|p| p >= term) {
+                    return Err(IndexPartsError::UnsortedTerms { doc: doc.0 });
+                }
+                if tf == 0 {
+                    return Err(IndexPartsError::ZeroFrequency {
+                        doc: doc.0,
+                        term: term.0,
+                    });
+                }
+                if term.0 > next_new {
+                    return Err(IndexPartsError::TermNumbering { term: next_new });
+                }
+                if term.0 == next_new {
+                    next_new += 1;
+                }
+                length = length
+                    .checked_add(tf)
+                    .ok_or(IndexPartsError::LengthOverflow { doc: doc.0 })?;
+                list.push(Posting { doc, tf });
+                previous = Some(term);
+            }
+            if by_key.insert(key.clone(), doc).is_some() {
+                return Err(IndexPartsError::DuplicateKey { doc: doc.0 });
+            }
+            tokens += u64::from(length);
+            docs.push(DocEntry { key, length });
+        }
+        if (next_new as usize) < terms.len() {
+            return Err(IndexPartsError::TermNumbering { term: next_new });
+        }
+        metrics.add("index.docs", docs.len() as u64);
+        metrics.add("index.terms", terms.len() as u64);
+        metrics.add("index.tokens", tokens);
+        Ok(InvertedIndex {
+            docs,
+            keys: by_key,
+            terms,
+            term_ids,
+            postings,
+            doc_terms,
+            metrics: Some(metrics),
+        })
     }
 
     /// Document frequency of a term (0 for unknown terms).
@@ -153,6 +265,64 @@ impl InvertedIndex {
         results
     }
 }
+
+/// Why [`InvertedIndex::from_parts`] refused its parts. Documents and
+/// terms are named by their ids.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum IndexPartsError {
+    /// The key count and the term-list count differ.
+    DocCount { keys: usize, docs: usize },
+    /// The document's key was already taken by an earlier document.
+    DuplicateKey { doc: u32 },
+    /// The vocabulary entry repeats an earlier one.
+    DuplicateTerm { term: u32 },
+    /// The document names a term id past the vocabulary.
+    TermOutOfRange { doc: u32, term: u32 },
+    /// The document's term ids are not strictly ascending.
+    UnsortedTerms { doc: u32 },
+    /// The document lists a term with frequency 0.
+    ZeroFrequency { doc: u32, term: u32 },
+    /// Term ids are not numbered in order of first occurrence: `term`
+    /// is the id that should have occurred next, and was skipped or is
+    /// never used.
+    TermNumbering { term: u32 },
+    /// The document's summed frequencies overflow a `u32` length.
+    LengthOverflow { doc: u32 },
+}
+
+impl fmt::Display for IndexPartsError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            IndexPartsError::DocCount { keys, docs } => {
+                write!(f, "{docs} document term lists for {keys} documents")
+            }
+            IndexPartsError::DuplicateKey { doc } => {
+                write!(f, "document {doc} repeats an earlier document's key")
+            }
+            IndexPartsError::DuplicateTerm { term } => {
+                write!(f, "vocabulary entry {term} repeats an earlier entry")
+            }
+            IndexPartsError::TermOutOfRange { doc, term } => {
+                write!(f, "document {doc} names term {term}, past the vocabulary")
+            }
+            IndexPartsError::UnsortedTerms { doc } => {
+                write!(f, "document {doc} term ids are not strictly ascending")
+            }
+            IndexPartsError::ZeroFrequency { doc, term } => {
+                write!(f, "document {doc} lists term {term} with frequency 0")
+            }
+            IndexPartsError::TermNumbering { term } => write!(
+                f,
+                "term ids are not numbered in order of first occurrence (term {term})"
+            ),
+            IndexPartsError::LengthOverflow { doc } => {
+                write!(f, "document {doc} length overflows")
+            }
+        }
+    }
+}
+
+impl std::error::Error for IndexPartsError {}
 
 /// Cosine similarity of two sparse vectors sorted by term id.
 pub fn cosine_sparse(a: &[(TermId, f64)], b: &[(TermId, f64)]) -> f64 {
@@ -407,6 +577,115 @@ mod tests {
             assert!(b.try_add_document(format!("d{i}"), "text here").is_ok());
         }
         assert_eq!(b.build().doc_count(), 100);
+    }
+
+    /// The keys, vocabulary and term lists of `index`, as `from_parts`
+    /// takes them.
+    type Parts = (Vec<String>, Vec<String>, Vec<Vec<(TermId, u32)>>);
+
+    fn parts(index: &InvertedIndex) -> Parts {
+        let docs = (0..index.doc_count() as u32).map(DocId);
+        (
+            docs.clone().map(|d| index.doc_key(d).to_owned()).collect(),
+            index.vocabulary().to_vec(),
+            docs.map(|d| index.doc_terms(d).to_vec()).collect(),
+        )
+    }
+
+    fn rebuild(parts: Parts) -> Result<InvertedIndex, IndexPartsError> {
+        InvertedIndex::from_parts(parts.0, parts.1, parts.2, Metrics::new())
+    }
+
+    #[test]
+    fn from_parts_equals_the_built_index() {
+        let built = sample();
+        let metrics = Metrics::new();
+        let (keys, terms, doc_terms) = parts(&built);
+        let loaded = InvertedIndex::from_parts(keys, terms, doc_terms, metrics.clone()).unwrap();
+        assert_eq!(loaded.doc_count(), built.doc_count());
+        assert_eq!(loaded.vocabulary(), built.vocabulary());
+        for d in (0..built.doc_count() as u32).map(DocId) {
+            assert_eq!(loaded.doc_key(d), built.doc_key(d));
+            assert_eq!(loaded.doc_by_key(built.doc_key(d)), Some(d));
+            assert_eq!(loaded.doc_length(d), built.doc_length(d));
+            assert_eq!(loaded.tfidf_vector(d), built.tfidf_vector(d));
+        }
+        for term in built.vocabulary() {
+            assert_eq!(loaded.postings(term), built.postings(term), "{term}");
+        }
+        for query in ["university courses", "trees", "professor research wings"] {
+            assert_eq!(loaded.search(query, 10), built.search(query, 10), "{query}");
+        }
+        let snap = metrics.snapshot();
+        assert_eq!(snap.counter("index.docs"), Some(3));
+        assert_eq!(snap.counter("index.terms"), Some(built.term_count() as u64));
+        let tokens: u32 = (0..3).map(|d| built.doc_length(DocId(d))).sum();
+        assert_eq!(snap.counter("index.tokens"), Some(u64::from(tokens)));
+        assert_eq!(snap.counter("index.search.calls"), Some(3));
+    }
+
+    #[test]
+    fn from_parts_refuses_inconsistent_parts() {
+        let good = parts(&sample());
+        assert!(rebuild(good.clone()).is_ok());
+        let broken = |edit: &dyn Fn(&mut Parts)| {
+            let mut p = good.clone();
+            edit(&mut p);
+            rebuild(p).map(|_| ()).unwrap_err()
+        };
+        let vocabulary = good.1.len() as u32;
+        assert_eq!(
+            broken(&|p| p.0.push("extra".to_owned())),
+            IndexPartsError::DocCount { keys: 4, docs: 3 }
+        );
+        assert_eq!(
+            broken(&|p| p.0[2] = p.0[0].clone()),
+            IndexPartsError::DuplicateKey { doc: 2 }
+        );
+        assert_eq!(
+            broken(&|p| p.1[1] = p.1[0].clone()),
+            IndexPartsError::DuplicateTerm { term: 1 }
+        );
+        assert_eq!(
+            broken(&|p| p.2[1][0].0 = TermId(vocabulary)),
+            IndexPartsError::TermOutOfRange {
+                doc: 1,
+                term: vocabulary
+            }
+        );
+        // Document 1 opens with terms document 0 introduced.
+        assert_eq!(
+            broken(&|p| p.2[1].swap(0, 1)),
+            IndexPartsError::UnsortedTerms { doc: 1 }
+        );
+        assert_eq!(
+            broken(&|p| p.2[1][1].0 = p.2[1][0].0),
+            IndexPartsError::UnsortedTerms { doc: 1 }
+        );
+        assert_eq!(
+            broken(&|p| p.2[0][0].1 = 0),
+            IndexPartsError::ZeroFrequency { doc: 0, term: 0 }
+        );
+        // Document 0 introduces terms 0, 1, …: dropping its first term
+        // skips id 0; dropping the last document leaves its new terms
+        // unused.
+        assert_eq!(
+            broken(&|p| {
+                p.2[0].remove(0);
+            }),
+            IndexPartsError::TermNumbering { term: 0 }
+        );
+        assert!(matches!(
+            broken(&|p| {
+                p.0.pop();
+                p.2.pop();
+            }),
+            IndexPartsError::TermNumbering { .. }
+        ));
+        assert_eq!(
+            broken(&|p| p.2[2][0].1 = u32::MAX),
+            IndexPartsError::LengthOverflow { doc: 2 }
+        );
     }
 
     #[test]

@@ -26,7 +26,9 @@ pub mod porter;
 pub mod tokenizer;
 
 pub use bm25::{Bm25, Bm25Params};
-pub use index::{cosine_sparse, DocId, IndexBuilder, InvertedIndex, Posting, TermId};
+pub use index::{
+    cosine_sparse, DocId, IndexBuilder, IndexPartsError, InvertedIndex, Posting, TermId,
+};
 pub use porter::stem;
 pub use sst_limits::{LimitKind, LimitViolation, Limits};
 pub use tokenizer::{analyze, is_stopword, tokenize, STOPWORDS};

@@ -10,7 +10,7 @@
 //!   -D warnings) → release build → tests, stopping at the first
 //!   failure.
 //! - `snapshot build|load [PATH]` — persist the paper corpus as an
-//!   `SSTSNAP1` snapshot file, or load one back and verify it scores
+//!   `SSTSNAP2` snapshot file, or load one back and verify it scores
 //!   bit-identically to a cold build (delegates to the `snapshot_bench`
 //!   binary so xtask itself stays dependency-free).
 
@@ -31,7 +31,7 @@ commands:
   lint --explain RULE   print a rule's rationale and the fix it demands
   ci                    fmt-check, lint, clippy -D warnings, docs
                         (rustdoc -D warnings), release build, tests
-  snapshot build [PATH] write the paper corpus as an SSTSNAP1 snapshot
+  snapshot build [PATH] write the paper corpus as an SSTSNAP2 snapshot
                         (default results/corpus.sstsnap)
   snapshot load [PATH]  load a snapshot back and verify bit-identity
                         against a cold corpus build

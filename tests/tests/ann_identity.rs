@@ -28,6 +28,7 @@
 //!    for every row at probes {1, 12, 96, n−1}.
 
 use sst_bench::oracle::{self, oracle, NswOracle};
+use sst_bench::sealed;
 use sst_bench::{generate_taxonomy, load_corpus, SplitMix64, TaxonomySpec};
 use sst_core::{
     embed_tfidf, measure_ids, ConceptAndSimilarity, ConceptSet, SstBuilder, SstError, SstToolkit,
@@ -265,11 +266,7 @@ fn vector_file_round_trips_and_rejects_corruption() {
         + 4
         + store.label(row).expect("label").len();
     let reseal = |edit: &dyn Fn(&mut [u8])| {
-        let mut body = bytes[..bytes.len() - 8].to_vec();
-        edit(&mut body[start..start + 8 * dim]);
-        let sum = fnv1a(&body);
-        body.extend_from_slice(&sum.to_le_bytes());
-        body
+        sealed::reseal(&bytes, |body| edit(&mut body[start..start + 8 * dim]))
     };
     assert!(sst.import_vectors(&reseal(&|_| {}), &limits).is_ok());
     let nan = reseal(&|v| v[..8].copy_from_slice(&f64::NAN.to_le_bytes()));
@@ -325,13 +322,6 @@ fn default_probe_recall_stays_high() {
     }
     let recall = hits as f64 / total as f64;
     assert!(recall >= 0.95, "recall@10 {recall:.3} below the 0.95 floor");
-}
-
-/// FNV-1a over `bytes`: the checksum that closes an SSTVEC1 file.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
-        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 /// `approx_candidates` of every row at probes {1, 12, 96, n−1} equals the

@@ -277,6 +277,48 @@ fn metrics_report_covers_measures_cache_and_index() {
 }
 
 #[test]
+fn a_snapshot_load_records_its_build_as_a_cold_build_does() {
+    let cold = SstBuilder::new()
+        .register_ontology(tiny_ontology("uni"))
+        .unwrap()
+        .register_ontology(tiny_ontology("lib"))
+        .unwrap()
+        .build();
+    let loaded =
+        SstToolkit::import_snapshot(&cold.export_snapshot(), &sst_limits::Limits::default())
+            .unwrap();
+    let (a, b) = (cold.metrics().snapshot(), loaded.metrics().snapshot());
+    // Every counter reads the same: the index's document, vocabulary and
+    // token counts, the vector store's and the concept table's sizes,
+    // and the zeroed per-measure counters.
+    assert_eq!(a.counters, b.counters);
+    for name in [
+        "index.docs",
+        "index.terms",
+        "index.tokens",
+        "core.vector.concepts",
+        "core.prepare.concepts",
+    ] {
+        assert!(b.counter(name).unwrap_or(0) > 0, "{name} is not recorded");
+    }
+    assert_eq!(b.counter("index.docs"), Some(10));
+    // The same histograms, each with one build's samples.
+    let counts = |s: &sst_core::MetricsSnapshot| -> Vec<(String, u64)> {
+        s.histograms
+            .iter()
+            .map(|(name, h)| (name.clone(), h.count))
+            .collect()
+    };
+    assert_eq!(counts(&a), counts(&b));
+    assert_eq!(b.histogram("core.build.latency").unwrap().count, 1);
+    // The loaded index records its searches into the toolkit's registry.
+    assert_eq!(loaded.index().search("student", 3).len(), 2);
+    let after = loaded.metrics().snapshot();
+    assert_eq!(after.counter("index.search.calls"), Some(1));
+    assert_eq!(after.histogram("index.search.latency").unwrap().count, 1);
+}
+
+#[test]
 fn soqa_ql_queries_are_timed_through_the_facade() {
     let sst = SstBuilder::new()
         .register_ontology(tiny_ontology("uni"))

@@ -1,17 +1,36 @@
-//! Identity suite for `SSTSNAP1` snapshot persistence (PR 10 tentpole):
+//! Identity suite for `SSTSNAP2` snapshot persistence:
 //! `export_snapshot` → `import_snapshot` must reproduce the toolkit
-//! *bit-identically* — every one of the registered measures scores the
-//! same IEEE 754 bits on the paper corpus after a round trip — and a
-//! corrupted or truncated snapshot must fail structured, never panic.
+//! *bit-identically* — every registered measure scores the same IEEE 754
+//! bits on the paper corpus after a round trip, and so do the parts the
+//! snapshot stores instead of deriving: every ANN candidate list (the
+//! NSW graph), the 20 default alignments (which block on the graph and
+//! the index), and the full-text index's postings and searches, in both
+//! tree modes. A corrupted, truncated or hostile snapshot must fail
+//! structured, never panic: the crafted cases below are resealed with a
+//! valid checksum so they reach the section validators.
 //!
 //! Comparisons use `f64::to_bits` (as in `prepared_identity`), so even a
 //! `-0.0` vs `0.0` or NaN-payload drift fails.
 
+use sst_bench::sealed::{reseal, SnapshotSections};
 use sst_bench::{generate_taxonomy, load_corpus, names, SplitMix64, TaxonomySpec};
 use sst_core::{
-    ConceptRef, ConceptSet, ProbabilityModeConfig, SstBuilder, SstError, SstToolkit, TreeMode,
-    SNAPSHOT_MAGIC,
+    align_with_limits, AlignmentConfig, ConceptRef, ConceptSet, ProbabilityModeConfig, SstBuilder,
+    SstError, SstToolkit, TreeMode, SNAPSHOT_MAGIC,
 };
+use sst_limits::Limits;
+
+/// The five ontologies of the paper corpus; their ordered pairs are the
+/// 20 default alignments.
+const ONTOLOGIES: [&str; 5] = [
+    names::DAML_UNIV,
+    names::UNIV_BENCH,
+    names::COURSES,
+    names::SUMO,
+    names::SWRC,
+];
+
+const MODES: [TreeMode; 2] = [TreeMode::SuperThing, TreeMode::MergedThing];
 
 fn corpus() -> SstToolkit {
     load_corpus(TreeMode::SuperThing, false)
@@ -19,7 +38,7 @@ fn corpus() -> SstToolkit {
 
 fn round_trip(sst: &SstToolkit) -> SstToolkit {
     let bytes = sst.export_snapshot();
-    SstToolkit::import_snapshot(&bytes, &sst_limits::Limits::default()).expect("round trip")
+    SstToolkit::import_snapshot(&bytes, &Limits::default()).expect("round trip")
 }
 
 /// A cross-ontology concept set exercising every runner input: taxonomy
@@ -113,8 +132,7 @@ fn snapshot_round_trips_a_synthetic_corpus() {
         .build();
     let bytes = sst.export_snapshot();
     assert_eq!(&bytes[..8], SNAPSHOT_MAGIC, "snapshot leads with its magic");
-    let imported =
-        SstToolkit::import_snapshot(&bytes, &sst_limits::Limits::default()).expect("round trip");
+    let imported = SstToolkit::import_snapshot(&bytes, &Limits::default()).expect("round trip");
     // A second export of the import is byte-identical: the format is a
     // fixed point, not just score-equivalent.
     assert_eq!(imported.export_snapshot(), bytes);
@@ -124,7 +142,7 @@ fn snapshot_round_trips_a_synthetic_corpus() {
 fn snapshot_rejects_corruption_and_truncation() {
     let sst = corpus();
     let bytes = sst.export_snapshot();
-    let limits = sst_limits::Limits::default();
+    let limits = Limits::default();
 
     // Every single-byte flip must be caught (checksum verified before any
     // parsing), and every truncation must fail structured — never a panic.
@@ -142,13 +160,317 @@ fn snapshot_rejects_corruption_and_truncation() {
     }
 }
 
+/// A cold build of the paper corpus in `mode` and the import of its
+/// snapshot.
+fn cold_and_loaded(mode: TreeMode) -> (SstToolkit, SstToolkit) {
+    let cold = load_corpus(mode, false);
+    let loaded = round_trip(&cold);
+    (cold, loaded)
+}
+
+#[test]
+fn a_loaded_toolkit_searches_the_graph_as_the_cold_build() {
+    for mode in MODES {
+        let (cold, loaded) = cold_and_loaded(mode);
+        let (a, b) = (cold.vector_store(), loaded.vector_store());
+        assert_eq!(a.len(), b.len(), "{mode:?}: store rows");
+        let n = a.len();
+        for probe in [1, 96, n] {
+            for row in 0..n {
+                let (x, y) = (
+                    a.approx_candidates(row, probe),
+                    b.approx_candidates(row, probe),
+                );
+                assert_eq!(x.len(), y.len(), "{mode:?} row {row} probe {probe}: length");
+                for (i, ((rx, sx), (ry, sy))) in x.iter().zip(&y).enumerate() {
+                    assert_eq!(
+                        (rx, sx.to_bits()),
+                        (ry, sy.to_bits()),
+                        "{mode:?} row {row} probe {probe}: candidate {i}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_loaded_toolkit_aligns_as_the_cold_build() {
+    let config = AlignmentConfig::default();
+    for mode in MODES {
+        let (cold, loaded) = cold_and_loaded(mode);
+        for source in ONTOLOGIES {
+            for target in ONTOLOGIES.into_iter().filter(|&t| t != source) {
+                let what = format!("{mode:?} {source} -> {target}");
+                let a = align_with_limits(&cold, source, target, &config, &Limits::unbounded())
+                    .expect("cold alignment");
+                let b = align_with_limits(&loaded, source, target, &config, &Limits::unbounded())
+                    .expect("loaded alignment");
+                assert_eq!(a.stats, b.stats, "{what}: stats");
+                assert_eq!(a.correspondences.len(), b.correspondences.len(), "{what}");
+                for (x, y) in a.correspondences.iter().zip(&b.correspondences) {
+                    assert_eq!(
+                        (x.source, x.target, &x.source_concept, &x.target_concept),
+                        (y.source, y.target, &y.source_concept, &y.target_concept),
+                        "{what}"
+                    );
+                    assert_eq!(x.similarity.to_bits(), y.similarity.to_bits(), "{what}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_loaded_toolkit_has_the_cold_build_index_and_exports_the_same_bytes() {
+    for mode in MODES {
+        let cold = load_corpus(mode, false);
+        let bytes = cold.export_snapshot();
+        let loaded = SstToolkit::import_snapshot(&bytes, &Limits::default()).expect("round trip");
+        assert_eq!(
+            loaded.export_snapshot(),
+            bytes,
+            "{mode:?}: not a fixed point"
+        );
+
+        let (a, b) = (cold.index(), loaded.index());
+        assert_eq!(a.doc_count(), b.doc_count(), "{mode:?}");
+        assert_eq!(a.vocabulary(), b.vocabulary(), "{mode:?}");
+        for term in a.vocabulary() {
+            assert_eq!(
+                a.postings(term),
+                b.postings(term),
+                "{mode:?}: postings of {term}"
+            );
+        }
+        for doc in (0..a.doc_count() as u32).map(sst_index::DocId) {
+            assert_eq!(a.doc_key(doc), b.doc_key(doc), "{mode:?}");
+            assert_eq!(a.doc_length(doc), b.doc_length(doc), "{mode:?}");
+        }
+        for query in [
+            "professor",
+            "graduate student research assistant",
+            "publication article journal",
+            "course teaching employee",
+            "unindexed xyzzy",
+        ] {
+            let (x, y) = (a.search(query, 25), b.search(query, 25));
+            assert_eq!(x.len(), y.len(), "{mode:?}: {query}");
+            for ((dx, sx), (dy, sy)) in x.iter().zip(&y) {
+                assert_eq!((dx, sx.to_bits()), (dy, sy.to_bits()), "{mode:?}: {query}");
+            }
+        }
+    }
+}
+
+/// A small two-ontology toolkit's snapshot and its sections: cheap to
+/// craft and load.
+fn small_snapshot() -> (Vec<u8>, SnapshotSections) {
+    let sst = SstBuilder::new()
+        .register_ontology(generate_taxonomy(TaxonomySpec {
+            concepts: 60,
+            branching: 3,
+            instances: 20,
+            seed: 41,
+        }))
+        .expect("register primary")
+        .register_ontology(generate_taxonomy(TaxonomySpec {
+            concepts: 30,
+            branching: 4,
+            instances: 10,
+            seed: 42,
+        }))
+        .expect("register secondary")
+        .build();
+    let bytes = sst.export_snapshot();
+    let sections = SnapshotSections::parse(&bytes).expect("a well-formed snapshot");
+    assert_eq!(
+        sections.encode(),
+        bytes,
+        "the test-side layout reader drifted"
+    );
+    (bytes, sections)
+}
+
+/// The message of the structured error `bytes` must fail with.
+fn refusal(what: &str, bytes: &[u8], limits: &Limits) -> String {
+    match SstToolkit::import_snapshot(bytes, limits) {
+        Err(SstError::InvalidArgument(message)) => message,
+        Err(other) => panic!("{what}: not an InvalidArgument: {other}"),
+        Ok(_) => panic!("{what}: accepted"),
+    }
+}
+
+#[test]
+fn hostile_sections_reach_their_validators() {
+    let (bytes, good) = small_snapshot();
+    let limits = Limits::default();
+    assert!(SstToolkit::import_snapshot(&good.encode(), &limits).is_ok());
+    let vocabulary = good.terms.len() as u32;
+    let rows = good.graph.len() as u32;
+    // A document whose first two terms occurred in earlier documents
+    // (term ids number first occurrences, so a swap of two new terms
+    // would skip an id before it is out of order), and a graph row with
+    // at least one neighbor.
+    let mut seen = 0;
+    let doc = good
+        .docs
+        .iter()
+        .position(|d| {
+            let old = d.len() >= 2 && d[1].0 < seen;
+            seen = d.iter().map(|p| p.0 + 1).fold(seen, u32::max);
+            old
+        })
+        .expect("a document of known terms");
+    let row = good
+        .graph
+        .iter()
+        .position(|r| !r.is_empty())
+        .expect("a row");
+
+    type Edit = Box<dyn Fn(&mut SnapshotSections)>;
+    let cases: Vec<(&str, Edit, &str)> = vec![
+        (
+            "term id past the vocabulary",
+            Box::new(move |s| s.docs[doc][0].0 = vocabulary),
+            "past the vocabulary",
+        ),
+        (
+            "unsorted terms",
+            Box::new(move |s| s.docs[doc].swap(0, 1)),
+            "not strictly ascending",
+        ),
+        (
+            "duplicated term",
+            Box::new(move |s| s.docs[doc][1].0 = s.docs[doc][0].0),
+            "not strictly ascending",
+        ),
+        (
+            "zero frequency",
+            Box::new(move |s| s.docs[doc][0].1 = 0),
+            "frequency 0",
+        ),
+        (
+            "duplicate vocabulary entry",
+            Box::new(|s| s.terms[1] = s.terms[0].clone()),
+            "repeats an earlier entry",
+        ),
+        (
+            "one document short",
+            Box::new(|s| {
+                s.docs.pop();
+            }),
+            "term lists for",
+        ),
+        (
+            "one document extra",
+            Box::new(|s| s.docs.push(vec![(0, 1)])),
+            "term lists for",
+        ),
+        (
+            "graph id past the rows",
+            Box::new(move |s| s.graph[row][0] = rows),
+            "past the",
+        ),
+        (
+            "degree 33",
+            Box::new(|s| s.graph[0] = (0..33).collect()),
+            "degree 33",
+        ),
+        (
+            "one graph row short",
+            Box::new(|s| {
+                s.graph.pop();
+            }),
+            "adjacency lists for",
+        ),
+        (
+            "one graph row extra",
+            Box::new(|s| s.graph.push(Vec::new())),
+            "adjacency lists for",
+        ),
+    ];
+    for (what, edit, expect) in cases {
+        let mut crafted = good.clone();
+        edit(&mut crafted);
+        let message = refusal(what, &crafted.encode(), &limits);
+        assert!(message.contains(expect), "{what}: {message}");
+    }
+
+    // Each new count field, and each new section length, at its maximum.
+    let index_at = good.head.len();
+    let index_len = good.index_section().len();
+    let doc_count_at = index_at + 8 + 4 + good.terms.iter().map(|t| 4 + t.len()).sum::<usize>();
+    let vectors_at = index_at + 8 + index_len;
+    let graph_at = vectors_at + 8 + good.vectors.len();
+    let fields: [(&str, usize, usize); 7] = [
+        ("index section length", index_at, 8),
+        ("term count", index_at + 8, 4),
+        ("document count", doc_count_at, 4),
+        ("first document's pair count", doc_count_at + 4, 4),
+        ("graph section length", graph_at, 8),
+        ("graph row count", graph_at + 8, 4),
+        ("first row's degree", graph_at + 12, 4),
+    ];
+    for (what, at, width) in fields {
+        let crafted = reseal(&bytes, |body| body[at..at + width].fill(0xff));
+        refusal(what, &crafted, &limits);
+    }
+}
+
+#[test]
+fn a_starved_item_budget_fails_inside_the_new_sections() {
+    let (bytes, sections) = small_snapshot();
+    let load = |items: u64| {
+        SstToolkit::import_snapshot(&bytes, &Limits::default().with_max_items(items))
+            .map(|_| ())
+            .map_err(|e| e.to_string())
+    };
+    // The smallest item budget that loads: one item per ontology
+    // component, index term, index document and graph row.
+    let (mut starved, mut enough) = (0u64, 1u64 << 20);
+    assert!(load(enough).is_ok());
+    while enough - starved > 1 {
+        let mid = (starved + enough) / 2;
+        match load(mid) {
+            Ok(()) => enough = mid,
+            Err(_) => starved = mid,
+        }
+    }
+    let rows = sections.graph.len() as u64;
+    let docs = sections.docs.len() as u64;
+    for (items, what) in [
+        (enough - 1, "snapshot graph row"),
+        (enough - rows - 1, "snapshot index document"),
+        (enough - rows - docs - 1, "snapshot index term"),
+    ] {
+        let err = load(items).expect_err("starved budget");
+        assert!(err.contains(what), "{items} items: {err}");
+    }
+}
+
+#[test]
+fn an_sstsnap1_file_is_refused_with_a_re_export_hint() {
+    let (bytes, _) = small_snapshot();
+    let old = reseal(&bytes, |body| body[..8].copy_from_slice(b"SSTSNAP1"));
+    let message = refusal("SSTSNAP1", &old, &Limits::default());
+    assert!(message.contains("SSTSNAP1"), "{message}");
+    assert!(message.contains("re-export"), "{message}");
+    assert!(!message.contains("checksum"), "{message}");
+    assert!(!message.contains("not an SSTSNAP2"), "{message}");
+    // Any other magic is a plain bad magic.
+    let other = reseal(&bytes, |body| body[..8].copy_from_slice(b"SSTSNAPX"));
+    let message = refusal("SSTSNAPX", &other, &Limits::default());
+    assert!(message.contains("not an SSTSNAP2"), "{message}");
+}
+
 #[test]
 fn snapshot_load_is_governed_by_limits() {
     let sst = corpus();
     let bytes = sst.export_snapshot();
-    let starved = sst_limits::Limits {
+    let starved = Limits {
         max_input_bytes: 16,
-        ..sst_limits::Limits::default()
+        ..Limits::default()
     };
     let err = SstToolkit::import_snapshot(&bytes, &starved).expect_err("starved budget");
     assert!(matches!(err, SstError::InvalidArgument(_)), "{err}");
