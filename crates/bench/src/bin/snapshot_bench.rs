@@ -4,6 +4,13 @@
 //! one on every registered measure, and writes
 //! `results/BENCH_snapshot.json` with an honest `identity` flag.
 //!
+//! It also splits a load into its stages: decode (`SnapshotFile::from_bytes`,
+//! timed on its own, since the load runs it before assembly starts), and
+//! from each loaded toolkit's own spans the assembly
+//! (`core.build.latency`), its vector stage (`core.vector.build.latency`:
+//! TF-IDF vectors, embeddings, the store and the cross-check) and its
+//! concept table (`core.prepare.latency`).
+//!
 //! Usage:
 //! ```text
 //! cargo run --release -p sst-bench --bin snapshot_bench                   # full run (archives JSON)
@@ -20,7 +27,7 @@
 use std::time::Instant;
 
 use sst_bench::{data_dir, load_corpus, names};
-use sst_core::{ConceptRef, ConceptSet, SstToolkit, TreeMode};
+use sst_core::{ConceptRef, ConceptSet, SnapshotFile, SstToolkit, TreeMode};
 
 /// Timing repetitions per path; the median is reported.
 const REPEATS: usize = 5;
@@ -83,6 +90,19 @@ fn median_secs(mut samples: Vec<f64>) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// The spans of a snapshot load's stages, as the loaded toolkit recorded
+/// them: `(label, span)`.
+const LOAD_SPANS: [(&str, &str); 3] = [
+    ("assembly", "core.build.latency"),
+    ("vector_stage", "core.vector.build.latency"),
+    ("concept_table", "core.prepare.latency"),
+];
+
+/// Seconds of one-sample span `span` in `sst`'s registry.
+fn span_secs(sst: &SstToolkit, span: &str) -> f64 {
+    sst.metrics().histogram(span).sum_seconds()
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
 
@@ -128,6 +148,8 @@ fn main() {
     let bytes = cold_build().export_snapshot();
     let mut cold_samples = Vec::with_capacity(REPEATS);
     let mut load_samples = Vec::with_capacity(REPEATS);
+    let mut decode_samples = Vec::with_capacity(REPEATS);
+    let mut span_samples: Vec<Vec<f64>> = vec![Vec::with_capacity(REPEATS); LOAD_SPANS.len()];
     let mut cold = None;
     let mut loaded = None;
     for _ in 0..REPEATS {
@@ -141,12 +163,26 @@ fn main() {
         let started = Instant::now();
         let sst = SstToolkit::import_snapshot(&bytes, &limits).expect("import snapshot");
         load_samples.push(started.elapsed().as_secs_f64());
+        for ((_, span), samples) in LOAD_SPANS.iter().zip(&mut span_samples) {
+            samples.push(span_secs(&sst, span));
+        }
         loaded = Some(sst);
+        // The decode stage alone.
+        let started = Instant::now();
+        let file = SnapshotFile::from_bytes(&bytes, &limits).expect("decode snapshot");
+        decode_samples.push(started.elapsed().as_secs_f64());
+        drop(file);
     }
     let cold_sst = cold.expect("at least one cold build");
     let loaded_sst = loaded.expect("at least one snapshot load");
     let cold_s = median_secs(cold_samples);
     let load_s = median_secs(load_samples);
+    let decode_s = median_secs(decode_samples);
+    let stages: Vec<(&str, f64)> = LOAD_SPANS
+        .iter()
+        .zip(span_samples)
+        .map(|(&(label, _), samples)| (label, median_secs(samples)))
+        .collect();
 
     let identity = bit_identical(&cold_sst, &loaded_sst);
     let speedup = cold_s / load_s.max(1e-9);
@@ -155,6 +191,15 @@ fn main() {
         "snapshot_bench: cold parse {cold_s:.3}s, snapshot load {load_s:.3}s \
          ({speedup:.1}x), {} bytes, identity={identity}",
         bytes.len()
+    );
+    let split: Vec<String> = stages
+        .iter()
+        .map(|(label, secs)| format!("{label} {:.2} ms", secs * 1e3))
+        .collect();
+    println!(
+        "snapshot_bench: load stages (medians of {REPEATS}): decode {:.2} ms, {}",
+        decode_s * 1e3,
+        split.join(", ")
     );
 
     assert!(
@@ -173,9 +218,14 @@ fn main() {
 
     let results = data_dir().join("../results");
     std::fs::create_dir_all(&results).expect("results dir");
+    let stage_fields: String = stages
+        .iter()
+        .map(|(label, secs)| format!(",\n    \"{label}_s\": {secs:.5}"))
+        .collect();
     let json = format!(
         "{{\n  \"snapshot_bytes\": {},\n  \"measures\": {},\n  \
          \"cold_parse_s\": {cold_s:.4},\n  \"snapshot_load_s\": {load_s:.4},\n  \
+         \"load_stages\": {{\n    \"decode_s\": {decode_s:.5}{stage_fields}\n  }},\n  \
          \"speedup\": {speedup:.2},\n  \"identity\": {identity}\n}}\n",
         bytes.len(),
         cold_sst.measure_count(),

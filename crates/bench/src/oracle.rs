@@ -15,16 +15,21 @@
 //!
 //! [`NswOracle`] is the reference of the vector store's approximate path:
 //! the NSW graph construction and the two-heap beam search as the store
-//! ran them before its one-beam search.
+//! ran them before its one-beam search. [`embed_tfidf_reference`] is the
+//! reference of the toolkit's embedding kernel, `sst_core::embed_tfidf`.
 
-use sst_core::{embed_tfidf, MeasureRunner, RunnerInfo, SimilarityContext, SstBuilder, EMBED_DIM};
+use sst_core::{MeasureRunner, RunnerInfo, SimilarityContext, SstBuilder, EMBED_DIM};
+use sst_index::TermId;
 use sst_simpack::{
-    dense_unit_similarity, edge_similarity, jaro, jaro_winkler, jiang_conrath_similarity,
-    levenshtein_similarity, lin_similarity, monge_elkan, needleman_wunsch_similarity, qgram,
-    resnik_similarity, sequence_similarity, shortest_path_similarity, smith_waterman_similarity,
-    tree_similarity, wu_palmer_similarity_rooted, AlignmentScoring, CostModel, CATALOG,
+    dense_normalize, dense_unit_similarity, edge_similarity, jaro, jaro_winkler,
+    jiang_conrath_similarity, levenshtein_similarity, lin_similarity, monge_elkan,
+    needleman_wunsch_similarity, qgram, resnik_similarity, sequence_similarity,
+    shortest_path_similarity, smith_waterman_similarity, tree_similarity,
+    wu_palmer_similarity_rooted, AlignmentScoring, CostModel, CATALOG,
 };
 use sst_soqa::GlobalConcept;
+
+use crate::SplitMix64;
 
 mod nsw;
 
@@ -58,14 +63,51 @@ fn info(measure: usize) -> RunnerInfo {
 /// Gram size of the q-gram measure (padded trigrams).
 const QGRAM_Q: usize = 3;
 
+/// Seed of the per-term sign streams; the toolkit's projection uses the
+/// same one.
+const PROJECTION_SEED: u64 = 0x5353_5456_4543_5631; // "SSTVEC1" as bytes
+
+/// Increment of the SplitMix64 state, which also spreads each term id
+/// into its stream's seed.
+const SPLITMIX_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The signed random projection of `sst_core::embed_tfidf` in its plain
+/// form: each term's SplitMix64 stream, seeded from its id, is read one
+/// bit per component, and the component adds `weight · ±1.0`; the sum is
+/// then normalized to unit length. The toolkit's kernel must match it bit
+/// for bit.
+pub fn embed_tfidf_reference(tfidf: &[(TermId, f64)], dim: usize) -> Vec<f64> {
+    let mut acc = vec![0.0; dim];
+    for &(term, weight) in tfidf {
+        let mut stream = SplitMix64::seed_from_u64(
+            u64::from(term.0).wrapping_mul(SPLITMIX_GAMMA) ^ PROJECTION_SEED,
+        );
+        let mut bits = 0u64;
+        let mut left = 0u32;
+        for slot in acc.iter_mut() {
+            if left == 0 {
+                bits = stream.next_u64();
+                left = 64;
+            }
+            let sign = if bits & 1 == 1 { 1.0 } else { -1.0 };
+            bits >>= 1;
+            left -= 1;
+            *slot += weight * sign;
+        }
+    }
+    dense_normalize(&mut acc);
+    acc
+}
+
 /// The concept's dense embedding: its TF-IDF document vector under the
-/// deterministic signed random projection of [`embed_tfidf`] — the
-/// computation the toolkit's vector stage runs at build time.
+/// deterministic signed random projection, computed by
+/// [`embed_tfidf_reference`] (the toolkit's vector stage runs its own
+/// kernel at build time).
 fn dense_embedding(ctx: &SimilarityContext<'_>, gc: GlobalConcept) -> Vec<f64> {
     let tfidf = ctx.doc_ids[ctx.tree.node(gc) as usize]
         .map(|d| ctx.index.tfidf_vector(d))
         .unwrap_or_default();
-    embed_tfidf(&tfidf, EMBED_DIM)
+    embed_tfidf_reference(&tfidf, EMBED_DIM)
 }
 
 macro_rules! oracle {

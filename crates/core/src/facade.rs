@@ -895,7 +895,8 @@ impl SstToolkit {
     /// description and inserting every vector row. The checksum is
     /// verified before parsing; every arena id, index term list and
     /// graph row is validated; and the embeddings re-derived from the
-    /// loaded index must match the stored vector tables byte for byte —
+    /// loaded index must match the stored vector tables byte for byte,
+    /// compared in place as the store's `SSTVEC1` encoding is produced —
     /// a mismatch means version skew between writer and reader (or
     /// silent corruption) and is an error, never a quietly different
     /// toolkit. An `SSTSNAP1` file is refused with an error that asks
@@ -917,7 +918,7 @@ impl SstToolkit {
             |rows| {
                 let store = VectorStore::with_graph(rows, EMBED_DIM, snapshot.graph)
                     .map_err(|e| SstError::InvalidArgument(format!("snapshot graph: {e}")))?;
-                if store.to_bytes() != snapshot.vectors {
+                if !store.encodes_to(&snapshot.vectors) {
                     return Err(SstError::InvalidArgument(
                         "snapshot: stored prepared tables do not match the embeddings of the \
                          loaded index (writer/reader version skew)"

@@ -20,16 +20,16 @@ use sst_index::{cosine_sparse, DocId, InvertedIndex, TermId};
 use sst_simpack::{
     cosine_from_counts, dense_unit_similarity, dice_from_counts, edge_similarity_compact,
     jaccard_from_counts, jaro_fast, jaro_winkler_fast, jiang_conrath_similarity_compact,
-    lin_similarity_compact, myers_sequence_similarity_from, myers_similarity_chars_from,
+    levenshtein_similarity_table, lin_similarity_compact, myers_sequence_similarity_from,
     needleman_wunsch_similarity, overlap_from_counts, qgram_packed_from, resnik_similarity_compact,
     shortest_path_length_similarity, smith_waterman_similarity, tree_similarity_zs,
     wu_palmer_similarity_rooted_compact, AlignmentScoring, AncestorList, DepthTable, FeatureSet,
     InformationContent, InternedFeatures, JaroMask, LabeledTree, MeasureDescriptor, MeasureKind,
     MyersPattern, NodeId, QGramPacked, Taxonomy, ZsTree, CATALOG,
 };
-use sst_soqa::{GlobalConcept, Soqa};
+use sst_soqa::{GlobalConcept, Ontology, Soqa};
 
-use crate::tree::UnifiedTree;
+use crate::tree::{UnifiedTree, SUPER_THING};
 
 /// Runtime metadata for a registered runner (dynamic counterpart of
 /// `sst_simpack::MeasureDescriptor`, so user-supplied runners can carry
@@ -169,9 +169,12 @@ impl SimilarityContext<'_> {
 }
 
 /// Interned token id. Ids are assigned against the corpus-wide
-/// vocabularies of the [`ConceptTable`]; equal ids ⟺ equal token strings,
-/// so sequence and alignment DPs over ids are bit-identical to the DPs over
-/// the strings.
+/// vocabularies of the [`ConceptTable`]; within each vocabulary equal ids
+/// ⟺ equal strings, so sequence and alignment DPs over ids are
+/// bit-identical to the DPs over the strings. The numbering itself is not
+/// part of any result: every reader compares ids for equality or counts
+/// shared ids (alignment blocking ranks by count, then target index), so
+/// scores and alignments do not depend on which string got which id.
 pub(crate) type TokenId = u32;
 
 /// Gram size of the registered q-gram measure (padded trigrams); the
@@ -193,7 +196,9 @@ pub(crate) struct ConceptView {
     pub doc: Option<DocId>,
     /// M₁ feature set (attributes, methods, relationships, typed supers)
     /// interned to sorted distinct ids against the corpus-wide feature
-    /// vocabulary — the set measures intersect these by sorted merge.
+    /// vocabulary — the set measures intersect these by sorted merge. Ids
+    /// number the feature strings in first-use order; only equality and
+    /// overlap counts are read, never the order.
     pub features: InternedFeatures,
     /// M₂ token sequence, interned to [`TokenId`]s.
     pub tokens: Vec<TokenId>,
@@ -248,25 +253,194 @@ pub(crate) struct ConceptTable {
 /// vector stage computes them.
 pub(crate) type DenseRow = (Vec<(TermId, f64)>, Vec<f64>);
 
-/// A growing string → [`TokenId`] vocabulary.
+/// A growing string → [`TokenId`] vocabulary, the one interning entry
+/// point of the table's token, feature and name-token vocabularies.
 #[derive(Default)]
-struct Interner(HashMap<String, TokenId>);
+struct Interner {
+    ids: HashMap<String, TokenId>,
+    /// Reused by every [`Interner::intern`] call.
+    buf: String,
+}
 
 impl Interner {
-    fn intern(&mut self, s: String) -> TokenId {
-        let next = self.0.len() as TokenId;
-        *self.0.entry(s).or_insert(next)
+    /// The id of the concatenation of `parts`, written into a reused
+    /// buffer and looked up by `&str`: the string is copied only when it
+    /// is new.
+    fn intern(&mut self, parts: &[&str]) -> TokenId {
+        self.buf.clear();
+        for part in parts {
+            self.buf.push_str(part);
+        }
+        if let Some(&id) = self.ids.get(self.buf.as_str()) {
+            return id;
+        }
+        let id = self.ids.len() as TokenId;
+        self.ids.insert(self.buf.clone(), id);
+        id
     }
 
     /// The vocabulary's strings, indexed by id.
     fn into_pool(self) -> Vec<String> {
-        let mut pool = vec![String::new(); self.0.len()];
-        for (s, id) in self.0 {
+        let mut pool = vec![String::new(); self.ids.len()];
+        for (s, id) in self.ids {
             if let Some(slot) = pool.get_mut(id as usize) {
                 *slot = s;
             }
         }
         pool
+    }
+}
+
+/// One id per source element of one kind, filled on the element's first
+/// use.
+struct Memo(Vec<Option<TokenId>>);
+
+impl Memo {
+    fn new(len: usize) -> Memo {
+        Memo(vec![None; len])
+    }
+
+    /// The id of element `at`: the concatenation of `parts` interned into
+    /// `vocab` on first use, read back afterwards.
+    fn id(&mut self, at: u32, vocab: &mut Interner, parts: &[&str]) -> TokenId {
+        match self.0.get_mut(at as usize) {
+            Some(Some(id)) => *id,
+            Some(slot) => *slot.insert(vocab.intern(parts)),
+            None => vocab.intern(parts),
+        }
+    }
+}
+
+/// The memoized ids of one ontology's elements: the M₂ token of each
+/// attribute and relationship (`ontology:name`), and the M₁ feature of
+/// each attribute (`attr:name`), method (`method:name`), relationship
+/// (`rel:name`) and concept as a direct super (`type:name`).
+struct OntologyIds {
+    attr_tokens: Memo,
+    rel_tokens: Memo,
+    attr_features: Memo,
+    method_features: Memo,
+    rel_features: Memo,
+    super_features: Memo,
+}
+
+impl OntologyIds {
+    fn new(ontology: &Ontology) -> OntologyIds {
+        OntologyIds {
+            attr_tokens: Memo::new(ontology.attributes().len()),
+            rel_tokens: Memo::new(ontology.relationships().len()),
+            attr_features: Memo::new(ontology.attributes().len()),
+            method_features: Memo::new(ontology.methods().len()),
+            rel_features: Memo::new(ontology.relationships().len()),
+            super_features: Memo::new(ontology.concept_count()),
+        }
+    }
+}
+
+/// The interned M₁ feature ids and M₂ token ids of every concept: each
+/// source string is formatted and interned once per source element (tree
+/// node, attribute, method, relationship, super), not once per occurrence
+/// in a row. The ids equal those of interning
+/// [`SimilarityContext::feature_set`] and
+/// [`SimilarityContext::token_sequence`] string by string, up to
+/// renumbering.
+struct SourceIds {
+    tokens: Interner,
+    features: Interner,
+    /// Token per tree node: `ontology:name`, or the unprefixed
+    /// [`SUPER_THING`] for the root node 0.
+    node_tokens: Memo,
+    ontologies: Vec<OntologyIds>,
+    /// The root path of the row being interned.
+    path: Vec<NodeId>,
+}
+
+impl SourceIds {
+    fn new(soqa: &Soqa, tree: &UnifiedTree) -> SourceIds {
+        SourceIds {
+            tokens: Interner::default(),
+            features: Interner::default(),
+            node_tokens: Memo::new(tree.node_count()),
+            ontologies: (0..soqa.ontology_count())
+                .map(|oi| OntologyIds::new(soqa.ontology_at(oi)))
+                .collect(),
+            path: Vec::new(),
+        }
+    }
+
+    /// The M₂ token ids of `gc`: the tokens of its root path, then of its
+    /// own attributes and relationships (see
+    /// [`SimilarityContext::token_sequence`]). The path starts at the root
+    /// node 0, and every node after it belongs to the concept's ontology,
+    /// since the tree joins ontologies only at node 0.
+    fn tokens(&mut self, soqa: &Soqa, tree: &UnifiedTree, gc: GlobalConcept) -> Vec<TokenId> {
+        tree.root_path(gc, &mut self.path);
+        let ontology = soqa.ontology_at(gc.ontology);
+        let prefix = ontology.name();
+        let concept = ontology.concept(gc.concept);
+        let mut out = Vec::with_capacity(
+            self.path.len() + concept.attributes.len() + concept.relationships.len(),
+        );
+        for &node in &self.path {
+            let vocab = &mut self.tokens;
+            out.push(match tree.concept(node) {
+                Some(c) => {
+                    let name = &soqa.concept(c).name;
+                    self.node_tokens.id(node, vocab, &[prefix, ":", name])
+                }
+                None => self.node_tokens.id(node, vocab, &[SUPER_THING]),
+            });
+        }
+        let Some(ids) = self.ontologies.get_mut(gc.ontology) else {
+            return out;
+        };
+        for &a in &concept.attributes {
+            let name = &ontology.attribute(a).name;
+            out.push(
+                ids.attr_tokens
+                    .id(a.0, &mut self.tokens, &[prefix, ":", name]),
+            );
+        }
+        for &r in &concept.relationships {
+            let name = &ontology.relationship(r).name;
+            out.push(
+                ids.rel_tokens
+                    .id(r.0, &mut self.tokens, &[prefix, ":", name]),
+            );
+        }
+        out
+    }
+
+    /// The M₁ feature ids of `gc` (see [`SimilarityContext::feature_set`]):
+    /// its declared and inherited attributes, its methods and
+    /// relationships, and its direct supers.
+    fn features(&mut self, soqa: &Soqa, gc: GlobalConcept) -> InternedFeatures {
+        let ontology = soqa.ontology_at(gc.ontology);
+        let Some(ids) = self.ontologies.get_mut(gc.ontology) else {
+            return InternedFeatures::default();
+        };
+        let vocab = &mut self.features;
+        let concept = ontology.concept(gc.concept);
+        let mut out = Vec::new();
+        let inherited = ontology.all_supers(gc.concept);
+        let declared = std::iter::once(gc.concept).chain(inherited);
+        for a in declared.flat_map(|c| ontology.concept(c).attributes.iter().copied()) {
+            let name = &ontology.attribute(a).name;
+            out.push(ids.attr_features.id(a.0, vocab, &["attr:", name]));
+        }
+        for &m in &concept.methods {
+            let name = &ontology.method(m).name;
+            out.push(ids.method_features.id(m.0, vocab, &["method:", name]));
+        }
+        for &r in &concept.relationships {
+            let name = &ontology.relationship(r).name;
+            out.push(ids.rel_features.id(r.0, vocab, &["rel:", name]));
+        }
+        for &s in &concept.super_concepts {
+            let name = &ontology.concept(s).name;
+            out.push(ids.super_features.id(s.0, vocab, &["type:", name]));
+        }
+        InternedFeatures::new(out)
     }
 }
 
@@ -283,36 +457,26 @@ impl ConceptTable {
             offsets.push(next);
             next += soqa.ontology_at(oi).concept_count();
         }
-        let mut tokens = Interner::default();
-        let mut features = Interner::default();
+        let mut ids = SourceIds::new(soqa, ctx.tree);
         let mut name_tokens = Interner::default();
         let mut rows = Vec::with_capacity(next);
         for (gc, (tfidf, embedding)) in soqa.all_concepts().into_iter().zip(dense) {
             let node = ctx.tree.node(gc);
             let name = ctx.name(gc);
-            let token_ids: Vec<TokenId> = ctx
-                .token_sequence(gc)
-                .into_iter()
-                .map(|t| tokens.intern(t))
-                .collect();
-            let feature_ids = ctx
-                .feature_set(gc)
-                .into_iter()
-                .map(|f| features.intern(f))
-                .collect();
+            let token_ids = ids.tokens(soqa, ctx.tree, gc);
             let name_chars: Vec<char> = name.chars().collect();
             rows.push(ConceptView {
                 concept: gc,
                 node,
                 doc: ctx.doc_ids.get(node as usize).copied().flatten(),
-                features: InternedFeatures::new(feature_ids),
+                features: ids.features(soqa, gc),
                 token_pattern: MyersPattern::new(&token_ids),
                 tokens: token_ids,
                 jaro_mask: JaroMask::new(&name_chars),
                 name_chars,
                 name_tokens: sst_index::tokenize(name)
-                    .into_iter()
-                    .map(|t| name_tokens.intern(t))
+                    .iter()
+                    .map(|t| name_tokens.intern(&[t]))
                     .collect(),
                 // Always `Some` for q ≤ 3; the default is never taken.
                 qgrams: QGramPacked::new(name, QGRAM_Q).unwrap_or_default(),
@@ -326,7 +490,7 @@ impl ConceptTable {
             rows,
             offsets,
             depths: taxonomy.depths(),
-            name_sims: inner_similarity_table(&name_tokens.into_pool()),
+            name_sims: levenshtein_similarity_table(&name_tokens.into_pool()),
         }
     }
 
@@ -380,28 +544,6 @@ fn monge_elkan_directed(sims: &[Vec<f64>], a: &[TokenId], b: &[TokenId]) -> f64 
         total += best;
     }
     total / a.len() as f64
-}
-
-/// Inner Levenshtein similarity of every pair of `pool` tokens, on the
-/// bit-parallel Myers core with one preprocessed pattern per token
-/// (bit-identical to `levenshtein_similarity`). Only the upper triangle is
-/// computed.
-fn inner_similarity_table(pool: &[String]) -> Vec<Vec<f64>> {
-    let chars: Vec<Vec<char>> = pool.iter().map(|t| t.chars().collect()).collect();
-    let patterns: Vec<MyersPattern> = chars.iter().map(|c| MyersPattern::from_chars(c)).collect();
-    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(pool.len());
-    for (i, x) in patterns.iter().enumerate() {
-        let mut row = Vec::with_capacity(pool.len());
-        for prev in &rows {
-            // Mirror of the already-computed sim(pool[j], pool[i]).
-            row.push(prev.get(i).copied().unwrap_or(0.0));
-        }
-        for y in chars.iter().skip(i) {
-            row.push(myers_similarity_chars_from(x, y));
-        }
-        rows.push(row);
-    }
-    rows
 }
 
 /// A coupling module for one user-registered similarity measure.

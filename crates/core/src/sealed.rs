@@ -19,9 +19,17 @@ pub(crate) enum Framing {
     TrailingBytes(usize),
 }
 
+/// The FNV-1a offset basis: the checksum of an empty body.
+pub(crate) const FNV1A_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// 64-bit FNV-1a over `bytes`: the checksum of the trailer.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a_extend(FNV1A_BASIS, bytes)
+}
+
+/// The FNV-1a checksum `hash` of a body, extended by `bytes`, so an
+/// encoder can checksum its output as it writes it.
+pub(crate) fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);

@@ -161,17 +161,27 @@ impl UnifiedTree {
     /// mapping uses.
     pub fn root_path_names(&self, soqa: &Soqa, gc: GlobalConcept) -> Vec<String> {
         let mut path = Vec::new();
+        self.root_path(gc, &mut path);
+        path.iter()
+            .map(|&node| match self.concept(node) {
+                Some(c) => soqa.concept(c).name.clone(),
+                None => SUPER_THING.to_owned(),
+            })
+            .collect()
+    }
+
+    /// Replaces `path` with the nodes from the root to `gc` along shortest
+    /// super chains: from `gc`'s node up, each step takes the first parent
+    /// of minimum depth.
+    pub(crate) fn root_path(&self, gc: GlobalConcept, path: &mut Vec<u32>) {
+        path.clear();
         let mut node = self.node(gc);
         let depths = self.taxonomy.depths();
         loop {
-            match self.concept(node) {
-                Some(c) => path.push(soqa.concept(c).name.clone()),
-                None => path.push(SUPER_THING.to_owned()),
-            }
+            path.push(node);
             if node == 0 {
                 break;
             }
-            // Follow the parent on a shortest path to the root.
             let parents = self.taxonomy.parents(node);
             match parents.iter().min_by_key(|&&p| depths.depth(p)) {
                 Some(&p) => node = p,
@@ -179,7 +189,6 @@ impl UnifiedTree {
             }
         }
         path.reverse();
-        path
     }
 }
 

@@ -37,7 +37,7 @@ use sst_limits::{Budget, LimitViolation, Limits};
 use sst_simpack::{dense_dot, dense_is_zero, dense_normalize};
 use sst_soqa::GlobalConcept;
 
-use crate::sealed::{fnv1a, unseal, Framing};
+use crate::sealed::{fnv1a_extend, unseal, Framing, FNV1A_BASIS};
 
 /// Embedding width of the toolkit-built store. 64 dimensions keep a
 /// million-concept matrix at half a gigabyte while a signed random
@@ -87,21 +87,22 @@ fn splitmix_next(state: &mut u64) -> u64 {
 /// table, and the [`VectorStore`] mutually bit-identical. An empty
 /// input (a concept with no indexed description) embeds to the zero
 /// vector, which every similarity path scores 0 against.
+///
+/// One SplitMix64 word signs 64 consecutive components, bit `d % 64`
+/// for component `d`: a set bit adds `weight`, a clear one `-weight`,
+/// selected by flipping the sign bit. `-weight` is the IEEE value of
+/// `weight · -1.0`, so this is the multiply-by-sign projection bit for
+/// bit (`sst_bench::oracle` keeps that form as the reference).
 pub fn embed_tfidf(tfidf: &[(TermId, f64)], dim: usize) -> Vec<f64> {
     let mut acc = vec![0.0; dim];
     for &(term, weight) in tfidf {
         let mut state = u64::from(term.0).wrapping_mul(SPLITMIX_GAMMA) ^ PROJECTION_SEED;
-        let mut bits = 0u64;
-        let mut left = 0u32;
-        for slot in acc.iter_mut() {
-            if left == 0 {
-                bits = splitmix_next(&mut state);
-                left = 64;
+        let weight = weight.to_bits();
+        for slots in acc.chunks_mut(64) {
+            let negate = !splitmix_next(&mut state);
+            for (d, slot) in slots.iter_mut().enumerate() {
+                *slot += f64::from_bits(weight ^ ((negate >> d) << 63));
             }
-            let sign = if bits & 1 == 1 { 1.0 } else { -1.0 };
-            bits >>= 1;
-            left -= 1;
-            *slot += weight * sign;
         }
     }
     dense_normalize(&mut acc);
@@ -658,19 +659,38 @@ impl VectorStore {
     /// FNV-1a checksum over everything before it.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(FORMAT_MAGIC);
-        out.extend_from_slice(&(self.dim as u32).to_le_bytes());
-        out.extend_from_slice(&(self.len() as u64).to_le_bytes());
+        self.encode(|field| out.extend_from_slice(field));
+        out
+    }
+
+    /// Whether `bytes` is exactly [`VectorStore::to_bytes`], checked
+    /// field by field against the encoder's output as it is written,
+    /// checksum trailer included, without building the file.
+    pub(crate) fn encodes_to(&self, bytes: &[u8]) -> bool {
+        let mut rest = Some(bytes);
+        self.encode(|field| rest = rest.and_then(|r| r.strip_prefix(field)));
+        rest.is_some_and(<[u8]>::is_empty)
+    }
+
+    /// The one writer of the `SSTVEC1` layout: hands every field of the
+    /// file to `sink` in order, the FNV-1a trailer over all of them last.
+    fn encode(&self, mut sink: impl FnMut(&[u8])) {
+        let mut checksum = FNV1A_BASIS;
+        let mut put = |field: &[u8]| {
+            checksum = fnv1a_extend(checksum, field);
+            sink(field);
+        };
+        put(FORMAT_MAGIC);
+        put(&(self.dim as u32).to_le_bytes());
+        put(&(self.len() as u64).to_le_bytes());
         for (label, row) in self.labels.iter().zip(self.vectors.chunks(self.dim.max(1))) {
-            out.extend_from_slice(&(label.len() as u32).to_le_bytes());
-            out.extend_from_slice(label.as_bytes());
+            put(&(label.len() as u32).to_le_bytes());
+            put(label.as_bytes());
             for v in row {
-                out.extend_from_slice(&v.to_le_bytes());
+                put(&v.to_le_bytes());
             }
         }
-        let checksum = fnv1a(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+        sink(&checksum.to_le_bytes());
     }
 }
 
@@ -828,6 +848,7 @@ impl DenseVectorFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sealed::fnv1a;
 
     fn gc(i: u32) -> GlobalConcept {
         GlobalConcept {
@@ -938,6 +959,22 @@ mod tests {
         for (i, (_, v)) in file.rows.iter().enumerate() {
             assert_eq!(v, s.row(i));
         }
+    }
+
+    #[test]
+    fn the_in_place_check_accepts_exactly_the_encoding() {
+        let s = tiny_store();
+        let good = s.to_bytes();
+        assert!(s.encodes_to(&good));
+        // Any one byte changed, the trailer's included, and any length off.
+        for at in 0..good.len() {
+            let mut changed = good.clone();
+            changed[at] ^= 0x01;
+            assert!(!s.encodes_to(&changed), "byte {at}");
+        }
+        assert!(!s.encodes_to(&good[..good.len() - 1]));
+        assert!(!s.encodes_to(&[good.as_slice(), &[0]].concat()));
+        assert!(!s.encodes_to(&[]));
     }
 
     #[test]

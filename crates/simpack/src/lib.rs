@@ -56,7 +56,10 @@ pub use ic::{
     ProbabilityMode,
 };
 pub use measure::{descriptor, MeasureDescriptor, MeasureKind, CATALOG};
-pub use myers::{myers_sequence_similarity_from, myers_similarity_chars_from, MyersPattern};
+pub use myers::{
+    levenshtein_similarity_table, myers_sequence_similarity_from, myers_similarity_chars_from,
+    MyersPattern,
+};
 pub use sequence::{sequence_similarity, xform, xform_worst_case, CostModel};
 pub use string::{
     jaro, jaro_fast, jaro_winkler, jaro_winkler_fast, levenshtein_distance, levenshtein_similarity,

@@ -125,34 +125,10 @@ impl MyersPattern {
         }
     }
 
-    /// Myers' original single-word algorithm (m ≤ 64). The `| 1` on the
-    /// shifted `Ph` encodes the +1 horizontal delta entering each column at
-    /// row 0.
+    /// The single-word recurrence over this pattern's `Peq` masks.
     #[inline]
     fn distance_single_block(&self, text: impl Iterator<Item = u32>) -> usize {
-        let m = self.len;
-        let shift = m - 1;
-        let last_bit = 1u64 << shift;
-        let mut pv = !0u64;
-        let mut mv = 0u64;
-        let mut score = m;
-        for c in text {
-            let eq = self.peq1(c);
-            let xv = eq | mv;
-            let xh = ((eq & pv).wrapping_add(pv) ^ pv) | eq;
-            let ph = mv | !(xh | pv);
-            let mh = pv & xh;
-            if ph & last_bit != 0 {
-                score += 1;
-            } else if mh & last_bit != 0 {
-                score -= 1;
-            }
-            let ph = (ph << 1) | 1;
-            let mh = mh << 1;
-            pv = mh | !(xv | ph);
-            mv = ph & xv;
-        }
-        score
+        single_word_distance(self.len, text.map(|c| self.peq1(c)))
     }
 
     /// Hyyrö's multi-block extension (m > 64): blocks are processed bottom
@@ -217,6 +193,36 @@ impl MyersPattern {
     }
 }
 
+/// Myers' original single-word algorithm for a pattern of `m` symbols
+/// (1 ≤ m ≤ 64), fed one `Peq` mask per text column: bit `i` of a mask is
+/// set iff pattern symbol `i` equals that column's symbol. Where the masks
+/// come from is the only thing its callers vary. The `| 1` on the shifted
+/// `Ph` encodes the +1 horizontal delta entering each column at row 0.
+#[inline]
+fn single_word_distance(m: usize, eqs: impl Iterator<Item = u64>) -> usize {
+    let shift = m - 1;
+    let last_bit = 1u64 << shift;
+    let mut pv = !0u64;
+    let mut mv = 0u64;
+    let mut score = m;
+    for eq in eqs {
+        let xv = eq | mv;
+        let xh = ((eq & pv).wrapping_add(pv) ^ pv) | eq;
+        let ph = mv | !(xh | pv);
+        let mh = pv & xh;
+        if ph & last_bit != 0 {
+            score += 1;
+        } else if mh & last_bit != 0 {
+            score -= 1;
+        }
+        let ph = (ph << 1) | 1;
+        let mh = mh << 1;
+        pv = mh | !(xv | ph);
+        mv = ph & xv;
+    }
+    score
+}
+
 /// Reusable vertical-delta buffers for the multi-block path, one per
 /// thread.
 #[derive(Debug, Clone, Default)]
@@ -242,11 +248,79 @@ fn with_myers_scratch<R>(f: impl FnOnce(&mut MyersScratch) -> R) -> R {
 /// character pattern and a text — the kernel of
 /// [`crate::levenshtein_similarity`].
 pub fn myers_similarity_chars_from(pattern: &MyersPattern, text: &[char]) -> f64 {
-    let max_len = pattern.len().max(text.len());
+    normalized_similarity(pattern.len(), text.len(), pattern.distance_chars(text))
+}
+
+/// `1 − d / max(a, b)` for strings of `a` and `b` characters at distance
+/// `d`, and 1 for two empty strings.
+fn normalized_similarity(a: usize, b: usize, d: usize) -> f64 {
+    let max_len = a.max(b);
     if max_len == 0 {
         return 1.0;
     }
-    1.0 - pattern.distance_chars(text) as f64 / max_len as f64
+    1.0 - d as f64 / max_len as f64
+}
+
+/// The Levenshtein similarity of every pair of `pool` strings:
+/// `table[x][y]` equals `levenshtein_similarity(pool[x], pool[y])` bit for
+/// bit (the distance is the same exact integer, normalized by the same
+/// expression). Only the upper triangle is computed; the lower one mirrors
+/// it, which is exact because the distance and the longer length are both
+/// symmetric.
+///
+/// Each distinct character of the pool gets a dense id once, and each row
+/// fills one match-mask table indexed by those ids, so the single-word
+/// recurrence reads every text column's mask directly instead of searching
+/// the pattern's symbols. As a pattern, a string over 64 characters takes
+/// the multi-block path.
+pub fn levenshtein_similarity_table(pool: &[String]) -> Vec<Vec<f64>> {
+    let mut alphabet: Vec<char> = pool.iter().flat_map(|s| s.chars()).collect();
+    alphabet.sort_unstable();
+    alphabet.dedup();
+    let texts: Vec<Vec<u32>> = pool
+        .iter()
+        .map(|s| {
+            s.chars()
+                .map(|c| alphabet.binary_search(&c).map_or(0, |id| id as u32))
+                .collect()
+        })
+        .collect();
+    let mut masks = vec![0u64; alphabet.len()];
+    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(pool.len());
+    for (i, x) in texts.iter().enumerate() {
+        let mut row = Vec::with_capacity(pool.len());
+        for prev in &rows {
+            // Mirror of the already-computed sim(pool[j], pool[i]).
+            row.push(prev.get(i).copied().unwrap_or(0.0));
+        }
+        let rest = texts.iter().skip(i);
+        if (1..=64).contains(&x.len()) {
+            for (bit, &c) in x.iter().enumerate() {
+                if let Some(mask) = masks.get_mut(c as usize) {
+                    *mask |= 1u64 << bit;
+                }
+            }
+            row.extend(rest.map(|y| {
+                let eqs = y
+                    .iter()
+                    .map(|&c| masks.get(c as usize).copied().unwrap_or(0));
+                normalized_similarity(x.len(), y.len(), single_word_distance(x.len(), eqs))
+            }));
+            for &c in x {
+                if let Some(mask) = masks.get_mut(c as usize) {
+                    *mask = 0;
+                }
+            }
+        } else {
+            // The empty pattern, and patterns over one word.
+            let pattern = MyersPattern::new(x);
+            row.extend(
+                rest.map(|y| normalized_similarity(x.len(), y.len(), pattern.distance_ids(y))),
+            );
+        }
+        rows.push(row);
+    }
+    rows
 }
 
 /// [`crate::sequence_similarity`] with [`crate::CostModel::UNIT`] on the

@@ -10,12 +10,12 @@
 
 use sst_simpack::{
     edge_similarity, jaro, jaro_fast, jaro_winkler, jaro_winkler_fast, jiang_conrath_similarity,
-    levenshtein_distance, levenshtein_similarity, lin_similarity, myers_sequence_similarity_from,
-    myers_similarity_chars_from, needleman_wunsch, needleman_wunsch_similarity, qgram,
-    qgram_packed_from, resnik_similarity, sequence_similarity, smith_waterman,
-    smith_waterman_similarity, wu_palmer_similarity, wu_palmer_similarity_rooted, AlignmentScoring,
-    CostModel, DepthTable, InformationContent, JaroMask, MyersPattern, NodeId, QGramPacked,
-    Taxonomy,
+    levenshtein_distance, levenshtein_similarity, levenshtein_similarity_table, lin_similarity,
+    myers_sequence_similarity_from, myers_similarity_chars_from, needleman_wunsch,
+    needleman_wunsch_similarity, qgram, qgram_packed_from, resnik_similarity, sequence_similarity,
+    smith_waterman, smith_waterman_similarity, wu_palmer_similarity, wu_palmer_similarity_rooted,
+    AlignmentScoring, CostModel, DepthTable, InformationContent, JaroMask, MyersPattern, NodeId,
+    QGramPacked, Taxonomy,
 };
 
 /// Deterministic PRNG (SplitMix64) so failures reproduce exactly.
@@ -136,6 +136,61 @@ fn myers_chars_matches_classic_dp_including_multiblock() {
             "case {case} distance"
         );
     }
+}
+
+/// The all-pairs table (the Monge-Elkan inner table) equals
+/// `levenshtein_similarity` and the classic DP cell by cell, bit for bit,
+/// over a pool of ASCII, non-ASCII and digit tokens, the empty token,
+/// tokens at and around the 64-character block boundary and past two
+/// blocks, and random words of the mixed alphabet.
+#[test]
+fn levenshtein_table_matches_pairwise_similarity() {
+    let cycle = |len: usize, from: char| -> String {
+        (0..len)
+            .map(|i| char::from_u32(from as u32 + (i % 11) as u32).unwrap_or(from))
+            .collect()
+    };
+    let mut pool: Vec<String> = [
+        "professor",
+        "professors",
+        "student",
+        "course",
+        "étudiant",
+        "straße",
+        "中文课程",
+        "𝛼λΩ",
+        "101",
+        "cs101",
+        "2006",
+        "",
+    ]
+    .iter()
+    .map(|t| t.to_string())
+    .collect();
+    for len in [63, 64, 65, 130] {
+        pool.push(cycle(len, 'a'));
+        pool.push(cycle(len, 'é'));
+    }
+    let mut rng = Rng(0x7ab1e);
+    for _ in 0..40 {
+        pool.push(word(&mut rng, 140).into_iter().collect());
+    }
+    let table = levenshtein_similarity_table(&pool);
+    assert_eq!(table.len(), pool.len());
+    for (x, row) in pool.iter().zip(&table) {
+        assert_eq!(row.len(), pool.len());
+        for (y, &cell) in pool.iter().zip(row) {
+            let (cx, cy): (Vec<char>, Vec<char>) = (x.chars().collect(), y.chars().collect());
+            let reference = classic_levenshtein_similarity(&cx, &cy);
+            assert_eq!(
+                cell.to_bits(),
+                levenshtein_similarity(x, y).to_bits(),
+                "{x:?} vs {y:?}"
+            );
+            assert_eq!(cell.to_bits(), reference.to_bits(), "{x:?} vs {y:?}");
+        }
+    }
+    assert!(levenshtein_similarity_table(&[]).is_empty());
 }
 
 /// Myers over interned u32 tokens reproduces the unit-cost weighted

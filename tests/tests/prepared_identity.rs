@@ -6,12 +6,17 @@
 //! Comparisons use `f64::to_bits`, so even a `-0.0` vs `0.0` or
 //! NaN-payload drift fails.
 
-use sst_bench::oracle::{self, oracle};
-use sst_bench::{corpus_builder, names};
+use sst_bench::oracle::{self, embed_tfidf_reference, oracle};
+use sst_bench::{corpus_builder, names, SplitMix64};
 use sst_core::{
-    CachedSimilarity, ConceptAndSimilarity, ConceptRef, ConceptSet, SstToolkit, TreeMode,
+    embed_tfidf, CachedSimilarity, ConceptAndSimilarity, ConceptRef, ConceptSet, SstBuilder,
+    SstToolkit, TreeMode,
 };
+use sst_index::TermId;
 use sst_simpack::{Amalgamation, Combiner};
+use sst_soqa::{
+    Attribute, ConceptId, Method, Ontology, OntologyBuilder, OntologyMetadata, Relationship,
+};
 
 /// The paper corpus with the oracle runners registered.
 fn corpus_with_oracle(mode: TreeMode) -> SstToolkit {
@@ -533,6 +538,171 @@ fn merged_thing_services_match_naive_with_collapsed_roots() {
                     .unwrap();
                 assert_rankings_bit_identical(&cached, &direct, &format!("{what} ({pass})"));
             }
+        }
+    }
+}
+
+/// An ontology built to trip the concept table's interning, for
+/// [`a_hostile_corpus_scores_as_the_oracle`]. Both instances share their
+/// concept, attribute and relationship names, so only the ontology prefix
+/// tells their M₂ tokens apart. It holds:
+/// - a root with an attribute (merged into node 0 under `MergedThing`);
+/// - an attribute named like a concept of its ontology (`Course`);
+/// - one attribute name (`name`) on several concepts, and a relationship
+///   named like it;
+/// - a diamond (`Assistant` under `Student` and `Employee`) that inherits
+///   `Person`'s attributes through both parents, which have equal depth;
+///   `parents_flipped` declares them in the other order;
+/// - names that are non-ASCII, exactly 64 and 65 characters long, hold
+///   digits, or are empty.
+fn hostile_ontology(name: &str, parents_flipped: bool) -> Ontology {
+    let mut b = OntologyBuilder::new(OntologyMetadata {
+        name: name.into(),
+        language: "Test".into(),
+        ..OntologyMetadata::default()
+    });
+    let attribute = |b: &mut OntologyBuilder, concept: ConceptId, attr: &str| {
+        b.add_attribute(Attribute {
+            name: attr.into(),
+            documentation: None,
+            data_type: None,
+            definition: None,
+            concept,
+        });
+    };
+    let thing = b.concept("Thing");
+    attribute(&mut b, thing, "id");
+    let person = b.concept("Person");
+    b.add_subclass(person, thing);
+    attribute(&mut b, person, "name");
+    attribute(&mut b, person, "Course");
+    let student = b.concept("Student");
+    b.add_subclass(student, person);
+    attribute(&mut b, student, "name");
+    let employee = b.concept("Employee");
+    b.add_subclass(employee, person);
+    attribute(&mut b, employee, "salary");
+    b.add_method(Method {
+        name: "enroll".into(),
+        documentation: None,
+        definition: None,
+        parameters: Vec::new(),
+        return_type: None,
+        concept: student,
+    });
+    let assistant = b.concept("Assistant");
+    let parents = if parents_flipped {
+        [employee, student]
+    } else {
+        [student, employee]
+    };
+    for parent in parents {
+        b.add_subclass(assistant, parent);
+    }
+    attribute(&mut b, assistant, "name");
+    let course = b.concept("Course");
+    b.add_subclass(course, thing);
+    let long = "interning".repeat(8);
+    for (label, parent) in [
+        ("Étudiant", student),
+        ("Straße", thing),
+        ("中文课程", course),
+        ("Course101", course),
+        (&long[..64], course),
+        (&long[..65], course),
+        ("", thing),
+    ] {
+        let c = b.concept(label);
+        b.add_subclass(c, parent);
+        b.concept_mut(c).documentation = Some(format!("{label} of {name}, a course or a person"));
+    }
+    b.concept_mut(student).documentation = Some("a person who studies a course".into());
+    b.concept_mut(employee).documentation = Some("a person paid a salary".into());
+    b.add_relationship(Relationship {
+        name: "name".into(),
+        documentation: None,
+        definition: None,
+        arity: 2,
+        related_concepts: vec!["Student".into(), "Course".into()],
+    });
+    b.build()
+}
+
+/// Every service's scores on the hostile corpus of [`hostile_ontology`]
+/// equal the oracle's, in both tree modes: the matrix of every built-in
+/// measure over every registered concept (the merged roots included),
+/// and every concept's rankings at a few k, most similar and most
+/// dissimilar.
+#[test]
+fn a_hostile_corpus_scores_as_the_oracle() {
+    for mode in [TreeMode::SuperThing, TreeMode::MergedThing] {
+        let builder = SstBuilder::new()
+            .tree_mode(mode)
+            .register_ontology(hostile_ontology("left", false))
+            .unwrap()
+            .register_ontology(hostile_ontology("right", true))
+            .unwrap();
+        let sst = oracle::register(builder).build();
+        let soqa = sst.soqa();
+        let members: Vec<ConceptRef> = soqa
+            .all_concepts()
+            .into_iter()
+            .map(|gc| ConceptRef::new(&soqa.concept(gc).name, soqa.ontology_at(gc.ontology).name()))
+            .collect();
+        let set = ConceptSet::List(members.clone());
+        for measure in all_measures(&sst) {
+            let naive = sst.similarity_matrix(&set, oracle(measure)).unwrap();
+            let prepared = sst.similarity_matrix(&set, measure).unwrap();
+            let what = format!("{mode:?} hostile corpus");
+            assert_matrices_bit_identical(measure, &naive, &prepared, &what);
+            for (query, scores) in members.iter().zip(naive.1) {
+                for k in [1, 3, members.len()] {
+                    let what = format!("{what}, measure {measure}, {query:?}, k {k}");
+                    let ranked = sst
+                        .most_similar(&query.concept, &query.ontology, &set, k, measure)
+                        .unwrap();
+                    let expected = naive_ranking(&members, scores.clone(), k);
+                    assert_rankings_bit_identical(&ranked, &expected, &what);
+                    let ranked = sst
+                        .most_dissimilar(&query.concept, &query.ontology, &set, k, measure)
+                        .unwrap();
+                    let expected = naive_dissimilar_ranking(&members, scores.clone(), k);
+                    assert_rankings_bit_identical(&ranked, &expected, &what);
+                }
+            }
+        }
+    }
+}
+
+/// The toolkit's embedding kernel equals the oracle's plain projection
+/// bit for bit. The oracle's `dense_vector` runner embeds through that
+/// reference, so the other tests here compare the kernel only through
+/// scores; this pins it directly, on seeded TF-IDF vectors of 1 to 40
+/// terms (some of weight zero) at widths under, at, between and over
+/// multiples of one 64-bit sign word.
+#[test]
+fn the_embedding_kernel_matches_the_oracle_projection() {
+    let mut rng = SplitMix64::seed_from_u64(0x5eed);
+    for dim in [8, 64, 100, 128] {
+        for case in 0..250 {
+            let mut term = 0u32;
+            let tfidf: Vec<(TermId, f64)> = (0..rng.gen_range(1..41))
+                .map(|_| {
+                    term += 1 + rng.gen_range(0..300) as u32;
+                    let weight = if rng.gen_bool(0.15) {
+                        0.0
+                    } else {
+                        (rng.next_u64() >> 11) as f64 / (1u64 << 50) as f64
+                    };
+                    (TermId(term), weight)
+                })
+                .collect();
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(
+                bits(embed_tfidf(&tfidf, dim)),
+                bits(embed_tfidf_reference(&tfidf, dim)),
+                "dim {dim}, case {case}: {tfidf:?}"
+            );
         }
     }
 }

@@ -12,7 +12,7 @@
 //! Comparisons use `f64::to_bits` (as in `prepared_identity`), so even a
 //! `-0.0` vs `0.0` or NaN-payload drift fails.
 
-use sst_bench::sealed::{reseal, SnapshotSections};
+use sst_bench::sealed::{fnv1a, reseal, SnapshotSections};
 use sst_bench::{generate_taxonomy, load_corpus, names, SplitMix64, TaxonomySpec};
 use sst_core::{
     align_with_limits, AlignmentConfig, ConceptRef, ConceptSet, ProbabilityModeConfig, SstBuilder,
@@ -82,6 +82,36 @@ fn snapshot_round_trip_is_bit_identical_for_every_measure() {
                 );
             }
         }
+    }
+}
+
+/// Golden digests of what the paper corpus exports, in both tree modes:
+/// the length and FNV-1a of `export_vectors()` (`SSTVEC1`) and of
+/// `export_snapshot()` (`SSTSNAP2`). A change that moves a digest changes
+/// the bytes a writer stores, which DESIGN §5 allows only with a bump of
+/// the format's magic, so that no reader meets bytes of another version
+/// under its own magic. The embeddings read `ln` (the index's idf)
+/// through the platform libm, so the values hold for the platform they
+/// were taken on (x86-64 Linux, glibc).
+#[test]
+fn the_paper_corpus_exports_its_golden_bytes() {
+    let golden = [
+        (
+            TreeMode::SuperThing,
+            (523_394, 0x64eb_2ae4_ef61_0e84),
+            (990_567, 0x6ec9_5e07_f631_03f7),
+        ),
+        (
+            TreeMode::MergedThing,
+            (517_018, 0x33cc_8294_1d6d_c6fc),
+            (981_974, 0xcbdf_ae38_5ad5_ef47),
+        ),
+    ];
+    for (mode, vectors, snapshot) in golden {
+        let sst = load_corpus(mode, false);
+        let digest = |bytes: Vec<u8>| (bytes.len(), fnv1a(&bytes));
+        assert_eq!(digest(sst.export_vectors()), vectors, "{mode:?} vectors");
+        assert_eq!(digest(sst.export_snapshot()), snapshot, "{mode:?} snapshot");
     }
 }
 
@@ -366,6 +396,22 @@ fn hostile_sections_reach_their_validators() {
             "one document extra",
             Box::new(|s| s.docs.push(vec![(0, 1)])),
             "term lists for",
+        ),
+        (
+            "embedded SSTVEC1 trailer",
+            Box::new(|s| {
+                let last = s.vectors.len() - 1;
+                s.vectors[last] ^= 0x01;
+            }),
+            "do not match the embeddings",
+        ),
+        (
+            "embedded SSTVEC1 row value",
+            Box::new(|s| {
+                let before_trailer = s.vectors.len() - 9;
+                s.vectors[before_trailer] ^= 0x01;
+            }),
+            "do not match the embeddings",
         ),
         (
             "graph id past the rows",
